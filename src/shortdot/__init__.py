@@ -18,7 +18,6 @@ from .bounds import (
 )
 from .coding import (
     EncodedTransform,
-    SparsityPattern,
     WorkerOutput,
     WorkerTask,
     decode,

@@ -114,6 +114,12 @@ def _parse_corruptions(text: str | None) -> dict[int, float]:
     return out
 
 
+def _check_workers(indices, P: int, flag: str) -> None:
+    bad = [i for i in indices if not 1 <= i <= P]
+    if bad:
+        raise ValueError(f"{flag}: worker indices {bad} outside 1..{P}")
+
+
 def cmd_transform(args) -> int:
     code = load_transform(args.code_dir)
     params = code.params
@@ -122,6 +128,7 @@ def cmd_transform(args) -> int:
 
     if args.error_decode is not None:
         corrupt = _parse_corruptions(args.corrupt)
+        _check_workers(corrupt, params.P, "--corrupt")
         outputs = [
             type(o)(index=o.index, value=corrupt.get(o.index, o.value)) for o in outputs
         ]
@@ -130,6 +137,7 @@ def cmd_transform(args) -> int:
         if not args.responders:
             raise ValueError("need --responders (or --error-decode) to choose outputs")
         responders = _int_list(args.responders)
+        _check_workers(responders, params.P, "--responders")
         if len(responders) < params.K:
             raise ValueError(
                 f"{len(responders)} responders < K={params.K}; cannot decode"

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConditioningError, DecodingError
-from .generator import COND_LIMIT, GeneratorMatrix, guarded_solve
+from .generator import GeneratorMatrix, check_condition, guarded_solve
 from .params import CodeParams, validate_params
 from .polynomials import horner, newton_monomial
 
@@ -62,60 +62,56 @@ def zero_mask(params: CodeParams) -> np.ndarray:
     return np.tile(block, params.N // P)
 
 
-def supports_from_pattern(params: CodeParams) -> tuple[tuple[int, ...], ...]:
-    """Per-row allowed-nonzero column indices (1-based), each of size s."""
-    allowed = ~zero_mask(params)
-    return tuple(tuple(int(j) + 1 for j in np.flatnonzero(row)) for row in allowed)
-
-
-@dataclass(frozen=True)
-class SparsityPattern:
-    """Cyclic zero pattern of the encoded matrix for a parameter tuple."""
-
-    params: CodeParams
-
-    def zero_rows(self, j: int) -> frozenset[int]:
-        return zero_support(j, self.params)
-
-    def mask(self) -> np.ndarray:
-        return zero_mask(self.params)
-
-    def supports(self) -> tuple[tuple[int, ...], ...]:
-        return supports_from_pattern(self.params)
+def supports_from_pattern(params: CodeParams) -> np.ndarray:
+    """(P, s) array: row i lists the 1-based allowed-nonzero columns of
+    row i+1 of F, ascending."""
+    return np.nonzero(~zero_mask(params))[1].reshape(params.P, params.s) + 1
 
 
 @dataclass(frozen=True)
 class EncodedTransform:
     """The encoded matrix F plus everything needed to task workers.
 
-    F is P x N with pattern positions exactly zero; supports[i] lists the
-    1-based allowed-nonzero columns of row i+1 (pattern-derived, size s,
-    reported even if the corresponding entries happen to vanish).
+    F is P x N and exactly zero on the cyclic pattern; construction
+    refuses any other F.  Construction also derives `supports` (see
+    supports_from_pattern) and each worker's coefficients on its support,
+    once; F, supports and the coefficients are then read-only, so the
+    cached worker tasks cannot go stale.
     """
 
     F: np.ndarray
-    supports: tuple[tuple[int, ...], ...]
     generator: GeneratorMatrix
     params: CodeParams
     zero_tolerance: float
 
-    def worker_tasks(self) -> tuple["WorkerTask", ...]:
-        return tuple(
-            WorkerTask(
-                index=i + 1,
-                support=sup,
-                coefficients=self.F[i, np.asarray(sup) - 1].copy(),
-            )
-            for i, sup in enumerate(self.supports)
+    def __post_init__(self):
+        p = self.params
+        if self.F.shape != (p.P, p.N):
+            raise ValueError(f"F shape {self.F.shape} != (P, N) = ({p.P}, {p.N})")
+        supports = supports_from_pattern(p)
+        coefficients = np.take_along_axis(self.F, supports - 1, axis=1)
+        # equal counts <=> every nonzero of F lies on its row's support
+        if np.count_nonzero(coefficients) != np.count_nonzero(self.F):
+            raise ValueError("F is nonzero at a position the sparsity pattern forces to zero")
+        for arr in (self.F, supports, coefficients):
+            arr.flags.writeable = False
+        tasks = tuple(
+            WorkerTask(index=i + 1, support=sup, coefficients=coef)
+            for i, (sup, coef) in enumerate(zip(supports, coefficients))
         )
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "_tasks", tasks)
+
+    def worker_tasks(self) -> tuple["WorkerTask", ...]:
+        return self._tasks
 
 
 @dataclass(frozen=True)
 class WorkerTask:
-    """Row index, support S_i and the row's coefficients on S_i."""
+    """Row index, support S_i (1-based) and the row's coefficients on S_i."""
 
     index: int
-    support: tuple[int, ...]
+    support: np.ndarray
     coefficients: np.ndarray
 
 
@@ -127,7 +123,7 @@ class WorkerOutput:
     value: float
 
 
-def solve_appended(A_col, U, gen: GeneratorMatrix, cond_limit: float | None = None) -> np.ndarray:
+def solve_appended(A_col, U, gen: GeneratorMatrix) -> np.ndarray:
     """Appended entries z with B^U @ [A_col; z] = 0 for one column.
 
     U is the set of K-M (1-based) rows to zero; returns the (K-M,)
@@ -142,7 +138,7 @@ def solve_appended(A_col, U, gen: GeneratorMatrix, cond_limit: float | None = No
     if K == M:
         return np.zeros(0)
     BU = gen.entries[rows]
-    return -guarded_solve(BU[:, M:], BU[:, :M] @ A_col, cond_limit)
+    return -guarded_solve(BU[:, M:], BU[:, :M] @ A_col)
 
 
 def encode(
@@ -150,7 +146,6 @@ def encode(
     gen: GeneratorMatrix,
     params: CodeParams,
     method: str = "solve",
-    cond_limit: float | None = None,
 ) -> EncodedTransform:
     """Encode an M x N_raw matrix A into the sparse P x N transform F.
 
@@ -162,6 +157,8 @@ def encode(
     P, K, M, N = params.P, params.K, params.M, params.N
     if A.shape != (M, params.N_raw):
         raise ValueError(f"A shape {A.shape} != (M, N_raw) = ({M}, {params.N_raw})")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("A has non-finite entries")
     if gen.entries.shape != (P, K):
         raise ValueError(f"generator shape {gen.entries.shape} != ({P}, {K})")
     if method not in ("solve", "poly"):
@@ -187,10 +184,10 @@ def encode(
             Acols = Apad[:, cols]
             if method == "solve":
                 BU = B[rows]
-                Z = -guarded_solve(BU[:, M:], BU[:, :M] @ Acols, cond_limit)
+                Z = -guarded_solve(BU[:, M:], BU[:, :M] @ Acols)
                 Fcols = B @ np.vstack([Acols, Z])
             else:
-                Fcols = _encode_poly_group(Acols, gen, rows, cond_limit)
+                Fcols = _encode_poly_group(Acols, gen, rows)
             pattern_resid = float(np.max(np.abs(Fcols[rows]))) if cols.size else 0.0
             if pattern_resid > ztol:
                 raise ConditioningError(
@@ -200,16 +197,10 @@ def encode(
             Fcols[rows] = 0.0
             F[:, cols] = Fcols
 
-    return EncodedTransform(
-        F=F,
-        supports=supports_from_pattern(params),
-        generator=gen,
-        params=params,
-        zero_tolerance=ztol,
-    )
+    return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
 
 
-def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray, cond_limit):
+def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray):
     """Polynomial-path encoding of all columns sharing one zero pattern.
 
     B^U_{1:M} A_j is the degree-(K-1) polynomial with coefficients
@@ -219,13 +210,8 @@ def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray
     M = Acols.shape[0]
     K = gen.K
     nodes_u = gen.nodes[rows]
-    # Same rejection gate as the dense path, on the same submatrix.
-    limit = COND_LIMIT if cond_limit is None else cond_limit
-    c = np.linalg.cond(gen.entries[rows][:, M:])
-    if not np.isfinite(c) or c > limit:
-        raise ConditioningError(
-            f"solve rejected: estimated condition {c:.3e} exceeds limit {limit:.1e}"
-        )
+    # The dense path's gate, on the submatrix it would solve with.
+    check_condition(gen.entries[rows][:, M:])
     coeffs = np.vstack([Acols, np.zeros((K - M, Acols.shape[1]))])
     vals = -horner(coeffs, nodes_u)  # (K-M, ncols)
     Z = newton_monomial(nodes_u, vals)
@@ -233,8 +219,10 @@ def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray
 
 
 def pad_input(x, params: CodeParams) -> np.ndarray:
-    """Accept x of length N_raw or N; zero-pad to length N."""
+    """Accept finite x of length N_raw or N; zero-pad to length N."""
     x = np.asarray(x, dtype=float).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x has non-finite entries")
     if x.size == params.N:
         return x
     if x.size == params.N_raw:
@@ -257,10 +245,7 @@ def worker_dot(task: WorkerTask, x_slice) -> WorkerOutput:
 def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
     """Simulate all P workers on input x (length N_raw or N)."""
     xp = pad_input(x, code.params)
-    return [
-        worker_dot(task, xp[np.asarray(task.support) - 1])
-        for task in code.worker_tasks()
-    ]
+    return [worker_dot(task, xp[task.support - 1]) for task in code.worker_tasks()]
 
 
 def _collect(outputs) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +266,6 @@ def decode(
     gen: GeneratorMatrix,
     params: CodeParams,
     method: str = "solve",
-    cond_limit: float | None = None,
 ) -> np.ndarray:
     """Recover A @ x from exactly K worker outputs with distinct indices.
 
@@ -290,11 +274,11 @@ def decode(
     residual ||B^V w - v|| exceeds 1e-8 ||v||.
     """
     idx, v = _collect(outputs)
-    w = _decode_full(idx, v, gen, params, method, cond_limit)
+    w = _decode_full(idx, v, gen, params, method)
     return w[: params.M]
 
 
-def _decode_full(idx, v, gen, params, method="solve", cond_limit=None) -> np.ndarray:
+def _decode_full(idx, v, gen, params, method="solve") -> np.ndarray:
     K = params.K
     if idx.size != K:
         raise ValueError(f"need exactly K={K} outputs, got {idx.size}")
@@ -306,19 +290,14 @@ def _decode_full(idx, v, gen, params, method="solve", cond_limit=None) -> np.nda
         raise ValueError(f"unknown decode method {method!r}")
     BV = gen.entries[idx - 1]
     if method == "solve":
-        w = guarded_solve(BV, v, cond_limit)
+        w = guarded_solve(BV, v)
     else:
         if gen.kind != "vandermonde":
             raise ValueError("poly method requires a Vandermonde generator")
-        limit = COND_LIMIT if cond_limit is None else cond_limit
-        c = np.linalg.cond(BV)
-        if not np.isfinite(c) or c > limit:
-            raise ConditioningError(
-                f"solve rejected: estimated condition {c:.3e} exceeds limit {limit:.1e}"
-            )
+        check_condition(BV)
         w = newton_monomial(gen.nodes[idx - 1], v[:, None])[:, 0]
     residual = np.linalg.norm(BV @ w - v)
-    if residual > DECODE_RESIDUAL_RTOL * np.linalg.norm(v):
+    if not residual <= DECODE_RESIDUAL_RTOL * np.linalg.norm(v):  # NaN fails too
         raise ConditioningError(
             f"decode residual {residual:.3e} exceeds "
             f"{DECODE_RESIDUAL_RTOL:.0e} * ||v||"
@@ -331,7 +310,6 @@ def decode_with_errors(
     e_max: int,
     gen: GeneratorMatrix,
     params: CodeParams,
-    cond_limit: float | None = None,
 ) -> np.ndarray:
     """Recover A @ x from all P outputs when up to e_max are garbage.
 
@@ -353,7 +331,7 @@ def decode_with_errors(
     for subset in combinations(range(P), K):
         sel = np.asarray(subset, dtype=int)
         try:
-            w = _decode_full(idx[sel], v[sel], gen, params, "solve", cond_limit)
+            w = _decode_full(idx[sel], v[sel], gen, params, "solve")
         except ConditioningError:
             continue
         predicted = gen.entries @ w
@@ -371,7 +349,6 @@ def encode_chunked(
     gen: GeneratorMatrix,
     chunk_M: int,
     method: str = "solve",
-    cond_limit: float | None = None,
 ) -> list[EncodedTransform]:
     """Encode a matrix with more rows than K by horizontal chunking.
 
@@ -390,5 +367,5 @@ def encode_chunked(
     for start in range(0, M_total, chunk_M):
         rows = A[start : start + chunk_M]
         cp = validate_params(P, K, rows.shape[0], N_raw)
-        chunks.append(encode(rows, gen, cp, method=method, cond_limit=cond_limit))
+        chunks.append(encode(rows, gen, cp, method=method))
     return chunks

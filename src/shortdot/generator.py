@@ -17,10 +17,10 @@ import numpy as np
 from .errors import ConditioningError
 from .params import CodeParams
 
-# Default rejection threshold for the estimated condition number of any
-# linear solve.  Real-node Vandermonde conditioning grows exponentially
-# in the system size, so beyond this limit float64 results are not
-# trustworthy to the tolerances this package promises; we fail loudly.
+# Rejection threshold for the condition number of every linear solve.
+# Real-node Vandermonde conditioning grows exponentially in the system
+# size, so beyond this limit float64 results are not trustworthy to the
+# tolerances this package promises; we fail loudly.
 COND_LIMIT = 1e8
 
 
@@ -89,7 +89,6 @@ def build_generator(
 def verify_generator(
     gen: GeneratorMatrix,
     params: CodeParams,
-    cond_limit: float = COND_LIMIT,
     max_subsets: int = 200_000,
 ) -> None:
     """Exhaustively check the two submatrix-invertibility properties.
@@ -107,29 +106,25 @@ def verify_generator(
             f"{n_full + n_tail} submatrices to check exceeds max_subsets={max_subsets}"
         )
     for rows in combinations(range(P), K):
-        c = np.linalg.cond(B[list(rows), :])
-        if not np.isfinite(c) or c > cond_limit:
-            raise ConditioningError(
-                f"K x K submatrix at rows {rows} has condition {c:.3e} > {cond_limit:.1e}"
-            )
+        check_condition(B[list(rows), :], f"K x K submatrix at rows {rows}")
     if K > M:
-        tail = B[:, M:]
         for rows in combinations(range(P), K - M):
-            c = np.linalg.cond(tail[list(rows), :])
-            if not np.isfinite(c) or c > cond_limit:
-                raise ConditioningError(
-                    f"tail submatrix at rows {rows} has condition {c:.3e} > {cond_limit:.1e}"
-                )
+            check_condition(B[list(rows), M:], f"tail submatrix at rows {rows}")
 
 
-def guarded_solve(mat: np.ndarray, rhs: np.ndarray, cond_limit: float | None) -> np.ndarray:
-    """np.linalg.solve with a condition-number rejection gate."""
-    limit = COND_LIMIT if cond_limit is None else cond_limit
+def check_condition(mat: np.ndarray, what: str = "solve") -> None:
+    """The one conditioning rule: refuse mat if cond(mat) is not finite
+    or exceeds COND_LIMIT."""
+    c = np.linalg.cond(mat)
+    if not np.isfinite(c) or c > COND_LIMIT:
+        raise ConditioningError(
+            f"{what} rejected: condition {c:.3e} exceeds limit {COND_LIMIT:.1e}"
+        )
+
+
+def guarded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve behind the condition gate."""
     if mat.shape[0] == 0:
         return np.zeros_like(rhs)
-    c = np.linalg.cond(mat)
-    if not np.isfinite(c) or c > limit:
-        raise ConditioningError(
-            f"solve rejected: estimated condition {c:.3e} exceeds limit {limit:.1e}"
-        )
+    check_condition(mat)
     return np.linalg.solve(mat, rhs)

@@ -1,6 +1,6 @@
 """Polynomial evaluation and interpolation primitives.
 
-These back the reduced-complexity encode/decode path for Vandermonde
+These back the polynomial encode/decode path for Vandermonde
 generators: a Vandermonde matrix-vector product is a polynomial
 evaluation, and a Vandermonde solve is an interpolation.  Baselines are
 Horner evaluation (O(D) per point) and Newton divided differences
@@ -94,7 +94,7 @@ def interpolate(points, values) -> Polynomial:
     coeffs = newton_monomial(pts, vals[:, None])[:, 0]
     poly = Polynomial(coeffs)
     residual = np.linalg.norm(eval_many(poly, pts) - vals)
-    if residual > INTERP_RESIDUAL_RTOL * np.linalg.norm(vals):
+    if not residual <= INTERP_RESIDUAL_RTOL * np.linalg.norm(vals):  # NaN fails too
         raise ConditioningError(
             f"interpolation residual {residual:.3e} exceeds "
             f"{INTERP_RESIDUAL_RTOL:.0e} * ||values||"

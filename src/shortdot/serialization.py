@@ -5,6 +5,10 @@ transform is a directory of
     params.txt    key=value lines: P, K, M, N, N_raw, kind, seed/nodes
     F.csv         the P x N encoded matrix
     supports.txt  one line per row: space-separated 1-based column indices
+
+The supports follow from the parameters; load_transform checks
+supports.txt against them and refuses an F that is nonzero on the
+sparsity pattern.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
     lines.append(f"zero_tolerance={_FMT % code.zero_tolerance}")
     (out / "params.txt").write_text("\n".join(lines) + "\n")
     save_matrix(out / "F.csv", code.F)
-    with open(out / "supports.txt", "w") as fh:
-        for sup in code.supports:
-            fh.write(" ".join(str(j) for j in sup) + "\n")
+    np.savetxt(out / "supports.txt", code.supports, fmt="%d")
     return out
 
 
@@ -75,14 +77,9 @@ def load_transform(in_dir) -> EncodedTransform:
     else:
         raise ValueError(f"unknown generator kind {kind!r} in {src}")
     F = load_matrix(src / "F.csv")
-    if F.shape != (params.P, params.N):
-        raise ValueError(f"F.csv shape {F.shape} != ({params.P}, {params.N})")
-    supports = []
-    for line in (src / "supports.txt").read_text().splitlines():
-        supports.append(tuple(int(tok) for tok in line.split()))
-    if len(supports) != params.P:
-        raise ValueError(f"supports.txt has {len(supports)} lines, expected {params.P}")
     ztol = float(kv.get("zero_tolerance", 1e-9 * np.max(np.abs(F), initial=0.0)))
-    return EncodedTransform(
-        F=F, supports=tuple(supports), generator=gen, params=params, zero_tolerance=ztol
-    )
+    code = EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+    stored = np.loadtxt(src / "supports.txt", dtype=int, ndmin=2)
+    if not np.array_equal(stored, code.supports):
+        raise ValueError(f"supports.txt in {src} does not match the sparsity pattern")
+    return code

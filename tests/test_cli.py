@@ -106,6 +106,46 @@ def test_transform_needs_enough_responders(small_problem):
     assert main(["transform", str(out), x_path, "--responders", "1,2"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--responders", "1,2,3,4,7"],
+    ["--responders", "0,1,2,3,4"],
+    ["--error-decode", "0", "--corrupt", "7:1.0"],
+    ["--error-decode", "0", "--corrupt", "0:1.0"],
+])
+def test_transform_rejects_worker_indices_outside_range(small_problem, capsys, flags):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    assert main(["transform", str(out), x_path, *flags]) == 2
+    assert "outside 1..6" in capsys.readouterr().err
+
+
+def test_transform_rejects_non_finite_x(small_problem):
+    _, x, a_path, _, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    x = x.copy()
+    x[3] = np.nan
+    x_path = _write_matrix(tmp / "x_nan.csv", x)
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+
+
+@pytest.mark.parametrize("tamper", ["supports", "F"])
+def test_transform_rejects_tampered_transform(small_problem, tamper):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    if tamper == "supports":
+        lines = (out / "supports.txt").read_text().splitlines()
+        lines[0] = lines[1]
+        (out / "supports.txt").write_text("\n".join(lines) + "\n")
+    else:
+        F = load_matrix(out / "F.csv")
+        F[0, 0] = 1.0  # column 1 is zero at rows 1 and 2 for (6, 5, 3)
+        save_matrix(out / "F.csv", F)
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+
+
 def test_sweep_outputs_csv_and_plot_script(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--p", "6", "--n", "12", "--mu", "5", "--trials", "400",

@@ -13,6 +13,7 @@ from shortdot import (
     decode_with_errors,
     encode,
     encode_chunked,
+    pad_input,
     run_workers,
     solve_appended,
     supports_from_pattern,
@@ -258,6 +259,31 @@ def test_workers_reproduce_dense_product():
     np.testing.assert_allclose([o.value for o in outs], code.F @ x, rtol=1e-12)
 
 
+def test_workers_are_exact_short_dots_at_sec6_size():
+    rng = np.random.default_rng(17)
+    p = validate_params(20, 18, 10, 785)
+    code = encode(rng.standard_normal((10, 785)), build_generator(p), p)
+    x = pad_input(rng.standard_normal(785), p)
+    allowed = ~zero_mask(p)
+    for i, out in enumerate(run_workers(code, x)):
+        S = np.flatnonzero(allowed[i])
+        assert out.value == code.F[i, S] @ x[S]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_rejected(bad):
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    A = np.ones((3, 12))
+    A[1, 4] = bad
+    with pytest.raises(ValueError):
+        encode(A, gen, p)
+    x = np.ones(12)
+    x[7] = bad
+    with pytest.raises(ValueError):
+        pad_input(x, p)
+
+
 # --- decode ------------------------------------------------------------------
 
 
@@ -353,6 +379,36 @@ def test_error_decode_corrects_single_corruption():
             WorkerOutput(o.index, o.value + (1000.0 if o.index == bad_index else 0.0))
             for o in outs
         ]
+        got = decode_with_errors(corrupted, 1, gen, p)
+        assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("method", ["solve", "poly"])
+def test_decode_refuses_non_finite_outputs(bad, method):
+    rng = np.random.default_rng(14)
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    outs = run_workers(encode(rng.standard_normal((3, 12)), gen, p), rng.standard_normal(12))
+    for pos in range(p.K):
+        chosen = outs[: p.K]
+        chosen[pos] = WorkerOutput(chosen[pos].index, bad)
+        with pytest.raises(ConditioningError):
+            decode(chosen, gen, p, method=method)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_error_decode_corrects_one_non_finite_output(bad):
+    rng = np.random.default_rng(15)
+    p = validate_params(6, 4, 2, 12)
+    gen = build_generator(p)
+    A = rng.standard_normal((2, 12))
+    x = rng.standard_normal(12)
+    truth = A @ x
+    outs = run_workers(encode(A, gen, p), x)
+    for bad_index in (1, 4, 6):
+        corrupted = [WorkerOutput(o.index, bad if o.index == bad_index else o.value)
+                     for o in outs]
         got = decode_with_errors(corrupted, 1, gen, p)
         assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)
 

@@ -62,6 +62,12 @@ def test_interpolate_flags_hopeless_conditioning():
         interpolate(pts, vals)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_interpolate_refuses_non_finite_values(bad):
+    with pytest.raises(ConditioningError):
+        interpolate([0.1, 0.5, 0.9], [1.0, bad, 2.0])
+
+
 def test_polynomial_requires_coefficients():
     with pytest.raises(ValueError):
         Polynomial([])

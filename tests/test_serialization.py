@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from shortdot import (
     build_generator,
@@ -10,6 +11,7 @@ from shortdot import (
     save_matrix,
     save_transform,
     validate_params,
+    zero_mask,
     zero_support,
 )
 
@@ -43,7 +45,7 @@ def test_transform_round_trip_vandermonde(tmp_path):
     loaded = load_transform(out)
     np.testing.assert_array_equal(loaded.F, code.F)
     assert loaded.params == code.params
-    assert loaded.supports == code.supports
+    assert np.array_equal(loaded.supports, code.supports)
     assert loaded.zero_tolerance == code.zero_tolerance
     np.testing.assert_array_equal(loaded.generator.entries, gen.entries)
 
@@ -77,3 +79,28 @@ def test_supports_file_is_one_based(tmp_path):
         indices = [int(tok) for tok in line.split()]
         assert min(indices) >= 1 and max(indices) <= p.N
         assert all(i not in zero_support(j, p) for j in indices)
+
+
+def _edit_supports(out, p):
+    lines = (out / "supports.txt").read_text().splitlines()
+    lines[2] = " ".join(str(int(tok) % p.N + 1) for tok in lines[2].split())
+    (out / "supports.txt").write_text("\n".join(lines) + "\n")
+
+
+def _nonzero_on_pattern(out, p):
+    F = load_matrix(out / "F.csv")
+    i, j = np.argwhere(zero_mask(p))[0]
+    F[i, j] = 0.25
+    save_matrix(out / "F.csv", F)
+
+
+@pytest.mark.parametrize("tamper", [_edit_supports, _nonzero_on_pattern])
+def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
+    rng = np.random.default_rng(4)
+    p = validate_params(6, 5, 3, 12)
+    code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
+    out = save_transform(code, tmp_path / "t")
+    load_transform(out)
+    tamper(out, p)
+    with pytest.raises(ValueError):
+        load_transform(out)
