@@ -46,6 +46,7 @@ from .latency import (
     RegimeRow,
     SimulationReport,
     expected_kth_order,
+    expected_time,
     expected_time_mds,
     expected_time_numeric,
     expected_time_repetition,

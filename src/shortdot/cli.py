@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Subcommands: encode, transform, sweep, theorem4, bounds,
-experiment-sec6, selftest.  A flat key=value config file can prefill any
-flag (flags win).  Exit codes: 0 success, 2 validation error,
+experiment-sec6, selftest; each declares only the flags it reads.
+`--config FILE` (every subcommand but selftest) holds key=value lines
+whose keys are that subcommand's flag names; they become the flags'
+defaults, so flags given on the command line win.  Exit codes:
+0 success, 2 validation error (argparse's own errors included),
 3 numerical/conditioning failure, 4 I/O failure.
 """
 
@@ -20,82 +23,65 @@ from . import bounds as bounds_mod
 from .coding import decode, decode_with_errors, encode, run_workers
 from .errors import ConditioningError, DecodingError
 from .generator import build_generator
+# perfbench/workloads.py traces the expected_time_* names on this module
 from .latency import (
+    DEFAULT_MU,
     DelayModel,
-    expected_time_mds,
-    expected_time_repetition,
+    expected_time,
+    expected_time_mds,  # noqa: F401
+    expected_time_repetition,  # noqa: F401
     expected_time_short_dot,
-    expected_time_uncoded,
+    expected_time_uncoded,  # noqa: F401
     monte_carlo,
     optimize_k,
     theorem4_regime,
 )
-from .params import CodeParams, validate_params
+from .params import validate_params
 from .serialization import load_matrix, load_transform, save_matrix, save_transform
 from .strategies import plan_by_name, plan_short_dot
 
-SEC6 = dict(P=20, K=18, M=10, N_raw=785)  # simulated stand-in parameters
+SEC6 = (20, 18, 10, 785)  # simulated stand-in (P, K, M, N_raw)
 
 
-def _read_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    cfg = {}
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make each key=value line of the file the default of the flag --key;
+    argparse then converts it with the flag's type unless the flag is given."""
+    flags = {opt[2:]: action for action in parser._actions for opt in action.option_strings}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {line!r} is not key=value")
-        key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-def _resolve(args, cfg: dict[str, str], key: str, cast, default=None):
-    """Flag value if given, else config value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in ("config", "help") or key not in flags:
+            raise ValueError(f"config key {key!r} is not a flag of {parser.prog!r}")
+        flags[key].required = False
+        parser.set_defaults(**{flags[key].dest: value})
 
 
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _require(value, name: str):
-    if value is None:
-        raise ValueError(f"missing required parameter --{name}")
-    return value
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.replace(",", " ").split()]
 
 
 # --- encode ------------------------------------------------------------------
 
 
 def cmd_encode(args) -> int:
-    cfg = _read_config(args.config)
-    P = _require(_resolve(args, cfg, "p", int), "p")
-    K = _require(_resolve(args, cfg, "k", int), "k")
-    out = _require(_resolve(args, cfg, "out", str), "out")
     A = load_matrix(args.matrix)
     M = A.shape[0]
-    m_flag = _resolve(args, cfg, "m", int)
-    if m_flag is not None and m_flag != M:
-        raise ValueError(f"--m {m_flag} does not match matrix row count {M}")
-    params = validate_params(P, K, M, A.shape[1])
-    kind = _resolve(args, cfg, "kind", str, "vandermonde")
-    seed = _resolve(args, cfg, "seed", int)
-    nodes = None
-    if args.nodes:
-        nodes = [float(tok) for tok in args.nodes.replace(",", " ").split()]
-    gen = build_generator(params, kind=kind, nodes=nodes, seed=seed)
+    if args.m is not None and args.m != M:
+        raise ValueError(f"--m {args.m} does not match matrix row count {M}")
+    params = validate_params(args.p, args.k, M, A.shape[1])
+    gen = build_generator(params, kind=args.kind, nodes=args.nodes, seed=args.seed)
     code = encode(A, gen, params, method=args.method)
-    save_transform(code, out)
+    save_transform(code, args.out)
     nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
-    print(f"encoded {M}x{params.N_raw} -> F {params.P}x{params.N} at {out}")
+    print(f"encoded {M}x{params.N_raw} -> F {params.P}x{params.N} at {args.out}")
     print(f"P={params.P} K={params.K} M={params.M} N={params.N} s={params.s}")
     print(f"row nonzeros: max={int(nz.max())} mean={nz.mean():.2f} budget={params.s}")
     return 0
@@ -104,9 +90,7 @@ def cmd_encode(args) -> int:
 # --- transform ---------------------------------------------------------------
 
 
-def _parse_corruptions(text: str | None) -> dict[int, float]:
-    if not text:
-        return {}
+def _parse_corruptions(text: str) -> dict[int, float]:
     out = {}
     for tok in text.replace(",", " ").split():
         idx, _, val = tok.partition(":")
@@ -127,7 +111,7 @@ def cmd_transform(args) -> int:
     outputs = run_workers(code, x)
 
     if args.error_decode is not None:
-        corrupt = _parse_corruptions(args.corrupt)
+        corrupt = args.corrupt or {}
         _check_workers(corrupt, params.P, "--corrupt")
         outputs = [
             type(o)(index=o.index, value=corrupt.get(o.index, o.value)) for o in outputs
@@ -136,12 +120,10 @@ def cmd_transform(args) -> int:
     else:
         if not args.responders:
             raise ValueError("need --responders (or --error-decode) to choose outputs")
-        responders = _int_list(args.responders)
+        responders = args.responders
         _check_workers(responders, params.P, "--responders")
         if len(responders) < params.K:
-            raise ValueError(
-                f"{len(responders)} responders < K={params.K}; cannot decode"
-            )
+            raise ValueError(f"{len(responders)} responders < K={params.K}; cannot decode")
         chosen = responders[: params.K]
         by_index = {o.index: o for o in outputs}
         result = decode([by_index[i] for i in chosen], code.generator, params,
@@ -158,73 +140,51 @@ def cmd_transform(args) -> int:
 
 # --- sweep -------------------------------------------------------------------
 
-_SWEEP_STRATEGIES = ("uncoded", "repetition", "mds", "short-dot")
+
+def _m_range(text: str) -> range:
+    lo, _, hi = text.partition(":")
+    return range(int(lo), int(hi) + 1)
 
 
-def _analytic_expected(name: str, params: CodeParams, model: DelayModel) -> float:
-    if name == "uncoded":
-        return expected_time_uncoded(params, model)
-    if name == "repetition":
-        return expected_time_repetition(params, model)
-    if name == "mds":
-        return expected_time_mds(params, model)
-    if name == "short-dot":
-        return expected_time_short_dot(params, model)
-    if name == "short-mds":
-        return float("nan")  # Monte-Carlo only; no closed form is claimed
-    raise ValueError(f"unknown strategy {name!r}")
+def _k_spec(text: str) -> int | str:
+    return text if text == "auto" else int(text)
+
+
+class _Names(argparse.Action):
+    """Comma-separated names, repeatable; the first flag replaces the default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        names = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if names is self.default else names) + values)
 
 
 def cmd_sweep(args) -> int:
-    cfg = _read_config(args.config)
-    P = _require(_resolve(args, cfg, "p", int), "p")
-    N = _resolve(args, cfg, "n", int, 100 * P)
-    mu = _resolve(args, cfg, "mu", float, 5.0)
-    trials = _resolve(args, cfg, "trials", int, 0)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    out = _require(_resolve(args, cfg, "out", str), "out")
-    m_range = _resolve(args, cfg, "m-range", str, f"1:{P}")
-    strategies = args.strategy or cfg.get("strategy", ",".join(_SWEEP_STRATEGIES)).split(",")
-    lo, _, hi = m_range.partition(":")
-    m_values = range(int(lo), int(hi) + 1)
-    model = DelayModel(mu)
-    # K for the sparse code: a fixed value, or "auto" (the default) to
-    # minimize the expected time per M
-    k_spec = args.k if args.k is not None else cfg.get("k", "auto")
-
+    P = args.p
+    N = 100 * P if args.n is None else args.n
+    model = DelayModel(args.mu)
     rows = []
-    for row_i, M in enumerate(m_values):
-        for name in strategies:
-            if name == "short-dot":
-                if str(k_spec) == "auto":
-                    K_used, analytic = optimize_k(P, M, float(N), model)
-                else:
-                    K_used = int(k_spec)
-                    analytic = None
-                params = validate_params(P, K_used, M, N)
-                if analytic is None:
-                    analytic = expected_time_short_dot(params, model)
-                plan = plan_short_dot(params)
-            else:
-                params = validate_params(P, M, M, N)
-                s = _resolve(args, cfg, "s", int)
-                plan = plan_by_name(name, params, s)
-                analytic = _analytic_expected(name, params, model)
-                K_used = plan.worst_case_threshold
-            if trials > 0:
-                rep = monte_carlo(plan, model, trials, seed + row_i, analytic)
+    for row_i, M in enumerate(args.m_range or range(1, P + 1)):
+        # K of the sparse code: fixed, or "auto" to minimize its expected
+        # time at this M; the other strategies do not read K
+        K = optimize_k(P, M, float(N), model)[0] if args.k == "auto" else args.k
+        params = validate_params(P, K, M, N)
+        for name in args.strategy:
+            plan = plan_by_name(name, params, params.N if args.s is None else args.s)
+            analytic = expected_time(plan, model)
+            if args.trials > 0:
+                rep = monte_carlo(plan, model, args.trials, args.seed + row_i, analytic)
                 mc_mean, mc_stderr = rep.mc_mean, rep.mc_stderr
             else:
                 mc_mean = mc_stderr = float("nan")
-            rows.append((M, name, analytic, mc_mean, mc_stderr, K_used))
+            rows.append((M, name, analytic, mc_mean, mc_stderr, plan.worst_case_threshold))
 
-    with open(out, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["M", "strategy", "analytic_E", "mc_mean", "mc_stderr", "K_used"])
         for row in rows:
             writer.writerow(row)
-    plot_path = _write_plot_script(out)
-    print(f"sweep table written to {out} ({len(rows)} rows); plot script: {plot_path}")
+    plot_path = _write_plot_script(args.out)
+    print(f"sweep table written to {args.out} ({len(rows)} rows); plot script: {plot_path}")
     return 0
 
 
@@ -262,17 +222,12 @@ print("wrote {out.stem}.png")
 
 
 def cmd_theorem4(args) -> int:
-    cfg = _read_config(args.config)
-    mu = _resolve(args, cfg, "mu", float, 5.0)
-    p_list = _int_list(
-        _resolve(args, cfg, "p-list", str, "1000,10000,100000,1000000")
-    )
-    rows = theorem4_regime(p_list, DelayModel(mu))
+    rows = theorem4_regime(args.p_list, DelayModel(args.mu))
     header = ["P", "M", "K", "short_dot_scaled", "mds_scaled",
               "uncoded_scaled", "repetition_scaled", "ratio"]
     lines = [
         "# scaled expected times E[T]/N at M=round(P/ln P), K=P-round(M/2) "
-        "(round = half-up), mu=%g" % mu,
+        "(round = half-up), mu=%g" % args.mu,
         ",".join(header),
     ]
     for r in rows:
@@ -281,10 +236,9 @@ def cmd_theorem4(args) -> int:
             f"{r.uncoded:.10g},{r.repetition:.10g},{r.ratio:.10g}"
         )
     text = "\n".join(lines) + "\n"
-    out = _resolve(args, cfg, "out", str)
-    if out:
-        Path(out).write_text(text)
-        print(f"theorem-4 table written to {out}")
+    if args.out:
+        Path(args.out).write_text(text)
+        print(f"theorem-4 table written to {args.out}")
     else:
         print(text, end="")
     return 0
@@ -294,11 +248,7 @@ def cmd_theorem4(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _read_config(args.config)
-    P = _require(_resolve(args, cfg, "p", int), "p")
-    K = _require(_resolve(args, cfg, "k", int), "k")
-    M = _require(_resolve(args, cfg, "m", int), "m")
-    N = _require(_resolve(args, cfg, "n", int), "n")
+    P, K, M, N = args.p, args.k, args.m, args.n
     params = validate_params(P, K, M, N)
     basic = bounds_mod.basic_lower_bound(params.N, P, K)
     budget = params.s
@@ -315,16 +265,15 @@ def cmd_bounds(args) -> int:
     print(f"lambda cap M*C(P,K-M+1)                   : {bounds_mod.lambda_cap(P, K, M)}")
     ratio = M * M * math.comb(P, K - M + 1) / params.N
     print(f"asymptotic gap ratio M^2 C(P,K-M+1)/N     : {ratio:.6g}")
-    out = _resolve(args, cfg, "out", str)
-    if out:
-        with open(out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["P", "K", "M", "N", "basic_bound", "tight_bound",
                         "budget", "lambda_cap", "gap_ratio"])
             tight = bounds_mod.tight_lower_bound(params.N, P, K, M) if M > 1 else basic
             w.writerow([P, K, M, params.N, basic, tight, budget,
                         bounds_mod.lambda_cap(P, K, M), ratio])
-        print(f"bound report written to {out}")
+        print(f"bound report written to {args.out}")
     return 0
 
 
@@ -332,27 +281,19 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment_sec6(args) -> int:
-    cfg = _read_config(args.config)
-    mu = _resolve(args, cfg, "mu", float, 5.0)
-    trials = _resolve(args, cfg, "trials", int, 1_000_000)
-    seed = _resolve(args, cfg, "seed", int, 0)
-    model = DelayModel(mu)
-    params = validate_params(SEC6["P"], SEC6["K"], SEC6["M"], SEC6["N_raw"])
-
-    cells = [
-        ("short-dot", plan_short_dot(params), expected_time_short_dot(params, model)),
-        ("uncoded", plan_by_name("uncoded", params), expected_time_uncoded(params, model)),
-        ("mds", plan_by_name("mds", params), expected_time_mds(params, model)),
-    ]
+    model = DelayModel(args.mu)
+    params = validate_params(*SEC6)
     print(
         "simulated reproduction of the cluster comparison "
         f"(N={params.N_raw}->{params.N}, M={params.M}, P={params.P}, "
-        f"K={params.K}, mu={mu:g}); shifted-exponential model, not wall-clock"
+        f"K={params.K}, mu={args.mu:g}); shifted-exponential model, not wall-clock"
     )
     print(f"{'strategy':<10} {'analytic':>12} {'mc_mean':>12} {'mc_stderr':>10}")
     reports = {}
-    for i, (name, plan, analytic) in enumerate(cells):
-        rep = monte_carlo(plan, model, trials, seed + i, analytic)
+    for i, name in enumerate(("short-dot", "uncoded", "mds")):
+        plan = plan_by_name(name, params)
+        analytic = expected_time(plan, model)
+        rep = monte_carlo(plan, model, args.trials, args.seed + i, analytic)
         reports[name] = rep
         print(f"{name:<10} {analytic:>12.4f} {rep.mc_mean:>12.4f} {rep.mc_stderr:>10.4f}")
 
@@ -362,15 +303,14 @@ def cmd_experiment_sec6(args) -> int:
         and reports["short-dot"].mc_mean < reports["uncoded"].mc_mean
         < reports["mds"].mc_mean
     )
-    out = _resolve(args, cfg, "out", str)
-    if out:
-        with open(out, "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["strategy", "analytic_E", "mc_mean", "mc_stderr", "trials", "seed"])
             for name, rep in reports.items():
                 w.writerow([name, rep.analytic_expected, rep.mc_mean,
                             rep.mc_stderr, rep.trials, rep.seed])
-        print(f"report written to {out}")
+        print(f"report written to {args.out}")
     if not order_ok:
         raise ConditioningError("expected ordering short-dot < uncoded < mds violated")
     print("ordering short-dot < uncoded < mds: confirmed")
@@ -431,75 +371,94 @@ def cmd_selftest(args) -> int:
 # --- parser / entry ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="shortdot",
         description="Sparse coded distributed matrix-vector multiplication toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file; flags win")
-        p.add_argument("--p", type=int, help="worker count P")
-        p.add_argument("--k", type=int, help="recovery threshold K")
-        p.add_argument("--m", type=int, help="dot-product count M")
-        p.add_argument("--n", type=int, help="input dimension N (pre-padding)")
-        p.add_argument("--mu", type=float, help="straggling parameter mu (default 5)")
-        p.add_argument("--trials", type=int, help="Monte-Carlo trials")
-        p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--s", type=int, help="target task length s")
-        p.add_argument("--out", help="output path")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="key=value file of this command's flags; flags win")
+        return p
 
-    p_enc = sub.add_parser("encode", help="encode a matrix CSV into a transform directory")
-    p_enc.add_argument("matrix", help="CSV file holding the M x N matrix A")
-    common(p_enc)
-    p_enc.add_argument("--kind", choices=("vandermonde", "gaussian"), default=None)
-    p_enc.add_argument("--nodes", help="comma-separated Vandermonde nodes")
-    p_enc.add_argument("--method", choices=("solve", "poly"), default="solve")
-    p_enc.set_defaults(func=cmd_encode)
+    p = command("encode", cmd_encode, "encode a matrix CSV into a transform directory")
+    p.add_argument("matrix", help="CSV file holding the M x N matrix A")
+    p.add_argument("--p", type=int, required=True, help="worker count P")
+    p.add_argument("--k", type=int, required=True, help="recovery threshold K")
+    p.add_argument("--m", type=int, help="dot-product count M; must match the matrix")
+    p.add_argument("--out", required=True, help="transform directory to write")
+    p.add_argument("--kind", choices=("vandermonde", "gaussian"), default="vandermonde")
+    p.add_argument("--seed", type=int, help="gaussian generator seed")
+    p.add_argument("--nodes", type=_float_list, help="comma-separated Vandermonde nodes")
+    p.add_argument("--method", choices=("solve", "poly"), default="solve")
 
-    p_tr = sub.add_parser("transform", help="compute A@x from a transform directory")
-    p_tr.add_argument("code_dir", help="directory written by `shortdot encode`")
-    p_tr.add_argument("x", help="CSV file holding the input vector")
-    common(p_tr)
-    p_tr.add_argument("--responders", help="comma-separated worker indices, first K used")
-    p_tr.add_argument("--error-decode", type=int, default=None, metavar="E_MAX",
-                      help="use all P outputs, correcting up to E_MAX errors")
-    p_tr.add_argument("--corrupt", help="idx:value pairs overriding worker outputs")
-    p_tr.add_argument("--method", choices=("solve", "poly"), default="solve")
-    p_tr.set_defaults(func=cmd_transform)
+    p = command("transform", cmd_transform, "compute A@x from a transform directory")
+    p.add_argument("code_dir", help="directory written by `shortdot encode`")
+    p.add_argument("x", help="CSV file holding the input vector")
+    p.add_argument("--responders", type=_int_list,
+                   help="comma-separated worker indices, first K used")
+    p.add_argument("--error-decode", type=int, metavar="E_MAX",
+                   help="use all P outputs, correcting up to E_MAX errors")
+    p.add_argument("--corrupt", type=_parse_corruptions,
+                   help="idx:value pairs overriding worker outputs")
+    p.add_argument("--method", choices=("solve", "poly"), default="solve")
+    p.add_argument("--out", help="CSV path for A@x (default: stdout)")
 
-    p_sw = sub.add_parser("sweep", help="expected-time sweep over M, CSV + plot script")
-    common(p_sw)
-    p_sw.add_argument("--m-range", help="M sweep range lo:hi (default 1:P)")
-    p_sw.add_argument("--strategy", action="append",
-                      help="strategy name (repeatable; default all comparable)")
-    p_sw.set_defaults(func=cmd_sweep)
+    p = command("sweep", cmd_sweep, "expected-time sweep over M, CSV + plot script")
+    p.add_argument("--p", type=int, required=True, help="worker count P")
+    p.add_argument("--n", type=int, help="input dimension N (default 100 P)")
+    p.add_argument("--k", type=_k_spec, default="auto",
+                   help="short-dot recovery threshold, or auto (default) per M")
+    p.add_argument("--m-range", type=_m_range, help="M sweep range lo:hi (default 1:P)")
+    p.add_argument("--strategy", type=lambda text: text.split(","), action=_Names,
+                   default="uncoded,repetition,mds,short-dot",
+                   help="comma-separated strategy names (repeatable)")
+    p.add_argument("--s", type=int,
+                   help="task length of repetition and short-mds blocks (default N)")
+    p.add_argument("--mu", type=float, default=DEFAULT_MU, help="straggling parameter mu")
+    p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials per row")
+    p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed of the first row")
+    p.add_argument("--out", required=True, help="CSV path")
 
-    p_t4 = sub.add_parser("theorem4", help="scaled times in the M ~ P/ln P regime")
-    common(p_t4)
-    p_t4.add_argument("--p-list", help="comma-separated processor counts")
-    p_t4.set_defaults(func=cmd_theorem4)
+    p = command("theorem4", cmd_theorem4, "scaled times in the M ~ P/ln P regime")
+    p.add_argument("--p-list", type=_int_list, default="1000,10000,100000,1000000",
+                   help="comma-separated processor counts")
+    p.add_argument("--mu", type=float, default=DEFAULT_MU, help="straggling parameter mu")
+    p.add_argument("--out", help="CSV path (default: stdout)")
 
-    p_bd = sub.add_parser("bounds", help="sparsity lower bounds for a parameter tuple")
-    common(p_bd)
-    p_bd.set_defaults(func=cmd_bounds)
+    p = command("bounds", cmd_bounds, "sparsity lower bounds for a parameter tuple")
+    p.add_argument("--p", type=int, required=True, help="worker count P")
+    p.add_argument("--k", type=int, required=True, help="recovery threshold K")
+    p.add_argument("--m", type=int, required=True, help="dot-product count M")
+    p.add_argument("--n", type=int, required=True, help="input dimension N (pre-padding)")
+    p.add_argument("--out", help="CSV path for the report")
 
-    p_s6 = sub.add_parser("experiment-sec6",
-                          help="simulated stand-in for the cluster experiment")
-    common(p_s6)
-    p_s6.set_defaults(func=cmd_experiment_sec6)
+    p = command("experiment-sec6", cmd_experiment_sec6,
+                "simulated stand-in for the cluster experiment")
+    p.add_argument("--mu", type=float, default=DEFAULT_MU, help="straggling parameter mu")
+    p.add_argument("--trials", type=int, default=1_000_000, help="Monte-Carlo trials")
+    p.add_argument("--seed", type=int, default=0, help="seed of the first strategy")
+    p.add_argument("--out", help="CSV path for the report")
 
-    p_st = sub.add_parser("selftest", help="quick internal consistency battery")
-    common(p_st)
-    p_st.set_defaults(func=cmd_selftest)
-
-    return parser
+    sub.add_parser("selftest", help="quick internal consistency battery",
+                   allow_abbrev=False).set_defaults(func=cmd_selftest)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="shortdot", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
     try:
+        if config and argv[0] in commands:
+            _apply_config(commands[argv[0]], config)
+        args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

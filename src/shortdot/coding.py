@@ -270,8 +270,8 @@ def decode(
     """Recover A @ x from exactly K worker outputs with distinct indices.
 
     Solves B^V w = v and returns the first M entries of w; the solve is
-    rejected (ConditioningError) if the condition gate trips or the
-    residual ||B^V w - v|| exceeds 1e-8 ||v||.
+    rejected (ConditioningError) if an output is NaN or infinite, the
+    condition gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.
     """
     idx, v = _collect(outputs)
     w = _decode_full(idx, v, gen, params, method)
@@ -288,6 +288,8 @@ def _decode_full(idx, v, gen, params, method="solve") -> np.ndarray:
         raise ValueError(f"worker indices must lie in 1..{params.P}")
     if method not in ("solve", "poly"):
         raise ValueError(f"unknown decode method {method!r}")
+    if not np.all(np.isfinite(v)):
+        raise ConditioningError("decode refused: a worker output is NaN or infinite")
     BV = gen.entries[idx - 1]
     if method == "solve":
         w = guarded_solve(BV, v)
@@ -328,6 +330,7 @@ def decode_with_errors(
     order = np.argsort(idx)
     idx, v = idx[order], v[order]
     need = P - e_max
+    finite = np.isfinite(v)  # an infinite output would match any prediction
     for subset in combinations(range(P), K):
         sel = np.asarray(subset, dtype=int)
         try:
@@ -335,8 +338,8 @@ def decode_with_errors(
         except ConditioningError:
             continue
         predicted = gen.entries @ w
-        matches = int(np.sum(np.abs(predicted - v) <= ERROR_MATCH_RTOL * (1.0 + np.abs(v))))
-        if matches >= need:
+        agree = np.abs(predicted - v) <= ERROR_MATCH_RTOL * (1.0 + np.abs(v))
+        if int(np.sum(agree & finite)) >= need:
             return w[: params.M]
     raise DecodingError(
         f"no K-subset decode consistent with >= {need} of {P} outputs; "

@@ -19,12 +19,20 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import quad
 
 from .params import CodeParams
-from .strategies import TaskPlan, finish_times
+from .strategies import (
+    TaskPlan,
+    finish_times,
+    plan_mds,
+    plan_repetition_block,
+    plan_short_dot,
+    plan_uncoded,
+)
 
 DEFAULT_MU = 5.0
 _MC_CHUNK = 1 << 16  # fixed chunk size keeps reductions thread-count independent
@@ -71,14 +79,65 @@ def expected_kth_order(P: int, K: int, s: float, model: DelayModel) -> float:
     return s * (1.0 + (harmonic(P) - harmonic(P - K)) / model.mu)
 
 
+def expected_time(plan: TaskPlan, model: DelayModel) -> float:
+    """Expected recovery time of a plan, read from its rule and task lengths.
+
+    kth_overall, or all with one task length: the order-statistic closed
+    form.  all with several lengths: one CDF factor per length, in
+    ascending length order.  one_per_group: L(1 + n H_n/(P mu)) when all
+    n groups share one length L and one size; otherwise one factor per
+    (length, size), the size scaling the rate of the group's minimum.
+    k_per_group has no closed form here: nan (Monte Carlo only).
+    """
+    rule, task = plan.recovery_rule, plan.task_lengths
+    if rule.kind in ("all", "kth_overall") and np.all(task == task[0]):
+        k = plan.P if rule.kind == "all" else rule.k
+        return expected_kth_order(plan.P, k, float(task[0]), model)
+    if rule.kind == "all":
+        lengths, counts = np.unique(task, return_counts=True)
+        factors = [CdfFactor(int(c), float(L)) for L, c in zip(lengths, counts)]
+        return expected_time_numeric(factors, model)
+    if rule.kind == "one_per_group":
+        sizes = np.array([len(g) for g in plan.groups])
+        by_group = task[np.fromiter(chain.from_iterable(plan.groups), int) - 1]
+        starts = np.cumsum(sizes) - sizes
+        lengths = np.minimum.reduceat(by_group, starts)
+        if np.any(np.maximum.reduceat(by_group, starts) != lengths):
+            raise ValueError("one_per_group needs one task length per group")
+        if np.all(lengths == lengths[0]) and np.all(sizes == sizes[0]):
+            n = sizes.size
+            return float(lengths[0]) * (1.0 + n * harmonic(n) / (plan.P * model.mu))
+        # one factor per distinct (length, size), counting the groups with it
+        shapes, counts = np.unique(np.column_stack([lengths, sizes]), axis=0,
+                                   return_counts=True)
+        factors = [CdfFactor(int(c), float(L), float(size))
+                   for (L, size), c in zip(shapes, counts)]
+        return expected_time_numeric(factors, model)
+    if rule.kind == "k_per_group":
+        return float("nan")
+    raise ValueError(f"no expected time for rule {rule.kind!r} with unequal task lengths")
+
+
 def expected_time_short_dot(params: CodeParams, model: DelayModel) -> float:
     """Closed form: K-th order statistic of P tasks of length s."""
-    return expected_kth_order(params.P, params.K, params.s, model)
+    return expected_time(plan_short_dot(params), model)
 
 
 def expected_time_mds(params: CodeParams, model: DelayModel) -> float:
     """Closed form: M-th order statistic of P full-length tasks."""
-    return expected_kth_order(params.P, params.M, float(params.N), model)
+    return expected_time(plan_mds(params), model)
+
+
+def expected_time_uncoded(params: CodeParams, model: DelayModel) -> float:
+    """Wait-for-all expectation; closed form when M | P, else the
+    two-group integral with integer effects."""
+    return expected_time(plan_uncoded(params), model)
+
+
+def expected_time_repetition(params: CodeParams, model: DelayModel) -> float:
+    """Row-repetition expectation; closed form when M | P, else the
+    two-group integral with integer effects."""
+    return expected_time(plan_repetition_block(params, params.N), model)
 
 
 def uncoded_closed_form(P: int, M: int, N: float, model: DelayModel) -> float:
@@ -99,34 +158,6 @@ class CdfFactor:
     count: int
     shift: float
     rate: float = 1.0
-
-
-def _mixed_group_factors(P: int, M: int, N: float, per_worker: bool) -> list[CdfFactor]:
-    c1, c2 = -(-P // M), P // M
-    m1 = P - M * c2
-    m2 = M - m1
-    if per_worker:  # uncoded: every worker is its own exponential
-        return [CdfFactor(m1 * c1, N / c1), CdfFactor(m2 * c2, N / c2)]
-    # repetition: min over a row's replicas scales the rate
-    return [CdfFactor(m1, N, float(c1)), CdfFactor(m2, N, float(c2))]
-
-
-def expected_time_uncoded(params: CodeParams, model: DelayModel) -> float:
-    """Wait-for-all expectation; closed form when M | P, else the
-    two-group integral with integer effects."""
-    P, M, N = params.P, params.M, float(params.N)
-    if P % M == 0:
-        return uncoded_closed_form(P, M, N, model)
-    return expected_time_numeric(_mixed_group_factors(P, M, N, per_worker=True), model)
-
-
-def expected_time_repetition(params: CodeParams, model: DelayModel) -> float:
-    """Row-repetition expectation; closed form when M | P, else the
-    two-group integral with integer effects."""
-    P, M, N = params.P, params.M, float(params.N)
-    if P % M == 0:
-        return repetition_closed_form(P, M, N, model)
-    return expected_time_numeric(_mixed_group_factors(P, M, N, per_worker=False), model)
 
 
 def expected_time_numeric(factors, model: DelayModel, rel_tol: float = 1e-6) -> float:
@@ -314,9 +345,8 @@ def theorem4_regime(P_values, model: DelayModel) -> list[RegimeRow]:
             raise ValueError("theorem-4 regime needs P >= 2")
         M = max(1, _round_half_up(P / math.log(P)))
         K = P - _round_half_up(M / 2)
-        mu = model.mu
-        sd = ((P - K + M) / P) * (1.0 + (harmonic(P) - harmonic(P - K)) / mu)
-        mds = 1.0 + (harmonic(P) - harmonic(P - M)) / mu
+        sd = expected_kth_order(P, K, (P - K + M) / P, model)
+        mds = expected_kth_order(P, M, 1.0, model)
         unc = uncoded_closed_form(P, M, 1.0, model)
         rep = repetition_closed_form(P, M, 1.0, model)
         rows.append(

@@ -81,9 +81,10 @@ def newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 def interpolate(points, values) -> Polynomial:
     """Unique polynomial of degree D-1 through D (point, value) pairs.
 
-    Points must be pairwise distinct.  The result is re-evaluated at the
-    input points; a relative residual above 1e-8 raises
-    ConditioningError instead of returning inaccurate coefficients.
+    Points must be pairwise distinct.  A NaN or infinite value raises
+    ConditioningError, and so does a relative residual above 1e-8 when
+    the result is re-evaluated at the input points, instead of returning
+    inaccurate coefficients.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -91,6 +92,8 @@ def interpolate(points, values) -> Polynomial:
         raise ValueError("points and values must be 1-D of equal positive length")
     if np.unique(pts).size != pts.size:
         raise ValueError("interpolation points must be pairwise distinct")
+    if not np.all(np.isfinite(vals)):
+        raise ConditioningError("interpolation refused: a value is NaN or infinite")
     coeffs = newton_monomial(pts, vals[:, None])[:, 0]
     poly = Polynomial(coeffs)
     residual = np.linalg.norm(eval_many(poly, pts) - vals)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coding import EncodedTransform
 from .generator import build_generator
-from .params import CodeParams
+from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
 
@@ -64,16 +64,22 @@ def load_transform(in_dir) -> EncodedTransform:
         if line and "=" in line:
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
-    params = CodeParams(
-        P=int(kv["P"]), K=int(kv["K"]), M=int(kv["M"]),
-        N=int(kv["N"]), N_raw=int(kv["N_raw"]),
-    )
-    kind = kv["kind"]
+
+    def field(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"params.txt in {src} has no {key}= line")
+        return kv[key]
+
+    params = validate_params(*(int(field(key)) for key in ("P", "K", "M", "N_raw")))
+    if int(field("N")) != params.N:
+        raise ValueError(
+            f"params.txt in {src}: N={field('N')} but P and N_raw give {params.N}")
+    kind = field("kind")
     if kind == "vandermonde":
-        nodes = np.array([float(tok) for tok in kv["nodes"].split(",")])
+        nodes = np.array([float(tok) for tok in field("nodes").split(",")])
         gen = build_generator(params, kind="vandermonde", nodes=nodes)
     elif kind == "gaussian":
-        gen = build_generator(params, kind="gaussian", seed=int(kv["seed"]))
+        gen = build_generator(params, kind="gaussian", seed=int(field("seed")))
     else:
         raise ValueError(f"unknown generator kind {kind!r} in {src}")
     F = load_matrix(src / "F.csv")

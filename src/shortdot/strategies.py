@@ -20,9 +20,6 @@ import numpy as np
 
 from .params import CodeParams
 
-STRATEGY_NAMES = ("uncoded", "repetition", "mds", "short-mds", "short-dot")
-
-
 @dataclass(frozen=True)
 class RecoveryRule:
     kind: str  # "all" | "kth_overall" | "one_per_group" | "k_per_group"
@@ -93,12 +90,14 @@ def split_m1_m2(P: int, M: int) -> IntegerSplit:
     return IntegerSplit(m1=m1, m2=M - m1)
 
 
-def _round_robin_groups(P: int, n_groups: int) -> tuple[frozenset[int], ...]:
-    """Workers 1..P dealt to groups cyclically; sizes floor/ceil(P/n)."""
-    groups = [[] for _ in range(n_groups)]
-    for w in range(1, P + 1):
-        groups[(w - 1) % n_groups].append(w)
-    return tuple(frozenset(g) for g in groups)
+def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[tuple, np.ndarray]:
+    """Column blocks of length s (the last one shorter) on n_groups groups
+    of workers dealt round-robin (sizes floor/ceil(P/n_groups)); group g
+    computes block g mod ceil(N/s).  Returns (groups, task lengths)."""
+    blocks = -(-N // s)
+    block_len = np.array([s] * (blocks - 1) + [N - s * (blocks - 1)], dtype=float)
+    groups = tuple(frozenset(range(g + 1, P + 1, n_groups)) for g in range(n_groups))
+    return groups, block_len[np.arange(P) % n_groups % blocks]
 
 
 def plan_uncoded(params: CodeParams) -> TaskPlan:
@@ -144,11 +143,7 @@ def plan_repetition_block(params: CodeParams, s: int) -> TaskPlan:
             f"{n_groups} (row, block) groups exceed P={P} workers; some block "
             "would never be computed"
         )
-    block_len = [s] * (blocks - 1) + [N - s * (blocks - 1)]
-    groups = _round_robin_groups(P, n_groups)
-    lengths = np.empty(P)
-    for g, members in enumerate(groups):
-        lengths[np.asarray(sorted(members)) - 1] = block_len[g % blocks]
+    groups, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
         strategy_id="repetition",
         task_lengths=lengths,
@@ -182,11 +177,7 @@ def plan_short_mds(params: CodeParams, s: int) -> TaskPlan:
         raise ValueError(
             f"group size {P // n_groups} < M={M}: not enough workers per block"
         )
-    block_len = [s] * (n_groups - 1) + [N - s * (n_groups - 1)]
-    groups = _round_robin_groups(P, n_groups)
-    lengths = np.empty(P)
-    for g, members in enumerate(groups):
-        lengths[np.asarray(sorted(members)) - 1] = block_len[g]
+    groups, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
         strategy_id="short-mds",
         task_lengths=lengths,
@@ -205,19 +196,24 @@ def plan_short_dot(params: CodeParams) -> TaskPlan:
     )
 
 
+# name -> plan builder(params, s); s is the target task length of the
+# block strategies (None: their default) and is ignored by the others.
+PLAN_BUILDERS = {
+    "uncoded": lambda params, s: plan_uncoded(params),
+    "repetition": lambda params, s: plan_repetition_block(
+        params, params.N if s is None else s),
+    "mds": lambda params, s: plan_mds(params),
+    "short-mds": lambda params, s: plan_short_mds(params, params.s if s is None else s),
+    "short-dot": lambda params, s: plan_short_dot(params),
+}
+STRATEGY_NAMES = tuple(PLAN_BUILDERS)
+
+
 def plan_by_name(name: str, params: CodeParams, s: int | None = None) -> TaskPlan:
     """Build a plan from its strategy name string."""
-    if name == "uncoded":
-        return plan_uncoded(params)
-    if name == "repetition":
-        return plan_repetition_block(params, params.N if s is None else s)
-    if name == "mds":
-        return plan_mds(params)
-    if name == "short-mds":
-        return plan_short_mds(params, params.s if s is None else s)
-    if name == "short-dot":
-        return plan_short_dot(params)
-    raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    if name not in PLAN_BUILDERS:
+        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    return PLAN_BUILDERS[name](params, s)
 
 
 def _check_groups(plan: TaskPlan) -> None:

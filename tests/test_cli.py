@@ -275,3 +275,85 @@ def test_exit_code_numerical_error(tmp_path):
     assert main(["encode", a_path, "--p", "4", "--k", "3",
                  "--nodes", "0.5,0.5000000000000001,-0.5,-0.7",
                  "--out", str(tmp_path / "c")]) == 3
+
+
+def _status(argv):
+    """Exit status of the CLI, including argparse's own exit on bad flags."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flags", [
+    ["--p", "8", "--n", "16", "--s", "4", "--m-range", "2:2", "--strategy", "repetition"],
+    ["--p", "10", "--n", "23", "--s", "10", "--m-range", "1:3", "--strategy", "repetition"],
+    ["--p", "6", "--n", "13", "--m-range", "2:3", "--strategy", "short-dot"],
+])
+def test_sweep_analytic_matches_monte_carlo_of_the_same_plan(tmp_path, flags):
+    # --s block repetition, and short-dot with N padded up to a multiple of P
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--trials", "200000", "--out", str(out)]) == 0
+    with open(out) as fh:
+        for row in csv.DictReader(fh):
+            err = abs(float(row["analytic_E"]) - float(row["mc_mean"]))
+            assert err <= 4 * float(row["mc_stderr"]), row
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--p", "3"],
+    ["transform", "code", "x.csv", "--mu", "5"],
+    ["theorem4", "--trials", "5"],
+    ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--seed", "1"],
+    ["sweep", "--p", "6", "--m", "3", "--out", "s.csv"],
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--s", "4"],  # not --seed
+])
+def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
+    assert _status(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_key_that_names_no_flag_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu=5\n")
+    assert _status(["bounds", "--config", str(cfg), "--p", "6", "--k", "5",
+                    "--m", "3", "--n", "12"]) == 2
+    assert "'mu'" in capsys.readouterr().err
+    cfg.write_text("p=6\n")
+    assert _status(["selftest", "--config", str(cfg)]) == 2
+
+
+def test_sweep_config_values(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    out = tmp_path / "sweep.csv"
+    cfg.write_text(f"p=6\nn=12\nk=auto\nm-range=2:3\nstrategy=short-dot,mds\n"
+                   f"trials=0\nout={out}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    with open(out) as fh:
+        rows = [(r["M"], r["strategy"], r["K_used"]) for r in csv.DictReader(fh)]
+    auto_k = [int(k) for _, name, k in rows if name == "short-dot"]
+    assert rows == [("2", "short-dot", str(auto_k[0])), ("2", "mds", "2"),
+                    ("3", "short-dot", str(auto_k[1])), ("3", "mds", "3")]
+    # flags win: --strategy replaces the config list, --k the config k
+    assert main(["sweep", "--config", str(cfg), "--strategy", "uncoded",
+                 "--k", "5"]) == 0
+    with open(out) as fh:
+        assert [(r["M"], r["strategy"]) for r in csv.DictReader(fh)] == [
+            ("2", "uncoded"), ("3", "uncoded")]
+    with open(tmp_path / "sweep_plot.py") as fh:
+        assert "sweep.csv" in fh.read()
+
+
+def test_missing_config_file_is_an_io_error(tmp_path):
+    assert main(["theorem4", "--config", str(tmp_path / "missing.cfg")]) == 4
+
+
+def test_transform_reports_missing_params_key(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    params_txt = out / "params.txt"
+    lines = params_txt.read_text().splitlines()
+    params_txt.write_text("\n".join(l for l in lines if not l.startswith("M=")) + "\n")
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+    assert "no M= line" in capsys.readouterr().err

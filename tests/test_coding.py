@@ -383,6 +383,7 @@ def test_error_decode_corrects_single_corruption():
         assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("method", ["solve", "poly"])
 def test_decode_refuses_non_finite_outputs(bad, method):
@@ -397,6 +398,7 @@ def test_decode_refuses_non_finite_outputs(bad, method):
             decode(chosen, gen, p, method=method)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_error_decode_corrects_one_non_finite_output(bad):
     rng = np.random.default_rng(15)
@@ -426,6 +428,9 @@ def test_error_decode_beyond_radius_fails_loudly():
         WorkerOutput(o.index, o.value + (500.0 if o.index in (2, 5) else 0.0))
         for o in outs
     ]
+    with pytest.raises(DecodingError):
+        decode_with_errors(corrupted, 1, gen, p)
+    corrupted[1] = WorkerOutput(2, np.inf)  # an infinite output matches nothing
     with pytest.raises(DecodingError):
         decode_with_errors(corrupted, 1, gen, p)
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from shortdot import (
     CdfFactor,
     DelayModel,
     expected_kth_order,
+    expected_time,
     expected_time_mds,
     expected_time_numeric,
     expected_time_repetition,
@@ -16,10 +17,15 @@ from shortdot import (
     monte_carlo,
     optimize_k,
     plan_by_name,
+    plan_mds,
+    plan_repetition_block,
     plan_short_dot,
+    plan_short_mds,
+    plan_uncoded,
     repetition_closed_form,
     sample_time,
     theorem4_regime,
+    uncoded_closed_form,
     validate_params,
 )
 from shortdot.latency import _uniform_stream
@@ -262,11 +268,21 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(plan, MU5, 10, -3)
 
 
+def _split_factors(P, M, N, per_worker):
+    """CDF factors of the integer split, written out apart from the plans:
+    m1 rows on ceil(P/M) workers, m2 rows on floor(P/M)."""
+    c1, c2 = -(-P // M), P // M
+    m1 = P - M * c2
+    m2 = M - m1
+    if per_worker:  # uncoded: every worker is its own exponential
+        return [CdfFactor(m1 * c1, N / c1), CdfFactor(m2 * c2, N / c2)]
+    # repetition: the minimum over a row's replicas scales the rate
+    return [CdfFactor(m1, N, float(c1)), CdfFactor(m2, N, float(c2))]
+
+
 def test_exactness_ladder_across_strategy_grid():
     # closed form == numeric integration (1e-6 rel) and both match Monte
     # Carlo (4 stderr), on a grid covering even and uneven splits
-    from shortdot.latency import _mixed_group_factors
-
     for (P, M) in [(6, 3), (6, 4), (7, 3), (8, 2), (9, 5)]:
         params = validate_params(P, max(M, 1), M, 6 * P)
         N = float(params.N)
@@ -276,13 +292,9 @@ def test_exactness_ladder_across_strategy_grid():
             ("mds", expected_time_mds(params, MU5)),
         ):
             if name == "uncoded":
-                numeric = expected_time_numeric(
-                    _mixed_group_factors(P, M, N, per_worker=True), MU5
-                )
+                numeric = expected_time_numeric(_split_factors(P, M, N, True), MU5)
             elif name == "repetition":
-                numeric = expected_time_numeric(
-                    _mixed_group_factors(P, M, N, per_worker=False), MU5
-                )
+                numeric = expected_time_numeric(_split_factors(P, M, N, False), MU5)
             else:
                 numeric = None
             if numeric is not None:
@@ -291,6 +303,42 @@ def test_exactness_ladder_across_strategy_grid():
             assert abs(rep.mc_mean - analytic) <= max(
                 4 * rep.mc_stderr, 1e-3 * analytic
             ), (name, P, M)
+
+
+def test_expected_time_of_plan_equals_closed_forms_exactly():
+    # the plan-derived expectation reproduces each strategy's own closed
+    # form (or two-group integral) bit for bit
+    for P in range(1, 31):
+        for M in range(1, P + 1):
+            p = validate_params(P, (M + P) // 2, M, 100 * P)
+            N = float(p.N)
+            if P % M == 0:
+                uncoded = uncoded_closed_form(P, M, N, MU5)
+                repetition = repetition_closed_form(P, M, N, MU5)
+            else:
+                uncoded = expected_time_numeric(_split_factors(P, M, N, True), MU5)
+                repetition = expected_time_numeric(_split_factors(P, M, N, False), MU5)
+            assert expected_time(plan_uncoded(p), MU5) == uncoded, (P, M)
+            assert expected_time(plan_repetition_block(p, p.N), MU5) == repetition, (P, M)
+            assert expected_time(plan_mds(p), MU5) == expected_kth_order(P, M, N, MU5)
+            assert expected_time(plan_short_dot(p), MU5) == expected_kth_order(
+                P, p.K, p.s, MU5)
+
+
+@pytest.mark.parametrize("P,M,N,s", [(8, 2, 16, 4), (10, 1, 23, 10), (12, 2, 36, 10)])
+def test_expected_time_of_block_repetition_matches_monte_carlo(P, M, N, s):
+    plan = plan_repetition_block(validate_params(P, M, M, N), s)
+    analytic = expected_time(plan, MU5)
+    rep = monte_carlo(plan, MU5, 200_000, P + M)
+    assert abs(rep.mc_mean - analytic) <= 4 * rep.mc_stderr
+
+
+def test_expected_time_without_closed_form():
+    p = validate_params(12, 6, 2, 12)
+    assert math.isnan(expected_time(plan_short_mds(p, 6), MU5))
+    mixed = TaskPlan("x", np.array([1.0, 2.0]), None, RecoveryRule("kth_overall", 1))
+    with pytest.raises(ValueError):
+        expected_time(mixed, MU5)
 
 
 # --- dominance at larger processor counts -------------------------------------------

@@ -62,6 +62,7 @@ def test_interpolate_flags_hopeless_conditioning():
         interpolate(pts, vals)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_interpolate_refuses_non_finite_values(bad):
     with pytest.raises(ConditioningError):

@@ -104,3 +104,22 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
     tamper(out, p)
     with pytest.raises(ValueError):
         load_transform(out)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"M": None}, "no M= line"),
+    ({"nodes": None}, "no nodes= line"),
+    ({"K": "7"}, "K <= P"),
+    ({"N": "18"}, "N=18"),
+], ids=["missing-M", "missing-nodes", "K-above-P", "N-mismatch"])
+def test_load_refuses_bad_params_file(tmp_path, edit, message):
+    rng = np.random.default_rng(5)
+    p = validate_params(6, 5, 3, 12)
+    out = save_transform(encode(rng.standard_normal((3, 12)), build_generator(p), p),
+                         tmp_path / "t")
+    params_txt = out / "params.txt"
+    kv = dict(line.split("=", 1) for line in params_txt.read_text().splitlines())
+    kv.update(edit)
+    params_txt.write_text("".join(f"{k}={v}\n" for k, v in kv.items() if v is not None))
+    with pytest.raises(ValueError, match=message):
+        load_transform(out)
