@@ -34,6 +34,7 @@ from .latency import (
     expected_time_uncoded,  # noqa: F401
     monte_carlo,
     optimize_k,
+    simulation_threads,
     theorem4_regime,
 )
 from .params import validate_params
@@ -158,12 +159,23 @@ class _Names(argparse.Action):
         setattr(namespace, self.dest, ([] if names is self.default else names) + values)
 
 
+def _check_monte_carlo(first: int, count: int) -> None:
+    """Refuse, before any output, a malformed SHORTDOT_THREADS or Monte Carlo
+    seeds first..first+count-1 that do not all lie in 0..2**64-1."""
+    simulation_threads()
+    if not 0 <= first <= first + count - 1 < 2**64:
+        raise ValueError(f"Monte Carlo seeds {first}..{first + count - 1} "
+                         "(--seed plus one per row) must lie in 0..2**64-1")
+
+
 def cmd_sweep(args) -> int:
     P = args.p
     N = 100 * P if args.n is None else args.n
     model = DelayModel(args.mu)
+    m_values = args.m_range or range(1, P + 1)
+    _check_monte_carlo(args.seed, len(m_values))
     rows = []
-    for row_i, M in enumerate(args.m_range or range(1, P + 1)):
+    for row_i, M in enumerate(m_values):
         # K of the sparse code: fixed, or "auto" to minimize its expected
         # time at this M; the other strategies do not read K
         K = optimize_k(P, M, float(N), model)[0] if args.k == "auto" else args.k
@@ -283,6 +295,8 @@ def cmd_bounds(args) -> int:
 def cmd_experiment_sec6(args) -> int:
     model = DelayModel(args.mu)
     params = validate_params(*SEC6)
+    strategies = ("short-dot", "uncoded", "mds")
+    _check_monte_carlo(args.seed, len(strategies))
     print(
         "simulated reproduction of the cluster comparison "
         f"(N={params.N_raw}->{params.N}, M={params.M}, P={params.P}, "
@@ -290,7 +304,7 @@ def cmd_experiment_sec6(args) -> int:
     )
     print(f"{'strategy':<10} {'analytic':>12} {'mc_mean':>12} {'mc_stderr':>10}")
     reports = {}
-    for i, name in enumerate(("short-dot", "uncoded", "mds")):
+    for i, name in enumerate(strategies):
         plan = plan_by_name(name, params)
         analytic = expected_time(plan, model)
         rep = monte_carlo(plan, model, args.trials, args.seed + i, analytic)

@@ -36,6 +36,7 @@ from .strategies import (
 
 DEFAULT_MU = 5.0
 _MC_CHUNK = 1 << 16  # fixed chunk size keeps reductions thread-count independent
+_MC_BLOCK = 1 << 15  # draws per block of a chunk: its three buffers stay in L2
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,19 @@ def harmonic(n: int) -> float:
 
 def sample_time(s: float, model: DelayModel, u) -> np.ndarray | float:
     """Inverse-CDF sample(s): t = s (1 - ln(1-u)/mu) for uniform u."""
-    return s * (1.0 - np.log1p(-np.asarray(u, dtype=float)) / model.mu)
+    u = np.asarray(u, dtype=float)
+    out = np.empty(np.broadcast_shapes(u.shape, np.shape(s)))
+    return _inverse_cdf(u, model.mu, s, out)[()]  # [()]: a 0-d result as a scalar
+
+
+def _inverse_cdf(u: np.ndarray, mu: float, s, out: np.ndarray) -> np.ndarray:
+    """out = s (1 - log1p(-u)/mu), step by step in place; out may be u."""
+    np.negative(u, out=out)
+    np.log1p(out, out=out)
+    out /= mu
+    np.subtract(1.0, out, out=out)
+    out *= s
+    return out
 
 
 def expected_kth_order(P: int, K: int, s: float, model: DelayModel) -> float:
@@ -225,27 +238,70 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
 # t*P..(t+1)*P-1, so the sample for (trial, worker) is a pure function of
 # (seed, trial, worker) and results cannot depend on chunking or thread
 # count.
+#
+# A chunk is walked in blocks of about _MC_BLOCK draws, so that its
+# working set stays in cache: each block reuses two uint64 buffers and one
+# float64 buffer, SplitMix64, the inverse CDF and the recovery rule run on
+# them in place, and only the block's recovery times go to the chunk's
+# array.  No array of the chunk's draws is ever made (at 65536 x 100 one
+# such array is 52 MB; the whole-chunk form needed about eight).  Each
+# draw sees the same IEEE operations in the same order whatever the block
+# size, and the two sums run once over the chunk's recovery times, so the
+# results do not depend on _MC_BLOCK.
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = tuple(np.uint64(n) for n in (30, 27, 31, 11))
+
+
+def _golden_steps(count: int) -> np.ndarray:
+    """(d+1)*GOLDEN mod 2**64 for d = 0..count-1."""
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    steps *= _GOLDEN
+    return steps
+
+
+def _stream_key(seed: int, start: int) -> np.uint64:
+    """seed + start*GOLDEN mod 2**64: adding it to _golden_steps gives the
+    counters of draws start, start+1, ..."""
+    return np.uint64((seed + start * int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _splitmix_uniform(z: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Finish SplitMix64 on the counters in z (overwritten, tmp is scratch)
+    and write the uniforms (z >> 11) * 2**-53 in [0, 1) to out."""
+    s30, s27, s31, s11 = _SHIFTS
+    np.right_shift(z, s30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, s27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, s31, out=tmp)
+    z ^= tmp
+    z >>= s11
+    return np.multiply(z, 2.0**-53, out=out)
 
 
 def _uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    z = _golden_steps(count)
+    z += _stream_key(seed, start)
+    return _splitmix_uniform(z, np.empty_like(z), np.empty(count))
 
 
 def simulation_threads() -> int:
-    """Thread cap for Monte Carlo, from SHORTDOT_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SHORTDOT_THREADS", "1")))
-    except ValueError:
+    """Thread cap for Monte Carlo, from SHORTDOT_THREADS (default 1 when unset)."""
+    text = os.environ.get("SHORTDOT_THREADS")
+    if text is None:
         return 1
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"SHORTDOT_THREADS must be a positive integer, got {text!r}")
+    return threads
 
 
 def monte_carlo(
@@ -263,22 +319,30 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
+    n_threads = simulation_threads()
     P = plan.P
     lengths = plan.task_lengths
     mu = model.mu
 
     bounds = [(a, min(a + _MC_CHUNK, trials)) for a in range(0, trials, _MC_CHUNK)]
+    rows = max(1, _MC_BLOCK // P)
+    steps = _golden_steps(min(rows, trials) * P)  # read-only, shared by the chunks
 
     def run_chunk(bound: tuple[int, int]) -> tuple[float, float]:
         a, b = bound
-        u = _uniform_stream(seed, a * P, (b - a) * P).reshape(b - a, P)
-        t = lengths[None, :] * (1.0 - np.log1p(-u) / mu)
-        ft = finish_times(plan, t)
+        ft = np.empty(b - a)
+        z, tmp = np.empty_like(steps), np.empty_like(steps)
+        t = np.empty(steps.size)
+        for lo in range(a, b, rows):
+            hi = min(lo + rows, b)
+            n = (hi - lo) * P
+            np.add(steps[:n], _stream_key(seed, lo * P), out=z[:n])
+            u = _splitmix_uniform(z[:n], tmp[:n], t[:n]).reshape(hi - lo, P)
+            ft[lo - a:hi - a] = finish_times(plan, _inverse_cdf(u, mu, lengths, out=u))
         return float(np.sum(ft)), float(np.sum(ft * ft))
 
-    n_threads = simulation_threads()
     if n_threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             partials = list(pool.map(run_chunk, bounds))

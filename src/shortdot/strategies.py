@@ -15,6 +15,7 @@ Recovery rules:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,25 @@ class TaskPlan:
         if rule.kind == "k_per_group":
             return self.P - min(sizes) + rule.k
         raise ValueError(f"unknown rule {rule.kind!r}")
+
+    @cached_property
+    def member_index(self) -> np.ndarray:
+        """(groups, largest group size) array of 0-based member columns.
+
+        Built on first use and checked once: the groups must partition
+        workers 1..P.  A group shorter than the largest repeats its first
+        member, which leaves the group's minimum unchanged.
+        """
+        if self.groups is None:
+            raise ValueError(f"rule {self.recovery_rule.kind!r} requires groups")
+        members = [sorted(g) for g in self.groups]
+        seen = sorted(w for m in members for w in m)
+        if seen != list(range(1, self.P + 1)) or not all(members):
+            raise ValueError("groups must partition workers 1..P")
+        width = max(map(len, members))
+        index = np.array([m + m[:1] * (width - len(m)) for m in members]) - 1
+        index.flags.writeable = False
+        return index
 
     def same_plan(self, other: "TaskPlan") -> bool:
         """Field-by-field equality ignoring the strategy label."""
@@ -216,14 +236,6 @@ def plan_by_name(name: str, params: CodeParams, s: int | None = None) -> TaskPla
     return PLAN_BUILDERS[name](params, s)
 
 
-def _check_groups(plan: TaskPlan) -> None:
-    if plan.groups is None:
-        raise ValueError(f"rule {plan.recovery_rule.kind!r} requires groups")
-    seen = sorted(w for g in plan.groups for w in g)
-    if seen != list(range(1, plan.P + 1)):
-        raise ValueError("groups must partition workers 1..P")
-
-
 def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
     """Recovery time for each row of a (trials, P) matrix of worker times."""
     times = np.atleast_2d(np.asarray(times, dtype=float))
@@ -233,21 +245,19 @@ def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
     if rule.kind == "all":
         return times.max(axis=1)
     if rule.kind == "kth_overall":
-        return np.partition(times, rule.k - 1, axis=1)[:, rule.k - 1]
-    _check_groups(plan)
-    per_group = []
-    for members in plan.groups:
-        cols = np.asarray(sorted(members)) - 1
-        sub = times[:, cols]
-        if rule.kind == "one_per_group":
-            per_group.append(sub.min(axis=1))
-        elif rule.kind == "k_per_group":
-            if rule.k > cols.size:
-                raise ValueError(f"group of size {cols.size} cannot supply k={rule.k}")
-            per_group.append(np.partition(sub, rule.k - 1, axis=1)[:, rule.k - 1])
-        else:
-            raise ValueError(f"unknown rule {rule.kind!r}")
-    return np.max(np.stack(per_group, axis=1), axis=1)
+        return np.sort(times, axis=1)[:, rule.k - 1]
+    if rule.kind not in ("one_per_group", "k_per_group"):
+        raise ValueError(f"unknown rule {rule.kind!r}")
+    index = plan.member_index
+    by_group = times[:, index]  # (trials, groups, largest group size)
+    if rule.kind == "one_per_group":
+        return by_group.min(axis=2).max(axis=1)
+    padded = index[:, 1:] == index[:, :1]  # the repeats of short groups
+    smallest = index.shape[1] - int(padded.sum(axis=1).max())
+    if rule.k > smallest:
+        raise ValueError(f"group of size {smallest} cannot supply k={rule.k}")
+    by_group[:, :, 1:][:, padded] = np.inf  # the k-th smallest never picks a repeat
+    return np.partition(by_group, rule.k - 1, axis=2)[:, :, rule.k - 1].max(axis=1)
 
 
 def finish_time(plan: TaskPlan, times) -> float:
@@ -265,7 +275,7 @@ def recoverable(plan: TaskPlan, responders) -> bool:
         return len(resp) == plan.P
     if rule.kind == "kth_overall":
         return len(resp) >= rule.k
-    _check_groups(plan)
+    plan.member_index  # refuses groups that do not partition 1..P
     if rule.kind == "one_per_group":
         return all(g & resp for g in plan.groups)
     if rule.kind == "k_per_group":

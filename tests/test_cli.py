@@ -277,6 +277,33 @@ def test_exit_code_numerical_error(tmp_path):
                  "--out", str(tmp_path / "c")]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p", "6", "--n", "12", "--m-range", "1:3", "--trials", "10",
+     "--seed", str(2**64 - 2)],  # the third row would need seed 2**64
+    ["sweep", "--p", "6", "--n", "12", "--trials", "10", "--seed", "-1"],
+    ["experiment-sec6", "--trials", "10", "--seed", str(2**64 - 2)],
+])
+def test_seeds_past_64_bits_are_refused_up_front(tmp_path, capsys, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 2
+    assert "2**64" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_last_64_bit_seed_is_accepted(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--p", "6", "--n", "12", "--m-range", "1:3", "--trials", "10",
+                 "--seed", str(2**64 - 3), "--out", str(out)]) == 0
+
+
+def test_malformed_thread_count_exits_2_before_any_output(monkeypatch, capsys):
+    monkeypatch.setenv("SHORTDOT_THREADS", "two")
+    assert main(["experiment-sec6", "--trials", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert "SHORTDOT_THREADS" in err and out == ""
+
+
 def _status(argv):
     """Exit status of the CLI, including argparse's own exit on bad flags."""
     try:

@@ -28,7 +28,7 @@ from shortdot import (
     uncoded_closed_form,
     validate_params,
 )
-from shortdot.latency import _uniform_stream
+from shortdot.latency import _uniform_stream, simulation_threads
 from shortdot.strategies import RecoveryRule, TaskPlan
 
 MU5 = DelayModel(5.0)
@@ -266,6 +266,95 @@ def test_monte_carlo_validates_arguments():
         monte_carlo(plan, MU5, 0, 0)
     with pytest.raises(ValueError):
         monte_carlo(plan, MU5, 10, -3)
+
+
+def test_monte_carlo_refuses_seeds_past_64_bits():
+    # seed and seed + 2**64 would name the same stream
+    plan = plan_short_dot(validate_params(8, 6, 3, 16))
+    monte_carlo(plan, MU5, 10, 2**64 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        monte_carlo(plan, MU5, 10, 2**64 + 3)
+
+
+@pytest.mark.parametrize("text", ["two", "-3", "0", "", "1.5"])
+def test_malformed_thread_count_is_refused(monkeypatch, text):
+    monkeypatch.setenv("SHORTDOT_THREADS", text)
+    with pytest.raises(ValueError, match="SHORTDOT_THREADS"):
+        simulation_threads()
+    with pytest.raises(ValueError, match="SHORTDOT_THREADS"):
+        monte_carlo(plan_short_dot(validate_params(8, 6, 3, 16)), MU5, 10, 0)
+
+
+def test_thread_count_defaults_to_one(monkeypatch):
+    monkeypatch.delenv("SHORTDOT_THREADS", raising=False)
+    assert simulation_threads() == 1
+    monkeypatch.setenv("SHORTDOT_THREADS", "3")
+    assert simulation_threads() == 3
+
+
+def _old_uniform_stream(seed, start, count):
+    """The one-expression SplitMix64 stream the block kernel replaced."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+@pytest.mark.parametrize("seed, start, count", [
+    (0, 0, 1), (7, 0, 1000), (123, 37, 4099), (2**64 - 1, 0, 500),
+    (2**64 - 1, 12 * 6543 + 5, 333), (2**63 + 9, 2**40 + 1, 100),
+])
+def test_uniform_stream_matches_the_one_expression_form(seed, start, count):
+    assert np.array_equal(_uniform_stream(seed, start, count),
+                          _old_uniform_stream(seed, start, count))
+
+
+# float.hex of (mc_mean, mc_stderr) as computed by the one-expression
+# Monte Carlo that the block kernel replaced: P = 12, mu = 5.
+_P12 = validate_params(12, 9, 5, 60)
+GOLDEN_PLANS = {
+    "all, two lengths": plan_uncoded(_P12),
+    "kth_overall": plan_short_dot(_P12),
+    "one_per_group, sizes 3,3,2,2,2": plan_repetition_block(_P12, 60),
+    "k_per_group, sizes 3,3,2,2,2": plan_short_mds(validate_params(12, 9, 2, 60), 12),
+    "k_per_group, short-mds": plan_short_mds(validate_params(12, 9, 3, 60), 20),
+}
+GOLDEN = [
+    ("all, two lengths", 1, 7, "0x1.8a5aec583eaa7p+5", "0x0.0p+0"),
+    ("all, two lengths", 5000, 11, "0x1.65fbfb78c1b54p+5", "0x1.ab4a7b24ab17cp-4"),
+    ("all, two lengths", 135168, 3, "0x1.669eacbd7de3ap+5", "0x1.431c255cdf6b4p-6"),
+    ("kth_overall", 1, 7, "0x1.6862b034380e8p+5", "0x0.0p+0"),
+    ("kth_overall", 5000, 11, "0x1.904300bf0019bp+5", "0x1.99d07fd6d6276p-5"),
+    ("kth_overall", 135168, 3, "0x1.91295cf2a220ap+5", "0x1.41d79e5a75656p-7"),
+    ("kth_overall", 3000, 2**64 - 1, "0x1.8f7b68c19e53dp+5", "0x1.02f620407658ep-4"),
+    ("one_per_group, sizes 3,3,2,2,2", 1, 7, "0x1.099526f5ed208p+6", "0x0.0p+0"),
+    ("one_per_group, sizes 3,3,2,2,2", 5000, 11, "0x1.1f6394f4c0d0dp+6",
+     "0x1.78104940e6149p-4"),
+    ("one_per_group, sizes 3,3,2,2,2", 135168, 3, "0x1.206bcba103817p+6",
+     "0x1.2a74eb3fd00ddp-6"),
+    ("k_per_group, sizes 3,3,2,2,2", 1, 7, "0x1.18b665744bff5p+4", "0x0.0p+0"),
+    ("k_per_group, sizes 3,3,2,2,2", 5000, 11, "0x1.20ef5d8de0156p+4",
+     "0x1.424301a64b023p-5"),
+    ("k_per_group, sizes 3,3,2,2,2", 135168, 3, "0x1.2126f6e483f7bp+4",
+     "0x1.f4ae14e3fe1e7p-8"),
+    ("k_per_group, short-mds", 1, 7, "0x1.d3daa91729543p+4", "0x0.0p+0"),
+    ("k_per_group, short-mds", 5000, 11, "0x1.a899f90ef9d2cp+4", "0x1.3a82789fcfe61p-5"),
+    ("k_per_group, short-mds", 135168, 3, "0x1.a8f9f69fe545cp+4", "0x1.dcc00c8bcef2cp-8"),
+]
+
+
+@pytest.mark.parametrize("threads", [None, "2"])
+@pytest.mark.parametrize("name, trials, seed, mean, stderr", GOLDEN)
+def test_monte_carlo_golden_bits(monkeypatch, threads, name, trials, seed, mean, stderr):
+    # 5000 trials end in a partial block; 2 * 65536 + 4096 take three chunks
+    if threads is None:
+        monkeypatch.delenv("SHORTDOT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SHORTDOT_THREADS", threads)
+    rep = monte_carlo(GOLDEN_PLANS[name], MU5, trials, seed)
+    assert (rep.mc_mean.hex(), rep.mc_stderr.hex()) == (mean, stderr)
 
 
 def _split_factors(P, M, N, per_worker):

@@ -6,6 +6,7 @@ import pytest
 
 from shortdot import (
     finish_time,
+    finish_times,
     plan_by_name,
     plan_mds,
     plan_repetition_block,
@@ -180,6 +181,58 @@ def test_finish_time_rejects_rule_group_mismatch():
     bad_groups = (frozenset({1}),)  # does not cover workers 2, 3
     with pytest.raises(ValueError):
         finish_time(_plan(RecoveryRule("one_per_group"), bad_groups), [1.0, 2.0, 3.0])
+
+
+def _finish_times_per_group(plan, times):
+    """Reference: one fancy index and one selection per group."""
+    per_group = []
+    for members in plan.groups:
+        sub = times[:, np.array(sorted(members)) - 1]
+        if plan.recovery_rule.kind == "one_per_group":
+            per_group.append(sub.min(axis=1))
+        else:
+            per_group.append(np.sort(sub, axis=1)[:, plan.recovery_rule.k - 1])
+    return np.max(np.stack(per_group, axis=1), axis=1)
+
+
+def test_finish_times_matches_a_per_group_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        P = int(rng.integers(1, 16))
+        cuts = np.sort(rng.choice(np.arange(1, P), size=int(rng.integers(0, P)), replace=False))
+        groups = tuple(frozenset(int(w) + 1 for w in part)
+                       for part in np.split(rng.permutation(P), cuts))
+        smallest = min(len(g) for g in groups)
+        # few distinct values, so times tie within and across groups
+        times = rng.integers(0, 4, size=(int(rng.integers(1, 30)), P)).astype(float)
+        rules = [RecoveryRule("one_per_group"),
+                 RecoveryRule("k_per_group", int(rng.integers(1, smallest + 1)))]
+        for rule in rules:
+            plan = TaskPlan("test", np.ones(P), groups, rule)
+            got = finish_times(plan, times)
+            assert np.array_equal(got, _finish_times_per_group(plan, times)), (groups, rule)
+
+
+def test_finish_times_leaves_its_input_unchanged():
+    groups = (frozenset({1, 2, 3}), frozenset({4, 5}))
+    plan = TaskPlan("test", np.ones(5), groups, RecoveryRule("k_per_group", 2))
+    times = np.arange(10.0).reshape(2, 5)
+    assert np.array_equal(finish_times(plan, times), [4.0, 9.0])
+    assert np.array_equal(times, np.arange(10.0).reshape(2, 5))
+
+
+def test_finish_times_refuses_k_above_the_smallest_group():
+    groups = (frozenset({1, 2, 3}), frozenset({4, 5}))
+    plan = TaskPlan("test", np.ones(5), groups, RecoveryRule("k_per_group", 3))
+    with pytest.raises(ValueError, match="size 2"):
+        finish_times(plan, np.ones((1, 5)))
+
+
+def test_finish_times_refuses_an_empty_group():
+    groups = (frozenset({1, 2, 3}), frozenset())
+    plan = TaskPlan("test", np.ones(3), groups, RecoveryRule("one_per_group"))
+    with pytest.raises(ValueError, match="partition"):
+        finish_times(plan, np.ones((1, 3)))
 
 
 def test_finish_time_monotone_in_every_coordinate():
