@@ -159,9 +159,11 @@ class _Names(argparse.Action):
         setattr(namespace, self.dest, ([] if names is self.default else names) + values)
 
 
-def _check_monte_carlo(first: int, count: int) -> None:
-    """Refuse, before any output, a malformed SHORTDOT_THREADS or Monte Carlo
-    seeds first..first+count-1 that do not all lie in 0..2**64-1."""
+def _check_monte_carlo(trials: int, first: int, count: int) -> None:
+    """Refuse, before any output, negative trials, a malformed SHORTDOT_THREADS
+    or Monte Carlo seeds first..first+count-1 outside 0..2**64-1."""
+    if trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {trials}")
     simulation_threads()
     if not 0 <= first <= first + count - 1 < 2**64:
         raise ValueError(f"Monte Carlo seeds {first}..{first + count - 1} "
@@ -173,7 +175,7 @@ def cmd_sweep(args) -> int:
     N = 100 * P if args.n is None else args.n
     model = DelayModel(args.mu)
     m_values = args.m_range or range(1, P + 1)
-    _check_monte_carlo(args.seed, len(m_values))
+    _check_monte_carlo(args.trials, args.seed, len(m_values))
     rows = []
     for row_i, M in enumerate(m_values):
         # K of the sparse code: fixed, or "auto" to minimize its expected
@@ -296,7 +298,7 @@ def cmd_experiment_sec6(args) -> int:
     model = DelayModel(args.mu)
     params = validate_params(*SEC6)
     strategies = ("short-dot", "uncoded", "mds")
-    _check_monte_carlo(args.seed, len(strategies))
+    _check_monte_carlo(args.trials, args.seed, len(strategies))
     print(
         "simulated reproduction of the cluster comparison "
         f"(N={params.N_raw}->{params.N}, M={params.M}, P={params.P}, "

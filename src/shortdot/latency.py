@@ -9,12 +9,15 @@ Expected recovery times are computed three ways, which must agree:
 exact closed forms using harmonic numbers (the k-th order statistic of P
 unit exponentials has mean H_P - H_{P-K}; the commonly quoted
 log(P/(P-K)) is its large-P approximation), numeric integration of
-E[T] = int (1 - F(t)) dt for the mixed-group cases, and Monte Carlo.
+E[T] = int (1 - F(t)) dt for the mixed-group cases (a fixed composite
+Gauss-Legendre rule, cut off where the survival falls below 1e-20), and
+Monte Carlo.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +25,6 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import CodeParams
 from .strategies import (
@@ -172,47 +174,40 @@ class CdfFactor:
     shift: float
     rate: float = 1.0
 
+    def __post_init__(self):
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 0
+                and 0 < self.shift < math.inf and 0 < self.rate < math.inf):
+            raise ValueError(f"a CDF factor needs an integer count >= 0 and a finite "
+                             f"positive shift and rate, got {self}")
 
-def expected_time_numeric(factors, model: DelayModel, rel_tol: float = 1e-6) -> float:
-    """E[T] = integral of the survival function 1 - prod of group CDFs.
 
-    The integrand is 1 on [0, max shift]; beyond a cap where the
-    union-bound tail drops below 1e-12 of the offset, the remaining mass
-    is added analytically.
+# Composite Gauss-Legendre rule on [0, 1]: _GL_PANELS equal panels of 32 nodes.
+# 16 panels agree with 512 to 7e-16 relative for P <= 1000, mu = 0.1..50.
+_GL_PANELS = 16
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES = ((np.arange(_GL_PANELS)[:, None] + (_GL_NODES + 1.0) / 2.0) / _GL_PANELS).ravel()
+_GL_WEIGHTS = np.tile(_GL_WEIGHTS / (2.0 * _GL_PANELS), _GL_PANELS)
+
+
+def expected_time_numeric(factors, model: DelayModel) -> float:
+    """E[T] = t0 + integral over [t0, inf) of 1 - prod of group CDFs.
+
+    t0 is the largest shift, below which the survival is 1.  The fixed
+    Gauss-Legendre rule above integrates up to the time where the union
+    bound sum_g count_g q_g(t) puts the survival below 1e-20; the product
+    of CDFs is summed in log space, factor by factor.
     """
-    factors = list(factors)
-    if not factors:
-        raise ValueError("need at least one CDF factor")
-    for f in factors:
-        if f.count < 0 or f.shift <= 0 or f.rate <= 0:
-            raise ValueError(f"invalid factor {f}")
     factors = [f for f in factors if f.count > 0]
-    mu = model.mu
-    t0 = max(f.shift for f in factors)
-
-    def survival(t: float) -> float:
-        acc = 1.0
-        for f in factors:
-            acc *= (1.0 - math.exp(-mu * f.rate * (t / f.shift - 1.0))) ** f.count
-        return 1.0 - acc
-
-    def tail_bound(t: float) -> float:
-        # 1 - prod(1-q_g)^{c_g} <= sum c_g q_g, integrated analytically
-        return sum(
-            f.count * f.shift / (mu * f.rate) * math.exp(-mu * f.rate * (t / f.shift - 1.0))
-            for f in factors
-        )
-
-    t_cap = t0
-    tol = 1e-13 * t0
-    for f in factors:
-        sh = f.shift
-        arg = f.count * sh / (mu * f.rate * (tol / len(factors)))
-        t_cap = max(t_cap, sh * (1.0 + math.log(max(arg, 1.0)) / (mu * f.rate)))
-    value, _ = quad(
-        survival, t0, t_cap, epsabs=rel_tol * t0 * 1e-3, epsrel=rel_tol * 1e-2, limit=500
-    )
-    return t0 + value + tail_bound(t_cap)
+    if not factors:
+        raise ValueError("need at least one CDF factor with a positive count")
+    count, shift, rate = np.array([(f.count, f.shift, f.rate) for f in factors]).T[..., None]
+    mu_rate = model.mu * rate
+    t0 = float(shift.max())
+    # each factor's union-bound term count_g q_g(t) falls to 1e-20 / len(factors)
+    t_end = float(np.max(shift * (1.0 + np.log(count * len(factors) * 1e20) / mu_rate)))
+    t = t0 + (t_end - t0) * _GL_NODES
+    log_cdf = np.sum(count * np.log1p(-np.exp(-mu_rate * (t / shift - 1.0))), axis=0)
+    return t0 + (t_end - t0) * float(_GL_WEIGHTS @ -np.expm1(log_cdf))
 
 
 def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]:

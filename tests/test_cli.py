@@ -1,10 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shortdot import load_matrix, save_matrix
 from shortdot.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write_matrix(path, mat):
@@ -289,6 +295,39 @@ def test_seeds_past_64_bits_are_refused_up_front(tmp_path, capsys, argv):
     assert main(argv) == 2
     assert "2**64" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--p", "6", "--n", "12", "--trials", "-5"],
+    ["experiment-sec6", "--trials", "-5"],
+])
+def test_negative_trials_are_refused_up_front(tmp_path, capsys, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "--trials" in err and out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_zero_trials_sweep_has_no_monte_carlo(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--p", "6", "--n", "12", "--trials", "0", "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert all(row["mc_mean"] == "nan" for row in csv.DictReader(fh))
+
+
+def test_scipy_is_never_imported(tmp_path):
+    code = ("import sys, shortdot, shortdot.cli\n"
+            "assert shortdot.cli.main(['sweep', '--p', '12', '--trials', '0',"
+            " '--out', sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sweep.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_last_64_bit_seed_is_accepted(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,6 +177,12 @@ def test_numeric_rejects_bad_factors():
         expected_time_numeric([], MU5)
     with pytest.raises(ValueError):
         expected_time_numeric([CdfFactor(1, -2.0, 1.0)], MU5)
+    for bad in [(1, math.nan), (1, 2.0, math.nan), (1, math.inf), (1, 2.0, math.inf),
+                (2.5, 2.0), (-1, 2.0), (1, 2.0, 0.0)]:
+        with pytest.raises(ValueError):
+            expected_time_numeric([CdfFactor(*bad)], MU5)
+    with pytest.raises(ValueError):
+        expected_time_numeric([CdfFactor(0, 2.0), CdfFactor(0, 3.0, 2.0)], MU5)
 
 
 def test_expectations_scale_linearly_in_n():
@@ -412,6 +419,33 @@ def test_expected_time_of_plan_equals_closed_forms_exactly():
             assert expected_time(plan_mds(p), MU5) == expected_kth_order(P, M, N, MU5)
             assert expected_time(plan_short_dot(p), MU5) == expected_kth_order(
                 P, p.K, p.s, MU5)
+
+
+def _repetition_mean_exactly(P, M, N, mu):
+    """Row repetition's mean as a Fraction.  With u = e^{-mu(t/N - 1)} the
+    CDF is prod_g (1 - u^c_g)^m_g = sum_j a_j u^j, and integrating its
+    complement over t >= N gives E = N + (N/mu) sum_{j>=1} (-a_j)/j."""
+    c1, c2 = -(-P // M), P // M
+    m1 = P - M * c2
+    poly = [1]
+    for c, m in ((c1, m1), (c2, M - m1)):
+        for _ in range(m):  # multiply by 1 - u^c
+            poly = [a - (poly[j - c] if j >= c else 0)
+                    for j, a in enumerate(poly + [0] * c)]
+    tail = sum(Fraction(-a, j) for j, a in enumerate(poly) if j)
+    return Fraction(N) + Fraction(N) / Fraction(mu) * tail
+
+
+@pytest.mark.parametrize("mu", [0.5, 5.0])
+def test_repetition_integral_matches_exact_polynomial_form(mu):
+    for P in range(3, 31):
+        for M in range(2, P):
+            if P % M == 0:
+                continue
+            p = validate_params(P, M, M, 100 * P)
+            exact = _repetition_mean_exactly(P, M, p.N, mu)
+            got = expected_time_repetition(p, DelayModel(mu))
+            assert abs(Fraction(got) - exact) <= Fraction(1, 10**13) * exact, (P, M)
 
 
 @pytest.mark.parametrize("P,M,N,s", [(8, 2, 16, 4), (10, 1, 23, 10), (12, 2, 36, 10)])
