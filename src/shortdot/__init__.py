@@ -28,7 +28,6 @@ from .coding import (
     run_workers,
     solve_appended,
     supports_from_pattern,
-    worker_dot,
     zero_mask,
     zero_support,
 )

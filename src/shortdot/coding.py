@@ -74,9 +74,9 @@ class EncodedTransform:
 
     F is P x N and exactly zero on the cyclic pattern; construction
     refuses any other F.  Construction also derives `supports` (see
-    supports_from_pattern) and each worker's coefficients on its support,
-    once; F, supports and the coefficients are then read-only, so the
-    cached worker tasks cannot go stale.
+    supports_from_pattern) and `coefficients`, the (P, s) array of each
+    row of F on its support, once; all three are then read-only, so
+    the worker tasks read from them cannot go stale.
     """
 
     F: np.ndarray
@@ -95,15 +95,14 @@ class EncodedTransform:
             raise ValueError("F is nonzero at a position the sparsity pattern forces to zero")
         for arr in (self.F, supports, coefficients):
             arr.flags.writeable = False
-        tasks = tuple(
-            WorkerTask(index=i + 1, support=sup, coefficients=coef)
-            for i, (sup, coef) in enumerate(zip(supports, coefficients))
-        )
         object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "_tasks", tasks)
+        object.__setattr__(self, "coefficients", coefficients)
 
     def worker_tasks(self) -> tuple["WorkerTask", ...]:
-        return self._tasks
+        return tuple(
+            WorkerTask(index=i + 1, support=sup, coefficients=coef)
+            for i, (sup, coef) in enumerate(zip(self.supports, self.coefficients))
+        )
 
 
 @dataclass(frozen=True)
@@ -220,32 +219,28 @@ def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray
 
 def pad_input(x, params: CodeParams) -> np.ndarray:
     """Accept finite x of length N_raw or N; zero-pad to length N."""
+    return _input_behind_zero(x, params)[1:]
+
+
+def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
+    """pad_input(x) behind one leading zero: entry j is x_j, so the
+    1-based supports index it directly."""
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x has non-finite entries")
-    if x.size == params.N:
-        return x
-    if x.size == params.N_raw:
-        out = np.zeros(params.N)
-        out[: params.N_raw] = x
-        return out
-    raise ValueError(f"x has length {x.size}, expected {params.N_raw} or {params.N}")
-
-
-def worker_dot(task: WorkerTask, x_slice) -> WorkerOutput:
-    """One worker's short dot product over its support."""
-    x_slice = np.asarray(x_slice, dtype=float).ravel()
-    if x_slice.size != len(task.support):
-        raise ValueError(
-            f"x slice length {x_slice.size} != support size {len(task.support)}"
-        )
-    return WorkerOutput(index=task.index, value=float(task.coefficients @ x_slice))
+    if x.size not in (params.N_raw, params.N):
+        raise ValueError(f"x has length {x.size}, expected {params.N_raw} or {params.N}")
+    out = np.zeros(params.N + 1)
+    out[1 : x.size + 1] = x
+    return out
 
 
 def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
-    """Simulate all P workers on input x (length N_raw or N)."""
-    xp = pad_input(x, code.params)
-    return [worker_dot(task, xp[task.support - 1]) for task in code.worker_tasks()]
+    """Simulate all P workers on input x (length N_raw or N): one gather of
+    x over the (P, s) supports, then one vecdot with the coefficients."""
+    xz = _input_behind_zero(x, code.params)
+    values = np.vecdot(code.coefficients, xz[code.supports])
+    return [WorkerOutput(index=i, value=v) for i, v in enumerate(values.tolist(), 1)]
 
 
 def _collect(outputs) -> tuple[np.ndarray, np.ndarray]:
@@ -282,10 +277,11 @@ def _decode_full(idx, v, gen, params, method="solve") -> np.ndarray:
     K = params.K
     if idx.size != K:
         raise ValueError(f"need exactly K={K} outputs, got {idx.size}")
-    if np.unique(idx).size != K:
-        raise ValueError("worker indices must be distinct")
-    if idx.min() < 1 or idx.max() > params.P:
+    ids = idx.tolist()
+    if min(ids) < 1 or max(ids) > params.P:
         raise ValueError(f"worker indices must lie in 1..{params.P}")
+    if len(set(ids)) != K:
+        raise ValueError("worker indices must be distinct")
     if method not in ("solve", "poly"):
         raise ValueError(f"unknown decode method {method!r}")
     if not np.all(np.isfinite(v)):

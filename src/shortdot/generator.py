@@ -114,9 +114,11 @@ def verify_generator(
 
 def check_condition(mat: np.ndarray, what: str = "solve") -> None:
     """The one conditioning rule: refuse mat if cond(mat) is not finite
-    or exceeds COND_LIMIT."""
-    c = np.linalg.cond(mat)
-    if not np.isfinite(c) or c > COND_LIMIT:
+    or exceeds COND_LIMIT.  c is np.linalg.cond(mat) bit for bit, minus
+    its wrapper; a NaN entry raises LinAlgError from the SVD, as in cond."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    c = float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
+    if not math.isfinite(c) or c > COND_LIMIT:
         raise ConditioningError(
             f"{what} rejected: condition {c:.3e} exceeds limit {COND_LIMIT:.1e}"
         )

@@ -48,8 +48,8 @@ class DelayModel:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,15 @@ def test_negative_trials_are_refused_up_front(tmp_path, capsys, argv):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("mu", ["inf", "nan", "0", "-1"])
+def test_sweep_refuses_a_mu_that_is_not_positive_and_finite(tmp_path, capsys, mu):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--p", "6", "--n", "12", "--mu", mu, "--m-range", "4:4", "--out", str(out)]
+    assert main(argv) == 2
+    assert "mu must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_trials_sweep_has_no_monte_carlo(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--p", "6", "--n", "12", "--trials", "0", "--out", str(out)]) == 0

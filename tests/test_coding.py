@@ -1,13 +1,15 @@
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from shortdot import (
+    COND_LIMIT,
     ConditioningError,
     DecodingError,
+    EncodedTransform,
     WorkerOutput,
-    WorkerTask,
     build_generator,
     decode,
     decode_with_errors,
@@ -19,10 +21,10 @@ from shortdot import (
     supports_from_pattern,
     validate_params,
     verify_generator,
-    worker_dot,
     zero_mask,
     zero_support,
 )
+from shortdot.generator import check_condition
 
 
 # --- zero pattern ------------------------------------------------------------
@@ -90,6 +92,38 @@ def test_gaussian_requires_seed_and_has_invertible_minors():
     for rows in combinations(range(8), 2):
         assert abs(np.linalg.det(gen.entries[list(rows), 3:])) > 1e-12
     verify_generator(gen, p)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_condition_is_the_cond_gate():
+    rng = np.random.default_rng(21)
+    mats = [rng.standard_normal((n, n)) for n in (1, 2, 5, 18)]
+    for log_cond in (2, 7, 7.9, 8.1, 9, 12, 17):  # around COND_LIMIT = 1e8
+        Q1, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        mats.append(Q1 @ np.diag(np.logspace(0, -log_cond, 6)) @ Q2)
+    B = build_generator(validate_params(20, 18, 10, 20)).entries
+    mats += [B[:18], B[2:], B[::2][:, 10:]]
+    mats += [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])]
+    for mat in mats:
+        c = np.linalg.cond(mat)
+        if np.isfinite(c) and c <= COND_LIMIT:
+            check_condition(mat)
+        else:
+            with pytest.raises(ConditioningError, match=re.escape(f"condition {c:.3e} exceeds")):
+                check_condition(mat)
+    with pytest.raises(ConditioningError, match="condition inf exceeds"):
+        check_condition(np.zeros((4, 4)))
+    with_inf = np.eye(3)
+    with_inf[0, 1] = np.inf
+    assert np.linalg.cond(with_inf) == np.inf
+    with pytest.raises(ConditioningError, match="condition inf exceeds"):
+        check_condition(with_inf)
+    with_nan = np.eye(3)
+    with_nan[2, 0] = np.nan
+    for gate in (np.linalg.cond, check_condition):
+        with pytest.raises(np.linalg.LinAlgError):
+            gate(with_nan)
 
 
 def test_verify_generator_refuses_huge_enumerations():
@@ -226,12 +260,23 @@ def test_encode_deterministic():
 # --- workers -----------------------------------------------------------------
 
 
-def test_worker_dot_examples():
-    task = WorkerTask(index=1, support=(1, 3), coefficients=np.array([1.0, 2.0]))
-    assert worker_dot(task, [0.0, 0.0]).value == 0.0
-    assert worker_dot(task, [3.0, 4.0]).value == 11.0
+def test_run_workers_hand_example():
+    # (P, K, M, N_raw) = (4, 3, 1, 6) pads to N = 8; row i of F holds
+    # 1, 2, 3, 4 on its support, so each value is a hand-summed short dot
+    p = validate_params(4, 3, 1, 6)
+    F = np.zeros((4, 8))
+    sups = [[2, 3, 6, 7], [3, 4, 7, 8], [1, 4, 5, 8], [1, 2, 5, 6]]
+    for i, sup in enumerate(sups):
+        F[i, np.asarray(sup) - 1] = [1.0, 2.0, 3.0, 4.0]
+    code = EncodedTransform(F=F, generator=build_generator(p), params=p, zero_tolerance=0.0)
+    np.testing.assert_array_equal(code.supports, sups)
+    outs = run_workers(code, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    assert outs == [WorkerOutput(1, 26.0), WorkerOutput(2, 11.0),
+                    WorkerOutput(3, 24.0), WorkerOutput(4, 44.0)]
+    assert [o.value for o in run_workers(code, np.arange(1.0, 9.0))] == [54.0, 64.0, 56.0, 44.0]
+    assert [o.value for o in run_workers(code, np.zeros(6))] == [0.0] * 4
     with pytest.raises(ValueError):
-        worker_dot(task, [1.0, 2.0, 3.0])
+        run_workers(code, np.ones(7))
 
 
 def test_run_workers_accepts_padded_or_raw_length_only():
@@ -259,15 +304,26 @@ def test_workers_reproduce_dense_product():
     np.testing.assert_allclose([o.value for o in outs], code.F @ x, rtol=1e-12)
 
 
-def test_workers_are_exact_short_dots_at_sec6_size():
+# (30, 25, 10, 3000) is Gaussian only: the encode gate refuses a
+# Vandermonde generator there.
+@pytest.mark.parametrize("kind, P, K, M, N_raw", [
+    (kind, *size)
+    for size in [(20, 18, 10, 785), (6, 5, 3, 12), (12, 9, 4, 100)]
+    for kind in ("vandermonde", "gaussian")
+] + [("gaussian", 30, 25, 10, 3000)])
+def test_workers_are_exact_short_dots(kind, P, K, M, N_raw):
     rng = np.random.default_rng(17)
-    p = validate_params(20, 18, 10, 785)
-    code = encode(rng.standard_normal((10, 785)), build_generator(p), p)
-    x = pad_input(rng.standard_normal(785), p)
+    p = validate_params(P, K, M, N_raw)
+    gen = build_generator(p, kind, seed=5 if kind == "gaussian" else None)
+    code = encode(rng.standard_normal((M, N_raw)), gen, p)
     allowed = ~zero_mask(p)
-    for i, out in enumerate(run_workers(code, x)):
-        S = np.flatnonzero(allowed[i])
-        assert out.value == code.F[i, S] @ x[S]
+    for n in sorted({N_raw, p.N}):
+        x = rng.standard_normal(n)
+        xp = np.concatenate([x, np.zeros(p.N - n)])
+        for i, out in enumerate(run_workers(code, x)):
+            S = np.flatnonzero(allowed[i])
+            assert out.index == i + 1
+            assert out.value == code.F[i, S] @ xp[S]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -326,6 +382,20 @@ def test_decode_k_equals_m_is_plain_mds_decode():
     BV = gen.entries[[1, 4], :]
     v = np.array([o.value for o in subset])
     np.testing.assert_allclose(got, np.linalg.solve(BV, v)[:2], rtol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
+def test_decode_is_the_solve_on_responder_rows(kind):
+    rng = np.random.default_rng(11)
+    p = validate_params(20, 18, 10, 785)
+    gen = build_generator(p, kind, seed=5 if kind == "gaussian" else None)
+    outs = run_workers(encode(rng.standard_normal((10, 785)), gen, p), rng.standard_normal(785))
+    for _ in range(5):
+        # responders in finishing order, not sorted by index
+        finished = np.argsort(rng.exponential(size=20))[:18] + 1
+        v = np.array([outs[i - 1].value for i in finished])
+        expected = np.linalg.solve(gen.entries[finished - 1], v)[:10]
+        np.testing.assert_array_equal(decode([outs[i - 1] for i in finished], gen, p), expected)
 
 
 def test_decode_validates_inputs():

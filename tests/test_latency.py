@@ -43,8 +43,9 @@ def test_harmonic_values():
 
 
 def test_delay_model_validates_mu():
-    with pytest.raises(ValueError):
-        DelayModel(0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DelayModel(bad)
 
 
 # --- sampling ------------------------------------------------------------------
