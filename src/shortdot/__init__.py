@@ -26,10 +26,8 @@ from .coding import (
     encode_chunked,
     pad_input,
     run_workers,
-    solve_appended,
     supports_from_pattern,
     zero_mask,
-    zero_support,
 )
 from .errors import ConditioningError, DecodingError
 from .generator import (
@@ -67,7 +65,6 @@ from .strategies import (
     IntegerSplit,
     RecoveryRule,
     TaskPlan,
-    finish_time,
     finish_times,
     plan_by_name,
     plan_mds,

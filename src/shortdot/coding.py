@@ -39,16 +39,6 @@ DECODE_RESIDUAL_RTOL = 1e-8
 ERROR_MATCH_RTOL = 1e-6
 
 
-def zero_support(j: int, params: CodeParams) -> frozenset[int]:
-    """The K-M (1-based) row indices forced to zero in column j of F.
-
-    Cyclic window starting at j-1: ({(j-1)+t : t < K-M} mod P) + 1.
-    """
-    if not 1 <= j <= params.N:
-        raise ValueError(f"column index {j} outside 1..{params.N}")
-    return frozenset(int(r) + 1 for r in _zero_rows0(j - 1, params.P, params.K - params.M))
-
-
 def _zero_rows0(j0: int, P: int, width: int) -> np.ndarray:
     return np.arange(j0, j0 + width) % P
 
@@ -120,24 +110,6 @@ class WorkerOutput:
 
     index: int
     value: float
-
-
-def solve_appended(A_col, U, gen: GeneratorMatrix) -> np.ndarray:
-    """Appended entries z with B^U @ [A_col; z] = 0 for one column.
-
-    U is the set of K-M (1-based) rows to zero; returns the (K-M,)
-    vector z = -(B^U_{cols M+1:K})^{-1} B^U_{cols 1:M} A_col.
-    """
-    A_col = np.asarray(A_col, dtype=float)
-    M = A_col.size
-    K = gen.K
-    rows = np.asarray(sorted(U), dtype=int) - 1
-    if rows.size != K - M:
-        raise ValueError(f"|U| = {rows.size}, expected K - M = {K - M}")
-    if K == M:
-        return np.zeros(0)
-    BU = gen.entries[rows]
-    return -guarded_solve(BU[:, M:], BU[:, :M] @ A_col)
 
 
 def encode(

@@ -22,7 +22,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -113,11 +112,9 @@ def expected_time(plan: TaskPlan, model: DelayModel) -> float:
         factors = [CdfFactor(int(c), float(L)) for L, c in zip(lengths, counts)]
         return expected_time_numeric(factors, model)
     if rule.kind == "one_per_group":
-        sizes = np.array([len(g) for g in plan.groups])
-        by_group = task[np.fromiter(chain.from_iterable(plan.groups), int) - 1]
-        starts = np.cumsum(sizes) - sizes
-        lengths = np.minimum.reduceat(by_group, starts)
-        if np.any(np.maximum.reduceat(by_group, starts) != lengths):
+        sizes = np.bincount(plan.group)
+        lengths = task[plan.member_index[:, 0]]
+        if np.any(task != lengths[plan.group]):
             raise ValueError("one_per_group needs one task length per group")
         if np.all(lengths == lengths[0]) and np.all(sizes == sizes[0]):
             n = sizes.size

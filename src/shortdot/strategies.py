@@ -14,6 +14,7 @@ Recovery rules:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,17 +38,41 @@ class IntegerSplit:
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Per-worker task lengths plus the recovery rule.
+    """Per-worker task lengths, per-worker group ids and the recovery rule.
 
     task_lengths[i] is the dot-product length of worker i+1 (float: the
-    latency model is continuous in length).  groups partitions workers
-    1..P into recovery groups for the group-based rules, None otherwise.
+    latency model is continuous in length).  group[i] is the 0-based
+    recovery group of worker i+1; group is None for the rules that read
+    no groups ("all", "kth_overall").  The plan is checked once, at
+    construction; `groups` and `member_index` are views derived from
+    `group`.
     """
 
     strategy_id: str
     task_lengths: np.ndarray
-    groups: tuple[frozenset[int], ...] | None
+    group: np.ndarray | None
     recovery_rule: RecoveryRule
+
+    def __post_init__(self):
+        kind, k = self.recovery_rule.kind, self.recovery_rule.k
+        if kind not in ("all", "kth_overall", "one_per_group", "k_per_group"):
+            raise ValueError(f"unknown rule {kind!r}")
+        if (self.group is None) != (kind in ("all", "kth_overall")):
+            raise ValueError(f"rule {kind!r} needs a group array exactly when it reads groups")
+        limit = self.P
+        if self.group is not None:
+            group = np.array(self.group)
+            ids = group.shape == (self.P,) and group.size and group.dtype.kind == "i"
+            limit = int(np.bincount(group).min()) if ids and group.min() >= 0 else 0
+            if limit == 0:
+                raise ValueError("group must give each worker an integer id in 0..G-1 "
+                                 "and use every id")
+            group.flags.writeable = False
+            object.__setattr__(self, "group", group)
+        if kind in ("kth_overall", "k_per_group") and not (
+                isinstance(k, numbers.Integral) and 1 <= k <= limit):
+            raise ValueError(f"rule {kind!r} needs an integer k in 1..{limit} (P, or "
+                             f"the smallest group for k_per_group), got {k!r}")
 
     @property
     def P(self) -> int:
@@ -61,39 +86,31 @@ class TaskPlan:
             return self.P
         if rule.kind == "kth_overall":
             return rule.k
-        sizes = [len(g) for g in self.groups]
-        if rule.kind == "one_per_group":
-            return self.P - min(sizes) + 1
-        if rule.kind == "k_per_group":
-            return self.P - min(sizes) + rule.k
-        raise ValueError(f"unknown rule {rule.kind!r}")
+        smallest = int(np.bincount(self.group).min())
+        return self.P - smallest + (1 if rule.kind == "one_per_group" else rule.k)
 
     @cached_property
     def member_index(self) -> np.ndarray:
         """(groups, largest group size) array of 0-based member columns.
 
-        Built on first use and checked once: the groups must partition
-        workers 1..P.  A group shorter than the largest repeats its first
-        member, which leaves the group's minimum unchanged.
+        Row g lists the workers of group g in ascending order; a group
+        shorter than the largest repeats its first member, which leaves
+        the group's minimum unchanged.
         """
-        if self.groups is None:
-            raise ValueError(f"rule {self.recovery_rule.kind!r} requires groups")
-        members = [sorted(g) for g in self.groups]
-        seen = sorted(w for m in members for w in m)
-        if seen != list(range(1, self.P + 1)) or not all(members):
-            raise ValueError("groups must partition workers 1..P")
-        width = max(map(len, members))
-        index = np.array([m + m[:1] * (width - len(m)) for m in members]) - 1
+        sizes = np.bincount(self.group)
+        starts = np.cumsum(sizes) - sizes
+        col = np.arange(sizes.max())
+        pos = starts[:, None] + np.where(col < sizes[:, None], col, 0)
+        index = np.argsort(self.group, kind="stable")[pos]
         index.flags.writeable = False
         return index
 
-    def same_plan(self, other: "TaskPlan") -> bool:
-        """Field-by-field equality ignoring the strategy label."""
-        return (
-            np.array_equal(self.task_lengths, other.task_lengths)
-            and self.groups == other.groups
-            and self.recovery_rule == other.recovery_rule
-        )
+    @property
+    def groups(self) -> tuple[frozenset[int], ...] | None:
+        """One frozenset of 1-based workers per group, derived from `group`."""
+        if self.group is None:
+            return None
+        return tuple(frozenset(row) for row in (self.member_index + 1).tolist())
 
 
 def split_m1_m2(P: int, M: int) -> IntegerSplit:
@@ -110,14 +127,17 @@ def split_m1_m2(P: int, M: int) -> IntegerSplit:
     return IntegerSplit(m1=m1, m2=M - m1)
 
 
-def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[tuple, np.ndarray]:
+def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Column blocks of length s (the last one shorter) on n_groups groups
     of workers dealt round-robin (sizes floor/ceil(P/n_groups)); group g
-    computes block g mod ceil(N/s).  Returns (groups, task lengths)."""
+    computes block g mod ceil(N/s).  Returns (group ids, task lengths)."""
+    if n_groups > P:
+        raise ValueError(f"{n_groups} worker groups exceed P={P} workers; some block "
+                         "would never be computed")
     blocks = -(-N // s)
     block_len = np.array([s] * (blocks - 1) + [N - s * (blocks - 1)], dtype=float)
-    groups = tuple(frozenset(range(g + 1, P + 1, n_groups)) for g in range(n_groups))
-    return groups, block_len[np.arange(P) % n_groups % blocks]
+    group = np.arange(P) % n_groups
+    return group, block_len[group % blocks]
 
 
 def plan_uncoded(params: CodeParams) -> TaskPlan:
@@ -133,16 +153,10 @@ def plan_uncoded(params: CodeParams) -> TaskPlan:
     n1 = split.m1 * c1
     lengths[:n1] = N / c1
     lengths[n1:] = N / c2
-    groups = []
-    w = 1
-    for count, c in ((split.m1, c1), (split.m2, c2)):
-        for _ in range(count):
-            groups.append(frozenset(range(w, w + c)))
-            w += c
     return TaskPlan(
         strategy_id="uncoded",
         task_lengths=lengths,
-        groups=tuple(groups),
+        group=None,
         recovery_rule=RecoveryRule("all"),
     )
 
@@ -156,18 +170,12 @@ def plan_repetition_block(params: CodeParams, s: int) -> TaskPlan:
     P, M, N = params.P, params.M, params.N
     if not 1 <= s <= N:
         raise ValueError(f"target length s={s} outside 1..{N}")
-    blocks = -(-N // s)
-    n_groups = M * blocks
-    if n_groups > P:
-        raise ValueError(
-            f"{n_groups} (row, block) groups exceed P={P} workers; some block "
-            "would never be computed"
-        )
-    groups, lengths = _block_groups(P, N, s, n_groups)
+    n_groups = M * -(-N // s)  # one per (row, block)
+    group, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
         strategy_id="repetition",
         task_lengths=lengths,
-        groups=groups,
+        group=group,
         recovery_rule=RecoveryRule("one_per_group"),
     )
 
@@ -177,7 +185,7 @@ def plan_mds(params: CodeParams) -> TaskPlan:
     return TaskPlan(
         strategy_id="mds",
         task_lengths=np.full(params.P, float(params.N)),
-        groups=None,
+        group=None,
         recovery_rule=RecoveryRule("kth_overall", params.M),
     )
 
@@ -186,22 +194,18 @@ def plan_short_mds(params: CodeParams, s: int) -> TaskPlan:
     """Block-partitioned MDS: ceil(N/s) column blocks, each coded with a
     (group size, M) MDS code over its own worker group.
 
-    Every group needs at least M finished workers, so the group size
-    floor(P/ceil(N/s)) must be >= M.
+    Every group needs at least M finished workers, so the plan refuses
+    a group size floor(P/ceil(N/s)) below M.
     """
     P, M, N = params.P, params.M, params.N
     if not 1 <= s <= N:
         raise ValueError(f"target length s={s} outside 1..{N}")
-    n_groups = -(-N // s)
-    if P // n_groups < M:
-        raise ValueError(
-            f"group size {P // n_groups} < M={M}: not enough workers per block"
-        )
-    groups, lengths = _block_groups(P, N, s, n_groups)
+    n_groups = -(-N // s)  # one per block
+    group, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
         strategy_id="short-mds",
         task_lengths=lengths,
-        groups=groups,
+        group=group,
         recovery_rule=RecoveryRule("k_per_group", M),
     )
 
@@ -211,7 +215,7 @@ def plan_short_dot(params: CodeParams) -> TaskPlan:
     return TaskPlan(
         strategy_id="short-dot",
         task_lengths=np.full(params.P, float(params.s)),
-        groups=None,
+        group=None,
         recovery_rule=RecoveryRule("kth_overall", params.K),
     )
 
@@ -246,28 +250,18 @@ def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
         return times.max(axis=1)
     if rule.kind == "kth_overall":
         return np.sort(times, axis=1)[:, rule.k - 1]
-    if rule.kind not in ("one_per_group", "k_per_group"):
-        raise ValueError(f"unknown rule {rule.kind!r}")
     index = plan.member_index
     by_group = times[:, index]  # (trials, groups, largest group size)
     if rule.kind == "one_per_group":
         return by_group.min(axis=2).max(axis=1)
     padded = index[:, 1:] == index[:, :1]  # the repeats of short groups
-    smallest = index.shape[1] - int(padded.sum(axis=1).max())
-    if rule.k > smallest:
-        raise ValueError(f"group of size {smallest} cannot supply k={rule.k}")
     by_group[:, :, 1:][:, padded] = np.inf  # the k-th smallest never picks a repeat
     return np.partition(by_group, rule.k - 1, axis=2)[:, :, rule.k - 1].max(axis=1)
 
 
-def finish_time(plan: TaskPlan, times) -> float:
-    """Completion time of the whole computation given per-worker times."""
-    return float(finish_times(plan, np.asarray(times, dtype=float)[None, :])[0])
-
-
 def recoverable(plan: TaskPlan, responders) -> bool:
     """Whether the given set of finished workers permits recovery."""
-    resp = set(int(r) for r in responders)
+    resp = set(map(int, responders))
     if not resp <= set(range(1, plan.P + 1)):
         raise ValueError("responders must be worker indices in 1..P")
     rule = plan.recovery_rule
@@ -275,9 +269,8 @@ def recoverable(plan: TaskPlan, responders) -> bool:
         return len(resp) == plan.P
     if rule.kind == "kth_overall":
         return len(resp) >= rule.k
-    plan.member_index  # refuses groups that do not partition 1..P
-    if rule.kind == "one_per_group":
-        return all(g & resp for g in plan.groups)
-    if rule.kind == "k_per_group":
-        return all(len(g & resp) >= rule.k for g in plan.groups)
-    raise ValueError(f"unknown rule {rule.kind!r}")
+    group = plan.group.tolist()  # a Python count: faster than numpy at small P
+    counts = [0] * (max(group) + 1)
+    for r in resp:
+        counts[group[r - 1]] += 1
+    return min(counts) >= (1 if rule.kind == "one_per_group" else rule.k)

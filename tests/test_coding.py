@@ -17,12 +17,10 @@ from shortdot import (
     encode_chunked,
     pad_input,
     run_workers,
-    solve_appended,
     supports_from_pattern,
     validate_params,
     verify_generator,
     zero_mask,
-    zero_support,
 )
 from shortdot.generator import check_condition
 
@@ -30,20 +28,11 @@ from shortdot.generator import check_condition
 # --- zero pattern ------------------------------------------------------------
 
 
-def test_zero_support_examples():
-    p = validate_params(4, 3, 1, 8)
-    assert zero_support(1, p) == {1, 2}
-    assert zero_support(4, p) == {4, 1}  # wraps cyclically
-    dense = validate_params(6, 3, 3, 12)
-    assert zero_support(1, dense) == frozenset()
-
-
-def test_zero_support_rejects_out_of_range():
-    p = validate_params(4, 3, 1, 8)
-    with pytest.raises(ValueError):
-        zero_support(0, p)
-    with pytest.raises(ValueError):
-        zero_support(9, p)
+def test_zero_mask_examples():
+    mask = zero_mask(validate_params(4, 3, 1, 8))
+    assert set(np.flatnonzero(mask[:, 0]) + 1) == {1, 2}
+    assert set(np.flatnonzero(mask[:, 3]) + 1) == {4, 1}  # wraps cyclically
+    assert not zero_mask(validate_params(6, 3, 3, 12)).any()
 
 
 def test_pattern_counts():
@@ -59,7 +48,7 @@ def test_pattern_counts():
         assert np.all(per_row_allowed == p.s)
         for i, sup in enumerate(supports_from_pattern(p)):
             assert len(sup) == p.s
-            assert all(i + 1 not in zero_support(j, p) for j in sup)
+            assert not mask[i, sup - 1].any()
 
 
 # --- generator ---------------------------------------------------------------
@@ -133,42 +122,40 @@ def test_verify_generator_refuses_huge_enumerations():
         verify_generator(gen, p)
 
 
-# --- solve_appended ----------------------------------------------------------
+# --- appended rows ----------------------------------------------------------
 
 
-def test_solve_appended_zero_and_degenerate():
+def test_encode_without_appended_rows_is_the_plain_product():
+    p = validate_params(3, 2, 2, 3)
+    gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
+    A = np.arange(6.0).reshape(2, 3)
+    np.testing.assert_array_equal(encode(A, gen, p).F, gen.entries @ A)
+
+
+def test_encode_appended_row_hand_example():
+    # B = [[1, 1], [2, 1], [3, 1]]: column 1 appends z = -5, so that
+    # 1*5 + 1*z = 0 on its zero row, and F[:, 0] = B @ [5, -5]
     p = validate_params(3, 2, 1, 3)
     gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(solve_appended([0.0], {1}, gen), [0.0])
-    dense = validate_params(3, 2, 2, 3)
-    gend = build_generator(dense, nodes=[1.0, 2.0, 3.0])
-    assert solve_appended([1.0, 2.0], set(), gend).size == 0
+    code = encode([[5.0, 0.0, 0.0]], gen, p)
+    np.testing.assert_allclose(code.F[:, 0], [0.0, 5.0, 10.0])
+    np.testing.assert_array_equal(code.F[:, 1:], 0.0)
 
 
-def test_solve_appended_hand_example():
-    # B row 1 = [1, 1]; 1*5 + 1*z = 0 -> z = -5
-    p = validate_params(3, 2, 1, 3)
-    gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
-    np.testing.assert_allclose(solve_appended([5.0], {1}, gen), [-5.0])
-
-
-def test_solve_appended_nullifies_the_window():
+def test_encode_appended_rows_nullify_each_window():
     rng = np.random.default_rng(1)
     p = validate_params(6, 5, 2, 12)
     gen = build_generator(p)
-    A_col = rng.standard_normal(2)
-    U = zero_support(4, p)
-    z = solve_appended(A_col, U, gen)
-    rows = np.asarray(sorted(U)) - 1
-    out = gen.entries[rows] @ np.concatenate([A_col, z])
-    np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_solve_appended_wrong_window_size():
-    p = validate_params(6, 5, 2, 12)
-    gen = build_generator(p)
-    with pytest.raises(ValueError):
-        solve_appended([1.0, 2.0], {1, 2}, gen)  # |U| should be 3
+    B = gen.entries
+    A = rng.standard_normal((2, 12))
+    A_tilde = np.linalg.solve(B[: p.K], encode(A, gen, p).F[: p.K])
+    mask = zero_mask(p)
+    for j in range(p.N):
+        U = np.flatnonzero(mask[:, j])
+        z = -np.linalg.solve(B[U][:, p.M:], B[U][:, : p.M] @ A[:, j])
+        np.testing.assert_allclose(A_tilde[p.M:, j], z, atol=1e-10)
+        # the pattern residual before encode snaps it to zero
+        np.testing.assert_allclose(B[U] @ np.concatenate([A[:, j], z]), 0.0, atol=1e-12)
 
 
 # --- encode ------------------------------------------------------------------
@@ -198,9 +185,7 @@ def test_encode_pattern_zeros_and_factorization():
     A = rng.standard_normal((2, 8))
     code = encode(A, gen, p)
     # enforced zeros, column by column against the window oracle
-    for j in range(1, p.N + 1):
-        for i in zero_support(j, p):
-            assert code.F[i - 1, j - 1] == 0.0
+    assert np.all(code.F[zero_mask(p)] == 0.0)
     # F = B @ A_tilde for an augmentation whose top rows are A itself:
     # recover A_tilde from any K rows and check both properties
     B = gen.entries

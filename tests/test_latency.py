@@ -463,6 +463,17 @@ def test_expected_time_without_closed_form():
     mixed = TaskPlan("x", np.array([1.0, 2.0]), None, RecoveryRule("kth_overall", 1))
     with pytest.raises(ValueError):
         expected_time(mixed, MU5)
+    split = TaskPlan("x", np.array([1.0, 2.0, 1.0]), [0, 0, 1], RecoveryRule("one_per_group"))
+    with pytest.raises(ValueError, match="one task length per group"):
+        expected_time(split, MU5)
+
+
+def test_expected_time_reads_group_ids_in_any_order():
+    # groups {3, 4} and {5} of length 2, {1, 2, 6} of length 4
+    plan = TaskPlan("x", np.array([4.0, 4.0, 2.0, 2.0, 2.0, 4.0]), [1, 1, 0, 0, 2, 1],
+                    RecoveryRule("one_per_group"))
+    factors = [CdfFactor(1, 2.0, 1.0), CdfFactor(1, 2.0, 2.0), CdfFactor(1, 4.0, 3.0)]
+    assert expected_time(plan, MU5) == expected_time_numeric(factors, MU5)
 
 
 # --- dominance at larger processor counts -------------------------------------------

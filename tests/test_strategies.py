@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from shortdot import (
-    finish_time,
     finish_times,
     plan_by_name,
     plan_mds,
@@ -84,7 +83,10 @@ def test_plan_mds_and_short_dot_coincide_at_k_equals_m():
     mds = plan_mds(p)
     np.testing.assert_array_equal(mds.task_lengths, [12.0] * 6)
     assert mds.recovery_rule == RecoveryRule("kth_overall", 3)
-    assert plan_short_dot(p).same_plan(mds)
+    short_dot = plan_short_dot(p)
+    np.testing.assert_array_equal(short_dot.task_lengths, mds.task_lengths)
+    assert short_dot.group is None and mds.group is None
+    assert short_dot.recovery_rule == mds.recovery_rule
 
 
 def test_plan_mds_at_p_equals_m_acts_like_uncoded():
@@ -95,9 +97,8 @@ def test_plan_mds_at_p_equals_m_acts_like_uncoded():
     unc = plan_uncoded(p)
     np.testing.assert_array_equal(mds.task_lengths, unc.task_lengths)
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        t = rng.uniform(1, 9, size=4)
-        assert finish_time(mds, t) == finish_time(unc, t)
+    t = rng.uniform(1, 9, size=(10, 4))
+    assert np.array_equal(finish_times(mds, t), finish_times(unc, t))
 
 
 def test_plan_short_mds_examples():
@@ -110,11 +111,13 @@ def test_plan_short_mds_examples():
     whole = plan_short_mds(p, s=160)  # single group: plain MDS semantics
     assert whole.worst_case_threshold == 3
     rng = np.random.default_rng(0)
-    times = rng.uniform(1, 5, size=(20,))
-    assert finish_time(whole, times) == finish_time(plan_mds(p), times)
+    times = rng.uniform(1, 5, size=(1, 20))
+    assert finish_times(whole, times)[0] == finish_times(plan_mds(p), times)[0]
 
     with pytest.raises(ValueError):
         plan_short_mds(validate_params(6, 5, 4, 12), s=4)  # groups of 2 < M
+    with pytest.raises(ValueError, match="never be computed"):
+        plan_short_mds(validate_params(6, 5, 2, 12), s=1)  # 12 blocks > 6 workers
 
 
 def test_plan_short_dot_lengths():
@@ -159,35 +162,56 @@ def test_plans_cover_the_computation():
             assert np.all(plan.task_lengths <= params.N)
 
 
-# --- finish_time -----------------------------------------------------------------
+# --- plan construction and finish_times -------------------------------------------
 
 
-def _plan(rule, groups=None, P=3):
-    return TaskPlan("test", np.ones(P), groups, rule)
+def _plan(rule, group=None, P=3):
+    return TaskPlan("test", np.ones(P), group, rule)
 
 
-def test_finish_time_examples():
-    assert finish_time(_plan(RecoveryRule("all")), [3.0, 1.0, 2.0]) == 3.0
-    assert finish_time(_plan(RecoveryRule("kth_overall", 2)), [3.0, 1.0, 2.0]) == 2.0
-    groups = (frozenset({1, 2}), frozenset({3}))
-    assert finish_time(_plan(RecoveryRule("one_per_group"), groups), [3.0, 1.0, 2.0]) == 2.0
-    g2 = (frozenset({1, 2, 3}),)
-    assert finish_time(_plan(RecoveryRule("k_per_group", 2), g2), [3.0, 1.0, 2.0]) == 2.0
+def test_finish_times_examples():
+    t = np.array([[3.0, 1.0, 2.0]])
+    assert finish_times(_plan(RecoveryRule("all")), t)[0] == 3.0
+    assert finish_times(_plan(RecoveryRule("kth_overall", 2)), t)[0] == 2.0
+    assert finish_times(_plan(RecoveryRule("one_per_group"), [0, 0, 1]), t)[0] == 2.0
+    assert finish_times(_plan(RecoveryRule("k_per_group", 2), [0, 0, 0]), t)[0] == 2.0
 
 
-def test_finish_time_rejects_rule_group_mismatch():
+@pytest.mark.parametrize("rule,group", [
+    pytest.param(RecoveryRule("kth_overall", 0), None, id="kth_overall-k=0"),
+    pytest.param(RecoveryRule("kth_overall", 5), None, id="kth_overall-k=P+1"),
+    pytest.param(RecoveryRule("kth_overall", None), None, id="kth_overall-k=None"),
+    pytest.param(RecoveryRule("kth_overall", 2.0), None, id="kth_overall-k=2.0"),
+    pytest.param(RecoveryRule("bogus", 2), None, id="unknown-kind"),
+    pytest.param(RecoveryRule("all"), [0, 0, 1, 1], id="all-with-groups"),
+    pytest.param(RecoveryRule("one_per_group"), None, id="one_per_group-no-groups"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 0], id="worker-without-id"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 2, 2], id="empty-group"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 1, -1], id="negative-id"),
+    pytest.param(RecoveryRule("one_per_group"), [0.0, 0.0, 1.0, 1.0], id="float-ids"),
+    pytest.param(RecoveryRule("k_per_group", 3), [0, 0, 0, 1], id="k-above-smallest-group"),
+    pytest.param(RecoveryRule("k_per_group", 0), [0, 0, 1, 1], id="k_per_group-k=0"),
+    pytest.param(RecoveryRule("k_per_group", None), [0, 0, 1, 1], id="k_per_group-k=None"),
+])
+def test_bad_plans_are_refused_at_construction(rule, group):
     with pytest.raises(ValueError):
-        finish_time(_plan(RecoveryRule("one_per_group"), None), [1.0, 2.0, 3.0])
-    bad_groups = (frozenset({1}),)  # does not cover workers 2, 3
-    with pytest.raises(ValueError):
-        finish_time(_plan(RecoveryRule("one_per_group"), bad_groups), [1.0, 2.0, 3.0])
+        TaskPlan("test", np.ones(4), group, rule)
+
+
+def test_plan_group_is_a_read_only_copy():
+    group = np.array([0, 1, 0, 1])
+    plan = TaskPlan("test", np.ones(4), group, RecoveryRule("one_per_group"))
+    group[0] = 1
+    assert plan.group.tolist() == [0, 1, 0, 1]
+    assert not plan.group.flags.writeable and not plan.member_index.flags.writeable
+    assert plan.groups == (frozenset({1, 3}), frozenset({2, 4}))
 
 
 def _finish_times_per_group(plan, times):
     """Reference: one fancy index and one selection per group."""
     per_group = []
-    for members in plan.groups:
-        sub = times[:, np.array(sorted(members)) - 1]
+    for g in range(plan.group.max() + 1):
+        sub = times[:, plan.group == g]
         if plan.recovery_rule.kind == "one_per_group":
             per_group.append(sub.min(axis=1))
         else:
@@ -199,43 +223,33 @@ def test_finish_times_matches_a_per_group_loop():
     rng = np.random.default_rng(5)
     for _ in range(200):
         P = int(rng.integers(1, 16))
-        cuts = np.sort(rng.choice(np.arange(1, P), size=int(rng.integers(0, P)), replace=False))
-        groups = tuple(frozenset(int(w) + 1 for w in part)
-                       for part in np.split(rng.permutation(P), cuts))
-        smallest = min(len(g) for g in groups)
+        group = _random_group(rng, P)
+        smallest = int(np.bincount(group).min())
         # few distinct values, so times tie within and across groups
         times = rng.integers(0, 4, size=(int(rng.integers(1, 30)), P)).astype(float)
         rules = [RecoveryRule("one_per_group"),
                  RecoveryRule("k_per_group", int(rng.integers(1, smallest + 1)))]
         for rule in rules:
-            plan = TaskPlan("test", np.ones(P), groups, rule)
+            plan = TaskPlan("test", np.ones(P), group, rule)
             got = finish_times(plan, times)
-            assert np.array_equal(got, _finish_times_per_group(plan, times)), (groups, rule)
+            assert np.array_equal(got, _finish_times_per_group(plan, times)), (group, rule)
+
+
+def _random_group(rng, P):
+    """Group ids of a random partition of P workers into 1..P nonempty groups."""
+    n_groups = int(rng.integers(1, P + 1))
+    ids = np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, P - n_groups)])
+    return rng.permutation(ids)
 
 
 def test_finish_times_leaves_its_input_unchanged():
-    groups = (frozenset({1, 2, 3}), frozenset({4, 5}))
-    plan = TaskPlan("test", np.ones(5), groups, RecoveryRule("k_per_group", 2))
+    plan = TaskPlan("test", np.ones(5), [0, 0, 0, 1, 1], RecoveryRule("k_per_group", 2))
     times = np.arange(10.0).reshape(2, 5)
     assert np.array_equal(finish_times(plan, times), [4.0, 9.0])
     assert np.array_equal(times, np.arange(10.0).reshape(2, 5))
 
 
-def test_finish_times_refuses_k_above_the_smallest_group():
-    groups = (frozenset({1, 2, 3}), frozenset({4, 5}))
-    plan = TaskPlan("test", np.ones(5), groups, RecoveryRule("k_per_group", 3))
-    with pytest.raises(ValueError, match="size 2"):
-        finish_times(plan, np.ones((1, 5)))
-
-
-def test_finish_times_refuses_an_empty_group():
-    groups = (frozenset({1, 2, 3}), frozenset())
-    plan = TaskPlan("test", np.ones(3), groups, RecoveryRule("one_per_group"))
-    with pytest.raises(ValueError, match="partition"):
-        finish_times(plan, np.ones((1, 3)))
-
-
-def test_finish_time_monotone_in_every_coordinate():
+def test_finish_times_monotone_in_every_coordinate():
     rng = np.random.default_rng(1)
     p = validate_params(8, 6, 3, 16)
     plans = [
@@ -247,12 +261,60 @@ def test_finish_time_monotone_in_every_coordinate():
     ]
     for plan in plans:
         for _ in range(20):
-            t = rng.uniform(1.0, 10.0, size=8)
-            base = finish_time(plan, t)
+            t = rng.uniform(1.0, 10.0, size=(1, 8))
+            base = finish_times(plan, t)[0]
             i = int(rng.integers(0, 8))
             bumped = t.copy()
-            bumped[i] += rng.uniform(0.0, 5.0)
-            assert finish_time(plan, bumped) >= base - 1e-12
+            bumped[0, i] += rng.uniform(0.0, 5.0)
+            assert finish_times(plan, bumped)[0] >= base - 1e-12
+
+
+def _frozenset_member_index(P, n_groups):
+    """The member index as built from one frozenset per round-robin group."""
+    groups = tuple(frozenset(range(g + 1, P + 1, n_groups)) for g in range(n_groups))
+    members = [sorted(g) for g in groups]
+    width = max(map(len, members))
+    return np.array([m + m[:1] * (width - len(m)) for m in members]) - 1
+
+
+def test_member_index_matches_the_frozenset_construction_on_the_sweep_grid():
+    P, N = 100, 10_000
+    for M in range(1, P + 1):
+        params = validate_params(P, M, M, N)
+        plans = [plan_repetition_block(params, N)]
+        # s = N as the sweep builds it, and a spread of s whose groups hold >= M
+        for s in [*range(-(-N // (P // M)), N, 97), N]:
+            plans.append(plan_short_mds(params, s))
+        for plan in plans:
+            n_groups = int(plan.group.max()) + 1
+            expected = _frozenset_member_index(P, n_groups)
+            assert plan.member_index.shape == expected.shape, (M, plan.strategy_id)
+            assert np.array_equal(plan.member_index, expected), (M, plan.strategy_id)
+
+
+def _recoverable_by_sets(plan, responders):
+    """Reference: intersect the responders with each group's worker set."""
+    rule = plan.recovery_rule
+    need = 1 if rule.kind == "one_per_group" else rule.k
+    return all(len(set(np.flatnonzero(plan.group == g) + 1) & responders) >= need
+               for g in range(plan.group.max() + 1))
+
+
+def test_recoverable_matches_a_set_based_reference():
+    rng = np.random.default_rng(11)
+    for P in list(range(1, 9)) * 4 + list(range(9, 31)):
+        group = _random_group(rng, P)
+        smallest = int(np.bincount(group).min())
+        for rule in (RecoveryRule("one_per_group"),
+                     RecoveryRule("k_per_group", int(rng.integers(1, smallest + 1)))):
+            plan = TaskPlan("test", np.ones(P), group, rule)
+            if P <= 8:
+                subsets = [c for r in range(P + 1) for c in combinations(range(1, P + 1), r)]
+            else:
+                subsets = [rng.choice(np.arange(1, P + 1), size=int(rng.integers(0, P + 1)),
+                                      replace=False) for _ in range(300)]
+            for c in subsets:
+                assert recoverable(plan, c) == _recoverable_by_sets(plan, set(map(int, c)))
 
 
 # --- worst-case thresholds: Table-1 formulas vs adversarial placement -------------
