@@ -24,7 +24,6 @@ from .coding import (
     decode_with_errors,
     encode,
     encode_chunked,
-    pad_input,
     run_workers,
     supports_from_pattern,
     zero_mask,
@@ -58,11 +57,9 @@ from .latency import (
     uncoded_closed_form,
 )
 from .params import CodeParams, validate_params
-from .polynomials import Polynomial, eval_many, interpolate
 from .serialization import load_matrix, load_transform, save_matrix, save_transform
 from .strategies import (
     STRATEGY_NAMES,
-    IntegerSplit,
     RecoveryRule,
     TaskPlan,
     finish_times,
@@ -73,7 +70,6 @@ from .strategies import (
     plan_short_mds,
     plan_uncoded,
     recoverable,
-    split_m1_m2,
 )
 
 __version__ = "0.1.0"

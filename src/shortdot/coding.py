@@ -27,7 +27,6 @@ import numpy as np
 from .errors import ConditioningError, DecodingError
 from .generator import GeneratorMatrix, check_condition, guarded_solve
 from .params import CodeParams, validate_params
-from .polynomials import horner, newton_monomial
 
 # encode snaps pattern positions to exact zero; anything above
 # ZERO_TOL_FACTOR * max|A| there beforehand means the solve went bad.
@@ -63,7 +62,8 @@ class EncodedTransform:
     """The encoded matrix F plus everything needed to task workers.
 
     F is P x N and exactly zero on the cyclic pattern; construction
-    refuses any other F.  Construction also derives `supports` (see
+    refuses any other F, and a zero_tolerance that is negative or not
+    finite.  Construction also derives `supports` (see
     supports_from_pattern) and `coefficients`, the (P, s) array of each
     row of F on its support, once; all three are then read-only, so
     the worker tasks read from them cannot go stale.
@@ -78,6 +78,9 @@ class EncodedTransform:
         p = self.params
         if self.F.shape != (p.P, p.N):
             raise ValueError(f"F shape {self.F.shape} != (P, N) = ({p.P}, {p.N})")
+        if not 0 <= self.zero_tolerance < np.inf:  # NaN fails too
+            raise ValueError(f"zero_tolerance must be finite and >= 0, "
+                             f"got {self.zero_tolerance!r}")
         supports = supports_from_pattern(p)
         coefficients = np.take_along_axis(self.F, supports - 1, axis=1)
         # equal counts <=> every nonzero of F lies on its row's support
@@ -172,7 +175,7 @@ def encode(
 
 
 def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray):
-    """Polynomial-path encoding of all columns sharing one zero pattern.
+    """The poly path's encoding of all columns sharing one zero pattern.
 
     B^U_{1:M} A_j is the degree-(K-1) polynomial with coefficients
     [A_j; 0] evaluated at the pattern's nodes; solving for z is the
@@ -184,19 +187,41 @@ def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray
     # The dense path's gate, on the submatrix it would solve with.
     check_condition(gen.entries[rows][:, M:])
     coeffs = np.vstack([Acols, np.zeros((K - M, Acols.shape[1]))])
-    vals = -horner(coeffs, nodes_u)  # (K-M, ncols)
-    Z = newton_monomial(nodes_u, vals)
-    return horner(np.vstack([Acols, Z]), gen.nodes)
+    vals = -np.polyval(coeffs, nodes_u[:, None])  # (K-M, ncols)
+    Z = _newton_monomial(nodes_u, vals)
+    return np.polyval(np.vstack([Acols, Z]), gen.nodes[:, None])
 
 
-def pad_input(x, params: CodeParams) -> np.ndarray:
-    """Accept finite x of length N_raw or N; zero-pad to length N."""
-    return _input_behind_zero(x, params)[1:]
+def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Newton divided-difference interpolation through shared points for
+    each column of values; returns monomial coefficients, highest first,
+    shape (D, ncols)."""
+    D = points.size
+    dd = values.astype(float, copy=True)
+    newton = np.empty_like(dd)
+    newton[0] = dd[0]
+    for level in range(1, D):
+        dd = (dd[1:] - dd[:-1]) / (points[level:] - points[:-level])[:, None]
+        newton[level] = dd[0]
+    # Expand the nested Newton form into monomial coefficients
+    # (lowest-first while building, reversed on return).
+    mono = np.zeros_like(newton)
+    mono[0] = newton[D - 1]
+    deg = 0
+    for i in range(D - 2, -1, -1):
+        shifted = np.zeros_like(mono)
+        shifted[1 : deg + 2] = mono[: deg + 1]
+        shifted[: deg + 1] -= points[i] * mono[: deg + 1]
+        shifted[0] += newton[i]
+        mono = shifted
+        deg += 1
+    return mono[::-1]
 
 
 def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
-    """pad_input(x) behind one leading zero: entry j is x_j, so the
-    1-based supports index it directly."""
+    """Finite x of length N_raw or N, zero-padded to length N, behind one
+    leading zero: entry j is x_j, so the 1-based supports index it
+    directly."""
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("x has non-finite entries")
@@ -241,31 +266,36 @@ def decode(
     condition gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.
     """
     idx, v = _collect(outputs)
-    w = _decode_full(idx, v, gen, params, method)
+    _check_responders(idx, params.K, params.P)
+    if method not in ("solve", "poly"):
+        raise ValueError(f"unknown decode method {method!r}")
+    if method == "poly" and gen.kind != "vandermonde":
+        raise ValueError("poly method requires a Vandermonde generator")
+    w = _decode_full(idx, v, gen, method)
     return w[: params.M]
 
 
-def _decode_full(idx, v, gen, params, method="solve") -> np.ndarray:
-    K = params.K
-    if idx.size != K:
-        raise ValueError(f"need exactly K={K} outputs, got {idx.size}")
+def _check_responders(idx: np.ndarray, count: int, P: int) -> None:
+    """Refuse unless idx holds `count` distinct worker indices in 1..P."""
+    if idx.size != count:
+        raise ValueError(f"need exactly {count} outputs, got {idx.size}")
     ids = idx.tolist()
-    if min(ids) < 1 or max(ids) > params.P:
-        raise ValueError(f"worker indices must lie in 1..{params.P}")
-    if len(set(ids)) != K:
+    if min(ids) < 1 or max(ids) > P:
+        raise ValueError(f"worker indices must lie in 1..{P}")
+    if len(set(ids)) != count:
         raise ValueError("worker indices must be distinct")
-    if method not in ("solve", "poly"):
-        raise ValueError(f"unknown decode method {method!r}")
+
+
+def _decode_full(idx, v, gen, method) -> np.ndarray:
+    """Solve B^V w = v for checked responders idx; see decode."""
     if not np.all(np.isfinite(v)):
         raise ConditioningError("decode refused: a worker output is NaN or infinite")
     BV = gen.entries[idx - 1]
     if method == "solve":
         w = guarded_solve(BV, v)
     else:
-        if gen.kind != "vandermonde":
-            raise ValueError("poly method requires a Vandermonde generator")
         check_condition(BV)
-        w = newton_monomial(gen.nodes[idx - 1], v[:, None])[:, 0]
+        w = _newton_monomial(gen.nodes[idx - 1], v[:, None])[:, 0]
     residual = np.linalg.norm(BV @ w - v)
     if not residual <= DECODE_RESIDUAL_RTOL * np.linalg.norm(v):  # NaN fails too
         raise ConditioningError(
@@ -293,8 +323,7 @@ def decode_with_errors(
     if not 0 <= e_max <= radius:
         raise ValueError(f"e_max={e_max} outside correctable radius 0..{radius}")
     idx, v = _collect(outputs)
-    if idx.size != P or np.unique(idx).size != P:
-        raise ValueError(f"need outputs from all {P} workers exactly once")
+    _check_responders(idx, P, P)
     order = np.argsort(idx)
     idx, v = idx[order], v[order]
     need = P - e_max
@@ -302,7 +331,7 @@ def decode_with_errors(
     for subset in combinations(range(P), K):
         sel = np.asarray(subset, dtype=int)
         try:
-            w = _decode_full(idx[sel], v[sel], gen, params, "solve")
+            w = _decode_full(idx[sel], v[sel], gen, "solve")
         except ConditioningError:
             continue
         predicted = gen.entries @ w

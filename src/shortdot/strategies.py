@@ -29,22 +29,15 @@ class RecoveryRule:
 
 
 @dataclass(frozen=True)
-class IntegerSplit:
-    """m1 rows get ceil(P/M) workers each, m2 rows get floor(P/M)."""
-
-    m1: int
-    m2: int
-
-
-@dataclass(frozen=True)
 class TaskPlan:
     """Per-worker task lengths, per-worker group ids and the recovery rule.
 
-    task_lengths[i] is the dot-product length of worker i+1 (float: the
-    latency model is continuous in length).  group[i] is the 0-based
-    recovery group of worker i+1; group is None for the rules that read
-    no groups ("all", "kth_overall").  The plan is checked once, at
-    construction; `groups` and `member_index` are views derived from
+    task_lengths[i] is the positive dot-product length of worker i+1
+    (float: the latency model is continuous in length).  group[i] is the
+    0-based recovery group of worker i+1; group is None for the rules
+    that read no groups ("all", "kth_overall").  The plan is checked
+    once, at construction, which keeps read-only copies of `task_lengths`
+    and `group`; `groups` and `member_index` are views derived from
     `group`.
     """
 
@@ -54,6 +47,13 @@ class TaskPlan:
     recovery_rule: RecoveryRule
 
     def __post_init__(self):
+        lengths = np.array(self.task_lengths, dtype=float)
+        if lengths.ndim != 1 or not lengths.size or not (
+                0 < lengths.min() and lengths.max() < np.inf):  # NaN fails too
+            raise ValueError("task_lengths must be a non-empty 1-D array of finite "
+                             "positive lengths")
+        lengths.flags.writeable = False
+        object.__setattr__(self, "task_lengths", lengths)
         kind, k = self.recovery_rule.kind, self.recovery_rule.k
         if kind not in ("all", "kth_overall", "one_per_group", "k_per_group"):
             raise ValueError(f"unknown rule {kind!r}")
@@ -113,20 +113,6 @@ class TaskPlan:
         return tuple(frozenset(row) for row in (self.member_index + 1).tolist())
 
 
-def split_m1_m2(P: int, M: int) -> IntegerSplit:
-    """Unique nonnegative solution of m1+m2 = M, m1*ceil(P/M)+m2*floor(P/M) = P.
-
-    When M divides P both column counts coincide; by convention all M
-    rows are counted in m1 so one code path covers both cases.
-    """
-    if not 1 <= M <= P:
-        raise ValueError(f"need 1 <= M <= P, got M={M}, P={P}")
-    if P % M == 0:
-        return IntegerSplit(m1=M, m2=0)
-    m1 = P - M * (P // M)
-    return IntegerSplit(m1=m1, m2=M - m1)
-
-
 def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Column blocks of length s (the last one shorter) on n_groups groups
     of workers dealt round-robin (sizes floor/ceil(P/n_groups)); group g
@@ -143,16 +129,13 @@ def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[np.ndarray, np
 def plan_uncoded(params: CodeParams) -> TaskPlan:
     """Divide each row among its workers, wait for all P.
 
-    With the integer split, m1 rows span ceil(P/M) workers (task length
-    N/ceil(P/M)) and m2 rows span floor(P/M) workers.
+    Workers are dealt to rows round-robin, so P mod M rows span
+    ceil(P/M) workers (task length N/ceil(P/M)) and the other rows span
+    floor(P/M); lengths are listed by row.
     """
     P, M, N = params.P, params.M, params.N
-    split = split_m1_m2(P, M)
-    c1, c2 = -(-P // M), P // M
-    lengths = np.empty(P)
-    n1 = split.m1 * c1
-    lengths[:n1] = N / c1
-    lengths[n1:] = N / c2
+    sizes = np.bincount(np.arange(P) % M)
+    lengths = np.repeat(N / sizes, sizes)
     return TaskPlan(
         strategy_id="uncoded",
         task_lengths=lengths,

@@ -432,3 +432,16 @@ def test_transform_reports_missing_params_key(small_problem, capsys):
     params_txt.write_text("\n".join(l for l in lines if not l.startswith("M=")) + "\n")
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
     assert "no M= line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ztol", ["nan", "inf", "-1"])
+def test_transform_refuses_bad_zero_tolerance(small_problem, capsys, ztol):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    params_txt = out / "params.txt"
+    lines = params_txt.read_text().splitlines()
+    params_txt.write_text("\n".join(f"zero_tolerance={ztol}" if l.startswith("zero_tolerance=")
+                                    else l for l in lines) + "\n")
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+    assert "zero_tolerance must be finite" in capsys.readouterr().err

@@ -15,7 +15,6 @@ from shortdot import (
     decode_with_errors,
     encode,
     encode_chunked,
-    pad_input,
     run_workers,
     supports_from_pattern,
     validate_params,
@@ -322,7 +321,7 @@ def test_non_finite_inputs_rejected(bad):
     x = np.ones(12)
     x[7] = bad
     with pytest.raises(ValueError):
-        pad_input(x, p)
+        run_workers(encode(np.ones((3, 12)), gen, p), x)
 
 
 # --- decode ------------------------------------------------------------------

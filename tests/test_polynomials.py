@@ -1,74 +1,39 @@
+"""The polynomial path's Newton interpolation, and its decode gate."""
+
 import numpy as np
 import pytest
 
-from shortdot import Polynomial, eval_many, interpolate
+from shortdot import build_generator, decode, validate_params
+from shortdot.coding import _newton_monomial
 from shortdot.errors import ConditioningError
 
 
-def test_constant_polynomial():
-    p = Polynomial([1.0])
-    np.testing.assert_array_equal(eval_many(p, [0.0, 5.0, -3.0]), [1.0, 1.0, 1.0])
+def test_newton_line():
+    coeffs = _newton_monomial(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
+    np.testing.assert_allclose(coeffs, [[1.0], [1.0]])  # h + 1
 
 
-def test_identity_polynomial():
-    p = Polynomial([1.0, 0.0])  # p(h) = h
-    np.testing.assert_array_equal(eval_many(p, [2.0, 3.0]), [2.0, 3.0])
+def test_newton_single_point():
+    coeffs = _newton_monomial(np.array([3.0]), np.array([[7.5, -2.0]]))
+    np.testing.assert_array_equal(coeffs, [[7.5, -2.0]])
 
 
-def test_eval_matches_power_sum_oracle():
-    rng = np.random.default_rng(0)
-    coeffs = rng.standard_normal(8)  # degree 7, highest first
-    pts = rng.uniform(-1.5, 1.5, size=10)
-    # oracle: naive sum of c_k * h^k
-    deg = len(coeffs) - 1
-    expected = np.array(
-        [sum(c * h ** (deg - k) for k, c in enumerate(coeffs)) for h in pts]
-    )
-    got = eval_many(Polynomial(coeffs), pts)
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_interpolate_line():
-    p = interpolate([0.0, 1.0], [1.0, 2.0])
-    np.testing.assert_allclose(p.coefficients, [1.0, 1.0])  # h + 1
-
-
-def test_interpolate_single_point():
-    p = interpolate([3.0], [7.5])
-    assert p.degree == 0
-    np.testing.assert_allclose(p.coefficients, [7.5])
-
-
-def test_interpolate_round_trip():
+def test_newton_round_trip_against_polyval():
     rng = np.random.default_rng(1)
-    coeffs = rng.standard_normal(6)  # degree 5
+    coeffs = rng.standard_normal((6, 3))  # three polynomials of degree 5
     pts = np.cos((2 * np.arange(1, 7) - 1) * np.pi / 12)
-    vals = eval_many(Polynomial(coeffs), pts)
-    back = interpolate(pts, vals)
-    np.testing.assert_allclose(back.coefficients, coeffs, rtol=1e-8)
+    vals = np.polyval(coeffs, pts[:, None])
+    back = _newton_monomial(pts, vals)
+    np.testing.assert_allclose(back, coeffs, rtol=1e-8)
+    np.testing.assert_allclose(np.polyval(back, pts[:, None]), vals, rtol=1e-12)
 
 
-def test_interpolate_rejects_duplicates():
-    with pytest.raises(ValueError):
-        interpolate([1.0, 1.0], [2.0, 3.0])
-
-
-def test_interpolate_flags_hopeless_conditioning():
-    # nearly coincident points make the coefficients meaningless; the
-    # residual self-check must refuse rather than return garbage
-    pts = np.array([0.1, 0.1 + 1e-13, 0.2, 0.9])
-    vals = np.array([1.0, -1.0, 2.0, 0.5])
-    with pytest.raises(ConditioningError):
-        interpolate(pts, vals)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_interpolate_refuses_non_finite_values(bad):
-    with pytest.raises(ConditioningError):
-        interpolate([0.1, 0.5, 0.9], [1.0, bad, 2.0])
-
-
-def test_polynomial_requires_coefficients():
-    with pytest.raises(ValueError):
-        Polynomial([])
+@pytest.mark.parametrize("method", ["solve", "poly"])
+def test_decode_refuses_nearly_coincident_nodes(method):
+    # nearly coincident nodes make the coefficients meaningless; the
+    # condition gate must refuse rather than return garbage
+    p = validate_params(4, 4, 4, 8)
+    gen = build_generator(p, nodes=[0.1, 0.1 + 1e-13, 0.2, 0.9])
+    outputs = list(zip(range(1, 5), [1.0, -1.0, 2.0, 0.5]))
+    with pytest.raises(ConditioningError, match="condition .* exceeds limit"):
+        decode(outputs, gen, p, method=method)

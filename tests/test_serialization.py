@@ -110,7 +110,11 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
     ({"nodes": None}, "no nodes= line"),
     ({"K": "7"}, "K <= P"),
     ({"N": "18"}, "N=18"),
-], ids=["missing-M", "missing-nodes", "K-above-P", "N-mismatch"])
+    ({"zero_tolerance": "nan"}, "zero_tolerance must be finite"),
+    ({"zero_tolerance": "inf"}, "zero_tolerance must be finite"),
+    ({"zero_tolerance": "-1"}, "zero_tolerance must be finite"),
+], ids=["missing-M", "missing-nodes", "K-above-P", "N-mismatch",
+        "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative"])
 def test_load_refuses_bad_params_file(tmp_path, edit, message):
     rng = np.random.default_rng(5)
     p = validate_params(6, 5, 3, 12)

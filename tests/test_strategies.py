@@ -13,29 +13,39 @@ from shortdot import (
     plan_short_mds,
     plan_uncoded,
     recoverable,
-    split_m1_m2,
     validate_params,
 )
 from shortdot.strategies import RecoveryRule, TaskPlan
 
 
-# --- integer split -------------------------------------------------------------
+# --- uncoded split -------------------------------------------------------------
 
 
-def test_split_examples():
-    assert (split_m1_m2(6, 4).m1, split_m1_m2(6, 4).m2) == (2, 2)
-    assert (split_m1_m2(6, 3).m1, split_m1_m2(6, 3).m2) == (3, 0)
-    assert (split_m1_m2(7, 3).m1, split_m1_m2(7, 3).m2) == (1, 2)
+def _uncoded_split(P, M):
+    """(rows on ceil(P/M) workers, rows on floor(P/M) workers), counted
+    from the task lengths of plan_uncoded with N = P."""
+    lengths = plan_uncoded(validate_params(P, M, M, P)).task_lengths
+    c1, c2 = -(-P // M), P // M
+    n1 = int(np.sum(lengths == P / c1))
+    assert np.all(lengths[:n1] == P / c1) and np.all(lengths[n1:] == P / c2)
+    assert n1 % c1 == 0 and (P - n1) % c2 == 0
+    return n1 // c1, (P - n1) // c2
 
 
-def test_split_solves_the_system():
+def test_uncoded_split_examples():
+    assert _uncoded_split(6, 4) == (2, 2)
+    assert _uncoded_split(6, 3) == (3, 0)
+    assert _uncoded_split(7, 3) == (1, 2)
+
+
+def test_uncoded_split_solves_the_system():
     for P in range(1, 40):
         for M in range(1, P + 1):
-            sp = split_m1_m2(P, M)
+            m1, m2 = _uncoded_split(P, M)
             c1, c2 = math.ceil(P / M), math.floor(P / M)
-            assert sp.m1 >= 0 and sp.m2 >= 0
-            assert sp.m1 + sp.m2 == M
-            assert sp.m1 * c1 + sp.m2 * c2 == P
+            assert m1 >= 0 and m2 >= 0
+            assert m1 + m2 == M
+            assert m1 * c1 + m2 * c2 == P
 
 
 # --- plans -----------------------------------------------------------------------
@@ -177,33 +187,45 @@ def test_finish_times_examples():
     assert finish_times(_plan(RecoveryRule("k_per_group", 2), [0, 0, 0]), t)[0] == 2.0
 
 
-@pytest.mark.parametrize("rule,group", [
-    pytest.param(RecoveryRule("kth_overall", 0), None, id="kth_overall-k=0"),
-    pytest.param(RecoveryRule("kth_overall", 5), None, id="kth_overall-k=P+1"),
-    pytest.param(RecoveryRule("kth_overall", None), None, id="kth_overall-k=None"),
-    pytest.param(RecoveryRule("kth_overall", 2.0), None, id="kth_overall-k=2.0"),
-    pytest.param(RecoveryRule("bogus", 2), None, id="unknown-kind"),
-    pytest.param(RecoveryRule("all"), [0, 0, 1, 1], id="all-with-groups"),
-    pytest.param(RecoveryRule("one_per_group"), None, id="one_per_group-no-groups"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 0], id="worker-without-id"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 2, 2], id="empty-group"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 1, -1], id="negative-id"),
-    pytest.param(RecoveryRule("one_per_group"), [0.0, 0.0, 1.0, 1.0], id="float-ids"),
-    pytest.param(RecoveryRule("k_per_group", 3), [0, 0, 0, 1], id="k-above-smallest-group"),
-    pytest.param(RecoveryRule("k_per_group", 0), [0, 0, 1, 1], id="k_per_group-k=0"),
-    pytest.param(RecoveryRule("k_per_group", None), [0, 0, 1, 1], id="k_per_group-k=None"),
+FOUR = [1.0] * 4  # the task lengths of a valid four-worker plan
+
+
+@pytest.mark.parametrize("rule,group,lengths", [
+    pytest.param(RecoveryRule("kth_overall", 0), None, FOUR, id="kth_overall-k=0"),
+    pytest.param(RecoveryRule("kth_overall", 5), None, FOUR, id="kth_overall-k=P+1"),
+    pytest.param(RecoveryRule("kth_overall", None), None, FOUR, id="kth_overall-k=None"),
+    pytest.param(RecoveryRule("kth_overall", 2.0), None, FOUR, id="kth_overall-k=2.0"),
+    pytest.param(RecoveryRule("bogus", 2), None, FOUR, id="unknown-kind"),
+    pytest.param(RecoveryRule("all"), [0, 0, 1, 1], FOUR, id="all-with-groups"),
+    pytest.param(RecoveryRule("one_per_group"), None, FOUR, id="one_per_group-no-groups"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 0], FOUR, id="worker-without-id"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 2, 2], FOUR, id="empty-group"),
+    pytest.param(RecoveryRule("one_per_group"), [0, 0, 1, -1], FOUR, id="negative-id"),
+    pytest.param(RecoveryRule("one_per_group"), [0.0, 0.0, 1.0, 1.0], FOUR, id="float-ids"),
+    pytest.param(RecoveryRule("k_per_group", 3), [0, 0, 0, 1], FOUR, id="k-above-smallest-group"),
+    pytest.param(RecoveryRule("k_per_group", 0), [0, 0, 1, 1], FOUR, id="k_per_group-k=0"),
+    pytest.param(RecoveryRule("k_per_group", None), [0, 0, 1, 1], FOUR, id="k_per_group-k=None"),
+    pytest.param(RecoveryRule("all"), None, [1.0, -1.0, 1.0], id="negative-length"),
+    pytest.param(RecoveryRule("all"), None, [1.0, 0.0, 1.0], id="zero-length"),
+    pytest.param(RecoveryRule("all"), None, [1.0, np.nan, 1.0], id="nan-length"),
+    pytest.param(RecoveryRule("all"), None, [1.0, np.inf, 1.0], id="inf-length"),
+    pytest.param(RecoveryRule("all"), None, [[1.0, 1.0], [1.0, 1.0]], id="2-D-lengths"),
+    pytest.param(RecoveryRule("all"), None, [], id="empty-lengths"),
 ])
-def test_bad_plans_are_refused_at_construction(rule, group):
+def test_bad_plans_are_refused_at_construction(rule, group, lengths):
     with pytest.raises(ValueError):
-        TaskPlan("test", np.ones(4), group, rule)
+        TaskPlan("test", np.array(lengths), group, rule)
 
 
 def test_plan_group_is_a_read_only_copy():
-    group = np.array([0, 1, 0, 1])
-    plan = TaskPlan("test", np.ones(4), group, RecoveryRule("one_per_group"))
-    group[0] = 1
+    group, lengths = np.array([0, 1, 0, 1]), np.array([1, 2, 1, 2])
+    plan = TaskPlan("test", lengths, group, RecoveryRule("one_per_group"))
+    group[0], lengths[0] = 1, 2
     assert plan.group.tolist() == [0, 1, 0, 1]
+    assert plan.task_lengths.tolist() == [1.0, 2.0, 1.0, 2.0]
+    assert plan.task_lengths.dtype == float
     assert not plan.group.flags.writeable and not plan.member_index.flags.writeable
+    assert not plan.task_lengths.flags.writeable
     assert plan.groups == (frozenset({1, 3}), frozenset({2, 4}))
 
 
