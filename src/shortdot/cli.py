@@ -114,9 +114,7 @@ def cmd_transform(args) -> int:
     if args.error_decode is not None:
         corrupt = args.corrupt or {}
         _check_workers(corrupt, params.P, "--corrupt")
-        outputs = [
-            type(o)(index=o.index, value=corrupt.get(o.index, o.value)) for o in outputs
-        ]
+        outputs = [(i, corrupt.get(i, v)) for i, v in outputs]
         result = decode_with_errors(outputs, args.error_decode, code.generator, params)
     else:
         if not args.responders:
@@ -125,10 +123,8 @@ def cmd_transform(args) -> int:
         _check_workers(responders, params.P, "--responders")
         if len(responders) < params.K:
             raise ValueError(f"{len(responders)} responders < K={params.K}; cannot decode")
-        chosen = responders[: params.K]
-        by_index = {o.index: o for o in outputs}
-        result = decode([by_index[i] for i in chosen], code.generator, params,
-                        method=args.method)
+        result = decode([outputs[i - 1] for i in responders[: params.K]],
+                        code.generator, params, method=args.method)
 
     if args.out:
         save_matrix(args.out, result[:, None])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +58,27 @@ def supports_from_pattern(params: CodeParams) -> np.ndarray:
     return np.nonzero(~zero_mask(params))[1].reshape(params.P, params.s) + 1
 
 
+class WorkerTask(NamedTuple):
+    """Row index, support S_i (1-based) and the row's coefficients on S_i."""
+
+    index: int
+    support: np.ndarray
+    coefficients: np.ndarray
+
+
+class WorkerOutput(NamedTuple):
+    """One worker's result: the scalar <f_i^{S_i}, x^{S_i}>.  Any
+    (index, value) pair is a worker output."""
+
+    index: int
+    value: float
+
+
 @dataclass(frozen=True)
 class EncodedTransform:
     """The encoded matrix F plus everything needed to task workers.
 
-    F is P x N and exactly zero on the cyclic pattern; construction
+    F is P x N, finite and exactly zero on the cyclic pattern; construction
     refuses any other F, and a zero_tolerance that is negative or not
     finite.  Construction also derives `supports` (see
     supports_from_pattern) and `coefficients`, the (P, s) array of each
@@ -83,6 +100,8 @@ class EncodedTransform:
                              f"got {self.zero_tolerance!r}")
         supports = supports_from_pattern(p)
         coefficients = np.take_along_axis(self.F, supports - 1, axis=1)
+        if not np.all(np.isfinite(coefficients)):
+            raise ValueError("F has non-finite entries")
         # equal counts <=> every nonzero of F lies on its row's support
         if np.count_nonzero(coefficients) != np.count_nonzero(self.F):
             raise ValueError("F is nonzero at a position the sparsity pattern forces to zero")
@@ -91,28 +110,9 @@ class EncodedTransform:
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "coefficients", coefficients)
 
-    def worker_tasks(self) -> tuple["WorkerTask", ...]:
-        return tuple(
-            WorkerTask(index=i + 1, support=sup, coefficients=coef)
-            for i, (sup, coef) in enumerate(zip(self.supports, self.coefficients))
-        )
-
-
-@dataclass(frozen=True)
-class WorkerTask:
-    """Row index, support S_i (1-based) and the row's coefficients on S_i."""
-
-    index: int
-    support: np.ndarray
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
-class WorkerOutput:
-    """One worker's result: the scalar <f_i^{S_i}, x^{S_i}>."""
-
-    index: int
-    value: float
+    def worker_tasks(self) -> tuple[WorkerTask, ...]:
+        return tuple(map(WorkerTask, range(1, self.params.P + 1),
+                         self.supports, self.coefficients))
 
 
 def encode(
@@ -237,20 +237,23 @@ def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
     x over the (P, s) supports, then one vecdot with the coefficients."""
     xz = _input_behind_zero(x, code.params)
     values = np.vecdot(code.coefficients, xz[code.supports])
-    return [WorkerOutput(index=i, value=v) for i, v in enumerate(values.tolist(), 1)]
+    return list(map(WorkerOutput, range(1, code.params.P + 1), values.tolist()))
 
 
-def _collect(outputs) -> tuple[np.ndarray, np.ndarray]:
-    idx, vals = [], []
-    for out in outputs:
-        if isinstance(out, WorkerOutput):
-            idx.append(out.index)
-            vals.append(out.value)
-        else:
-            i, v = out
-            idx.append(int(i))
-            vals.append(float(v))
-    return np.asarray(idx, dtype=int), np.asarray(vals, dtype=float)
+def _read_outputs(outputs, count: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and values of `outputs`, (index, value) pairs; refused
+    unless there are exactly `count` of them with distinct indices in 1..P."""
+    pairs = list(outputs)
+    if len(pairs) != count:
+        raise ValueError(f"need exactly {count} outputs, got {len(pairs)}")
+    ids, vals = zip(*pairs, strict=True)  # every output is a pair
+    idx = np.asarray(ids, dtype=int)
+    ids = idx.tolist()
+    if min(ids) < 1 or max(ids) > P:
+        raise ValueError(f"worker indices must lie in 1..{P}")
+    if len(set(ids)) != count:
+        raise ValueError("worker indices must be distinct")
+    return idx, np.asarray(vals, dtype=float)
 
 
 def decode(
@@ -265,25 +268,13 @@ def decode(
     rejected (ConditioningError) if an output is NaN or infinite, the
     condition gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.
     """
-    idx, v = _collect(outputs)
-    _check_responders(idx, params.K, params.P)
+    idx, v = _read_outputs(outputs, params.K, params.P)
     if method not in ("solve", "poly"):
         raise ValueError(f"unknown decode method {method!r}")
     if method == "poly" and gen.kind != "vandermonde":
         raise ValueError("poly method requires a Vandermonde generator")
     w = _decode_full(idx, v, gen, method)
     return w[: params.M]
-
-
-def _check_responders(idx: np.ndarray, count: int, P: int) -> None:
-    """Refuse unless idx holds `count` distinct worker indices in 1..P."""
-    if idx.size != count:
-        raise ValueError(f"need exactly {count} outputs, got {idx.size}")
-    ids = idx.tolist()
-    if min(ids) < 1 or max(ids) > P:
-        raise ValueError(f"worker indices must lie in 1..{P}")
-    if len(set(ids)) != count:
-        raise ValueError("worker indices must be distinct")
 
 
 def _decode_full(idx, v, gen, method) -> np.ndarray:
@@ -322,8 +313,7 @@ def decode_with_errors(
     radius = (P - K) // 2
     if not 0 <= e_max <= radius:
         raise ValueError(f"e_max={e_max} outside correctable radius 0..{radius}")
-    idx, v = _collect(outputs)
-    _check_responders(idx, P, P)
+    idx, v = _read_outputs(outputs, P, P)
     order = np.argsort(idx)
     idx, v = idx[order], v[order]
     need = P - e_max

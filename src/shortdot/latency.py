@@ -69,6 +69,14 @@ def harmonic(n: int) -> float:
     return float(np.sum(1.0 / np.arange(1, n + 1))) if n else 0.0
 
 
+@lru_cache(maxsize=128)
+def _harmonic_table(P: int) -> np.ndarray:
+    """Read-only [H_0, ..., H_P]."""
+    table = np.array([harmonic(n) for n in range(P + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def sample_time(s: float, model: DelayModel, u) -> np.ndarray | float:
     """Inverse-CDF sample(s): t = s (1 - ln(1-u)/mu) for uniform u."""
     u = np.asarray(u, dtype=float)
@@ -216,7 +224,8 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
     if not 1 <= M <= P:
         raise ValueError(f"need 1 <= M <= P, got M={M}, P={P}")
     ks = np.arange(M, P + 1)
-    h = np.array([harmonic(P) - harmonic(P - k) for k in ks])
+    H = _harmonic_table(P)
+    h = H[P] - H[P - ks]
     s = (N / P) * (P - ks + M)
     expect = s * (1.0 + h / model.mu)
     i = int(np.argmin(expect))  # argmin returns the first (smallest K) tie

@@ -152,6 +152,19 @@ def test_transform_rejects_tampered_transform(small_problem, tamper):
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
 
 
+@pytest.mark.parametrize("responders", ["1,2,3,4,5", "2,3,4,5,6"])
+def test_transform_refuses_non_finite_f(small_problem, capsys, responders):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    F = load_matrix(out / "F.csv")
+    F[0, np.flatnonzero(F[0])[0]] = np.nan  # on row 1's support
+    save_matrix(out / "F.csv", F)
+    capsys.readouterr()
+    assert main(["transform", str(out), x_path, "--responders", responders]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_sweep_outputs_csv_and_plot_script(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--p", "6", "--n", "12", "--mu", "5", "--trials", "400",

@@ -263,6 +263,26 @@ def test_run_workers_hand_example():
         run_workers(code, np.ones(7))
 
 
+def test_worker_records_are_named_tuples():
+    out = WorkerOutput(3, 1.5)
+    assert out == (3, 1.5) == WorkerOutput(index=3, value=1.5)
+    assert (out.index, out.value) == (3, 1.5)
+    with pytest.raises(AttributeError):
+        out.value = 2.0
+    with pytest.raises(TypeError):
+        out[1] = 2.0
+    rng = np.random.default_rng(9)
+    p = validate_params(6, 5, 3, 12)
+    code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
+    tasks = code.worker_tasks()
+    assert [t.index for t in tasks] == list(range(1, 7))
+    for t, sup, coef in zip(tasks, code.supports, code.coefficients):
+        assert isinstance(t, tuple)
+        np.testing.assert_array_equal(t.support, sup)
+        np.testing.assert_array_equal(t.coefficients, coef)
+        np.testing.assert_array_equal(t.coefficients, code.F[t.index - 1, sup - 1])
+
+
 def test_run_workers_accepts_padded_or_raw_length_only():
     rng = np.random.default_rng(16)
     p = validate_params(4, 3, 2, 10)  # pads to 12
@@ -322,6 +342,10 @@ def test_non_finite_inputs_rejected(bad):
     x[7] = bad
     with pytest.raises(ValueError):
         run_workers(encode(np.ones((3, 12)), gen, p), x)
+    F = encode(np.ones((3, 12)), gen, p).F.copy()
+    F[0, np.flatnonzero(F[0])[0]] = bad  # on row 1's support
+    with pytest.raises(ValueError, match="non-finite"):
+        EncodedTransform(F=F, generator=gen, params=p, zero_tolerance=0.0)
 
 
 # --- decode ------------------------------------------------------------------
@@ -393,17 +417,30 @@ def test_decode_validates_inputs():
         decode([outs[0], outs[0], outs[1]], gen, p)  # duplicates
     with pytest.raises(ValueError):
         decode([WorkerOutput(9, 1.0), outs[0], outs[1]], gen, p)  # bad index
+    with pytest.raises(ValueError):
+        decode([outs[0], outs[1], (3, outs[2].value, 0.0)], gen, p)  # not a pair
+    with pytest.raises(ValueError, match="need exactly 3 outputs, got 0"):
+        decode([], gen, p)
+    with pytest.raises(ValueError, match="need exactly 4 outputs, got 0"):
+        decode_with_errors([], 0, gen, p)
 
 
 def test_decode_accepts_index_value_pairs():
     rng = np.random.default_rng(10)
-    p = validate_params(4, 3, 1, 4)
+    p = validate_params(6, 4, 2, 12)
     gen = build_generator(p)
-    A = rng.standard_normal((1, 4))
-    x = rng.standard_normal(4)
+    A = rng.standard_normal((2, 12))
+    x = rng.standard_normal(12)
     outs = run_workers(encode(A, gen, p), x)
-    pairs = [(o.index, o.value) for o in outs[:3]]
-    np.testing.assert_allclose(decode(pairs, gen, p), A @ x, rtol=1e-10)
+    pairs = [(o.index, o.value) for o in outs]
+    np.testing.assert_allclose(decode(pairs[2:], gen, p), A @ x, rtol=1e-10)
+    outs[1] = WorkerOutput(2, outs[1].value + 1000.0)  # for the error decode
+    pairs[1] = (2, outs[1].value)
+    mixed = [o if o.index % 2 else (o.index, o.value) for o in outs]
+    for listing in (pairs, mixed):
+        assert np.array_equal(decode(listing[2:], gen, p), decode(outs[2:], gen, p))
+        assert np.array_equal(decode_with_errors(listing, 1, gen, p),
+                              decode_with_errors(outs, 1, gen, p))
 
 
 # --- decode with errors --------------------------------------------------------

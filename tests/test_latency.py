@@ -29,7 +29,7 @@ from shortdot import (
     uncoded_closed_form,
     validate_params,
 )
-from shortdot.latency import _uniform_stream, simulation_threads
+from shortdot.latency import _harmonic_table, _uniform_stream, simulation_threads
 from shortdot.strategies import RecoveryRule, TaskPlan
 
 MU5 = DelayModel(5.0)
@@ -223,6 +223,20 @@ def test_optimize_k_theta_m_regime():
     # claim holds with a mu-dependent constant (not the [M/4, 4M] window)
     k_star, _ = optimize_k(1000, 145, 1000.0, MU5)
     assert 145 / 16 <= 1000 - k_star <= 4 * 145
+
+
+@pytest.mark.parametrize("mu", [0.5, 5.0])
+def test_optimize_k_is_the_per_k_harmonic_loop(mu):
+    model = DelayModel(mu)
+    for P in (1, 2, 7, 20, 100, 1000):
+        assert not _harmonic_table(P).flags.writeable
+        for M in sorted({1, max(P // 3, 1), max(P // 2, 1), P}):
+            N = 10.0 * P
+            ks = np.arange(M, P + 1)
+            h = np.array([harmonic(P) - harmonic(P - k) for k in ks])
+            expect = (N / P) * (P - ks + M) * (1.0 + h / mu)
+            i = int(np.argmin(expect))
+            assert optimize_k(P, M, N, model) == (int(ks[i]), float(expect[i]))
 
 
 def test_optimize_k_single_choice_when_m_equals_p():
