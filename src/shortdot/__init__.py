@@ -23,7 +23,6 @@ from .coding import (
     decode,
     decode_with_errors,
     encode,
-    encode_chunked,
     run_workers,
     supports_from_pattern,
     zero_mask,

@@ -75,11 +75,9 @@ def _float_list(text: str) -> list[float]:
 def cmd_encode(args) -> int:
     A = load_matrix(args.matrix)
     M = A.shape[0]
-    if args.m is not None and args.m != M:
-        raise ValueError(f"--m {args.m} does not match matrix row count {M}")
     params = validate_params(args.p, args.k, M, A.shape[1])
     gen = build_generator(params, kind=args.kind, nodes=args.nodes, seed=args.seed)
-    code = encode(A, gen, params, method=args.method)
+    code = encode(A, gen, params)
     save_transform(code, args.out)
     nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
     print(f"encoded {M}x{params.N_raw} -> F {params.P}x{params.N} at {args.out}")
@@ -124,7 +122,7 @@ def cmd_transform(args) -> int:
         if len(responders) < params.K:
             raise ValueError(f"{len(responders)} responders < K={params.K}; cannot decode")
         result = decode([outputs[i - 1] for i in responders[: params.K]],
-                        code.generator, params, method=args.method)
+                        code.generator, params)
 
     if args.out:
         save_matrix(args.out, result[:, None])
@@ -401,12 +399,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("matrix", help="CSV file holding the M x N matrix A")
     p.add_argument("--p", type=int, required=True, help="worker count P")
     p.add_argument("--k", type=int, required=True, help="recovery threshold K")
-    p.add_argument("--m", type=int, help="dot-product count M; must match the matrix")
     p.add_argument("--out", required=True, help="transform directory to write")
     p.add_argument("--kind", choices=("vandermonde", "gaussian"), default="vandermonde")
     p.add_argument("--seed", type=int, help="gaussian generator seed")
     p.add_argument("--nodes", type=_float_list, help="comma-separated Vandermonde nodes")
-    p.add_argument("--method", choices=("solve", "poly"), default="solve")
 
     p = command("transform", cmd_transform, "compute A@x from a transform directory")
     p.add_argument("code_dir", help="directory written by `shortdot encode`")
@@ -417,7 +413,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="use all P outputs, correcting up to E_MAX errors")
     p.add_argument("--corrupt", type=_parse_corruptions,
                    help="idx:value pairs overriding worker outputs")
-    p.add_argument("--method", choices=("solve", "poly"), default="solve")
     p.add_argument("--out", help="CSV path for A@x (default: stdout)")
 
     p = command("sweep", cmd_sweep, "expected-time sweep over M, CSV + plot script")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningError, DecodingError
 from .generator import GeneratorMatrix, check_condition, guarded_solve
-from .params import CodeParams, validate_params
+from .params import CodeParams
 
 # encode snaps pattern positions to exact zero; anything above
 # ZERO_TOL_FACTOR * max|A| there beforehand means the solve went bad.
@@ -45,11 +45,10 @@ def _zero_rows0(j0: int, P: int, width: int) -> np.ndarray:
 
 def zero_mask(params: CodeParams) -> np.ndarray:
     """Boolean (P, N) mask, True where the pattern forces F to zero."""
-    P, KM = params.P, params.K - params.M
-    block = np.zeros((P, P), dtype=bool)
-    for j0 in range(P):
-        block[_zero_rows0(j0, P, KM), j0] = True
-    return np.tile(block, params.N // P)
+    # row r is zero in column j0 when r - j0 lies in 0..K-M-1 (mod P)
+    i = np.arange(params.P)
+    block = (i[:, None] - i) % params.P < params.K - params.M
+    return np.tile(block, params.N // params.P)
 
 
 def supports_from_pattern(params: CodeParams) -> np.ndarray:
@@ -135,15 +134,11 @@ def encode(
         raise ValueError("A has non-finite entries")
     if gen.entries.shape != (P, K):
         raise ValueError(f"generator shape {gen.entries.shape} != ({P}, {K})")
-    if method not in ("solve", "poly"):
-        raise ValueError(f"unknown encode method {method!r}")
-    if method == "poly" and gen.kind != "vandermonde":
-        raise ValueError("poly method requires a Vandermonde generator")
+    _check_method(method, gen, "encode")
 
     Apad = np.zeros((M, N))
     Apad[:, : params.N_raw] = A
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    ztol = ZERO_TOL_FACTOR * scale
+    ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(A)))
 
     B = gen.entries
     F = np.empty((P, N))
@@ -162,7 +157,7 @@ def encode(
                 Fcols = B @ np.vstack([Acols, Z])
             else:
                 Fcols = _encode_poly_group(Acols, gen, rows)
-            pattern_resid = float(np.max(np.abs(Fcols[rows]))) if cols.size else 0.0
+            pattern_resid = float(np.max(np.abs(Fcols[rows])))
             if pattern_resid > ztol:
                 raise ConditioningError(
                     f"pattern residual {pattern_resid:.3e} exceeds zero tolerance "
@@ -172,6 +167,15 @@ def encode(
             F[:, cols] = Fcols
 
     return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+
+
+def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
+    """Refuse a method other than "solve" or "poly", and "poly" on a
+    generator that is not Vandermonde."""
+    if method not in ("solve", "poly"):
+        raise ValueError(f"unknown {call} method {method!r}")
+    if method == "poly" and gen.kind != "vandermonde":
+        raise ValueError("poly method requires a Vandermonde generator")
 
 
 def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray):
@@ -269,10 +273,7 @@ def decode(
     condition gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.
     """
     idx, v = _read_outputs(outputs, params.K, params.P)
-    if method not in ("solve", "poly"):
-        raise ValueError(f"unknown decode method {method!r}")
-    if method == "poly" and gen.kind != "vandermonde":
-        raise ValueError("poly method requires a Vandermonde generator")
+    _check_method(method, gen, "decode")
     w = _decode_full(idx, v, gen, method)
     return w[: params.M]
 
@@ -332,30 +333,3 @@ def decode_with_errors(
         f"no K-subset decode consistent with >= {need} of {P} outputs; "
         "too many corrupted outputs or tolerance too tight"
     )
-
-
-def encode_chunked(
-    A,
-    gen: GeneratorMatrix,
-    chunk_M: int,
-    method: str = "solve",
-) -> list[EncodedTransform]:
-    """Encode a matrix with more rows than K by horizontal chunking.
-
-    Rows are split into ceil(M/chunk_M) chunks of at most chunk_M rows;
-    each chunk is encoded independently with the shared generator.
-    Decoding each chunk and stacking the results reproduces A @ x.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.size == 0:
-        raise ValueError("A must be a nonempty 2-D matrix")
-    P, K = gen.P, gen.K
-    if not 1 <= chunk_M <= min(K, P):
-        raise ValueError(f"chunk_M={chunk_M} must lie in 1..min(K, P)={min(K, P)}")
-    M_total, N_raw = A.shape
-    chunks = []
-    for start in range(0, M_total, chunk_M):
-        rows = A[start : start + chunk_M]
-        cp = validate_params(P, K, rows.shape[0], N_raw)
-        chunks.append(encode(rows, gen, cp, method=method))
-    return chunks

@@ -22,6 +22,8 @@ from .params import CodeParams
 # size, so beyond this limit float64 results are not trustworthy to the
 # tolerances this package promises; we fail loudly.
 COND_LIMIT = 1e8
+# verify_generator refuses to enumerate more submatrices than this.
+_MAX_SUBSETS = 200_000
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,7 @@ def build_generator(
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def verify_generator(
-    gen: GeneratorMatrix,
-    params: CodeParams,
-    max_subsets: int = 200_000,
-) -> None:
+def verify_generator(gen: GeneratorMatrix, params: CodeParams) -> None:
     """Exhaustively check the two submatrix-invertibility properties.
 
     Feasible only for small P (the number of K x K submatrices is
@@ -101,10 +99,8 @@ def verify_generator(
     B = gen.entries
     n_full = math.comb(P, K)
     n_tail = math.comb(P, K - M) if K > M else 0
-    if n_full + n_tail > max_subsets:
-        raise ValueError(
-            f"{n_full + n_tail} submatrices to check exceeds max_subsets={max_subsets}"
-        )
+    if n_full + n_tail > _MAX_SUBSETS:
+        raise ValueError(f"{n_full + n_tail} submatrices to check exceeds {_MAX_SUBSETS}")
     for rows in combinations(range(P), K):
         check_condition(B[list(rows), :], f"K x K submatrix at rows {rows}")
     if K > M:

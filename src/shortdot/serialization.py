@@ -2,7 +2,8 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines: P, K, M, N, N_raw, kind, seed/nodes
+    params.txt    key=value lines: P, K, M, N, N_raw, kind, seed/nodes,
+                  zero_tolerance
     F.csv         the P x N encoded matrix
     supports.txt  one line per row: space-separated 1-based column indices
 
@@ -83,8 +84,8 @@ def load_transform(in_dir) -> EncodedTransform:
     else:
         raise ValueError(f"unknown generator kind {kind!r} in {src}")
     F = load_matrix(src / "F.csv")
-    ztol = float(kv.get("zero_tolerance", 1e-9 * np.max(np.abs(F), initial=0.0)))
-    code = EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+    code = EncodedTransform(F=F, generator=gen, params=params,
+                            zero_tolerance=float(field("zero_tolerance")))
     stored = np.loadtxt(src / "supports.txt", dtype=int, ndmin=2)
     if not np.array_equal(stored, code.supports):
         raise ValueError(f"supports.txt in {src} does not match the sparsity pattern")

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 from shortdot import load_matrix, save_matrix
-from shortdot.cli import main
+from shortdot.cli import build_parser, main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def _write_matrix(path, mat):
@@ -395,10 +397,30 @@ def test_sweep_analytic_matches_monte_carlo_of_the_same_plan(tmp_path, flags):
     ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--seed", "1"],
     ["sweep", "--p", "6", "--m", "3", "--out", "s.csv"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--s", "4"],  # not --seed
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--m", "3"],
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--method", "poly"],
+    ["transform", "code", "x.csv", "--responders", "1,2,3,4,5", "--method", "poly"],
 ])
 def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
     assert _status(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    # each row: `subcommand ARGS` | `--flag`, ... (required); `--flag`, ...
+    table = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        row = re.fullmatch(r"\s*\| `([\w-]+)[^`]*` \| (.*) \|", line)
+        if row:
+            required, _, optional = row[2].rpartition("(required)")
+            table[row[1]] = (set(re.findall(r"`(--[\w-]+)`", required)),
+                             set(re.findall(r"`(--[\w-]+)`", optional)))
+    parsed = {}
+    for name, sub in build_parser()[1].items():
+        flags = [a for a in sub._actions if a.option_strings != ["-h", "--help"]]
+        parsed[name] = ({o for a in flags if a.required for o in a.option_strings},
+                        {o for a in flags if not a.required for o in a.option_strings})
+    assert table == parsed
 
 
 def test_config_key_that_names_no_flag_is_refused(tmp_path, capsys):

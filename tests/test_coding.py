@@ -14,7 +14,6 @@ from shortdot import (
     decode,
     decode_with_errors,
     encode,
-    encode_chunked,
     run_workers,
     supports_from_pattern,
     validate_params,
@@ -489,6 +488,24 @@ def test_decode_refuses_non_finite_outputs(bad, method):
             decode(chosen, gen, p, method=method)
 
 
+@pytest.mark.parametrize("call", ["encode", "decode"])
+@pytest.mark.parametrize("method, kind, message", [
+    ("lu", "vandermonde", "unknown {call} method 'lu'"),
+    ("poly", "gaussian", "poly method requires a Vandermonde generator"),
+], ids=["unknown-method", "poly-on-gaussian"])
+def test_encode_and_decode_refuse_a_method_they_cannot_run(call, method, kind, message):
+    rng = np.random.default_rng(16)
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p, kind=kind, seed=3)
+    A = rng.standard_normal((3, 12))
+    outs = run_workers(encode(A, gen, p), rng.standard_normal(12))[: p.K]
+    with pytest.raises(ValueError, match=re.escape(message.format(call=call))):
+        if call == "encode":
+            encode(A, gen, p, method=method)
+        else:
+            decode(outs, gen, p, method=method)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_error_decode_corrects_one_non_finite_output(bad):
@@ -526,45 +543,6 @@ def test_error_decode_beyond_radius_fails_loudly():
         decode_with_errors(corrupted, 1, gen, p)
     with pytest.raises(ValueError):
         decode_with_errors(outs, 2, gen, p)  # e_max beyond the radius
-
-
-# --- chunked encode ------------------------------------------------------------
-
-
-def test_chunked_single_chunk_equals_encode():
-    rng = np.random.default_rng(14)
-    p = validate_params(4, 3, 2, 9)
-    gen = build_generator(p)
-    A = rng.standard_normal((2, 9))
-    chunks = encode_chunked(A, gen, chunk_M=2)
-    assert len(chunks) == 1
-    np.testing.assert_array_equal(chunks[0].F, encode(A, gen, p).F)
-
-
-def test_chunked_more_rows_than_workers():
-    rng = np.random.default_rng(15)
-    gen = build_generator(validate_params(4, 3, 2, 9))
-    A = rng.standard_normal((7, 9))
-    x = rng.standard_normal(9)
-    chunks = encode_chunked(A, gen, chunk_M=2)
-    assert [c.params.M for c in chunks] == [2, 2, 2, 1]
-    stacked = np.concatenate(
-        [decode(run_workers(c, x)[:3], gen, c.params) for c in chunks]
-    )
-    truth = A @ x
-    assert np.linalg.norm(stacked - truth) <= 1e-8 * np.linalg.norm(truth)
-
-
-def test_chunked_zero_matrix():
-    gen = build_generator(validate_params(4, 3, 2, 9))
-    chunks = encode_chunked(np.zeros((5, 9)), gen, chunk_M=2)
-    assert all(np.all(c.F == 0.0) for c in chunks)
-
-
-def test_chunked_rejects_bad_chunk_size():
-    gen = build_generator(validate_params(4, 3, 2, 9))
-    with pytest.raises(ValueError):
-        encode_chunked(np.zeros((5, 9)), gen, chunk_M=5)
 
 
 # --- small-scale universal recoverability property -----------------------------

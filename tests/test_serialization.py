@@ -113,8 +113,10 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
     ({"zero_tolerance": "nan"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "inf"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "-1"}, "zero_tolerance must be finite"),
+    ({"zero_tolerance": None}, "no zero_tolerance= line"),
 ], ids=["missing-M", "missing-nodes", "K-above-P", "N-mismatch",
-        "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative"])
+        "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative",
+        "missing-zero-tolerance"])
 def test_load_refuses_bad_params_file(tmp_path, edit, message):
     rng = np.random.default_rng(5)
     p = validate_params(6, 5, 3, 12)
