@@ -68,10 +68,13 @@ def build_generator(
     """Construct a generator for the given parameters.
 
     Vandermonde kind uses the supplied nodes (must be pairwise distinct)
-    or Chebyshev nodes by default.  Gaussian kind requires a seed.
+    or Chebyshev nodes by default.  Gaussian kind requires a seed.  Each
+    kind refuses the other kind's argument rather than ignore it.
     """
     P, K = params.P, params.K
     if kind == "vandermonde":
+        if seed is not None:
+            raise ValueError("a Vandermonde generator takes nodes, not a seed")
         h = chebyshev_nodes(P) if nodes is None else np.asarray(nodes, dtype=float)
         if h.shape != (P,):
             raise ValueError(f"need {P} nodes, got shape {h.shape}")
@@ -82,6 +85,8 @@ def build_generator(
     if kind == "gaussian":
         if seed is None:
             raise ValueError("gaussian generator requires a seed")
+        if nodes is not None:
+            raise ValueError("a gaussian generator takes a seed, not nodes")
         rng = np.random.default_rng(seed)
         entries = rng.standard_normal((P, K))
         return GeneratorMatrix(entries=entries, kind=kind, seed=int(seed))

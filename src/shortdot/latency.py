@@ -242,13 +242,24 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
 #
 # A chunk is walked in blocks of about _MC_BLOCK draws, so that its
 # working set stays in cache: each block reuses two uint64 buffers and one
-# float64 buffer, SplitMix64, the inverse CDF and the recovery rule run on
-# them in place, and only the block's recovery times go to the chunk's
-# array.  No array of the chunk's draws is ever made (at 65536 x 100 one
-# such array is 52 MB; the whole-chunk form needed about eight).  Each
-# draw sees the same IEEE operations in the same order whatever the block
-# size, and the two sums run once over the chunk's recovery times, so the
-# results do not depend on _MC_BLOCK.
+# float64 buffer, SplitMix64 fills the float64 one with uniforms in place,
+# and only the block's recovery times go to the chunk's array.  No array
+# of the chunk's draws is ever made (at 65536 x 100 one such array is
+# 52 MB; the whole-chunk form needed about eight).
+#
+# The recovery rule selects on the uniforms, and the inverse CDF runs only
+# on what it picks (_block_recovery): with one task length, on the one
+# selected draw of each trial; for "all" with several lengths, on the
+# largest draw of each run of equal consecutive lengths, then the largest
+# time is taken.  Only the other plans (group rules or kth_overall with
+# unequal lengths) transform every draw first.  This is bitwise the same
+# as transforming every draw: t = s (1 - log1p(-u)/mu) is non-decreasing
+# in u (negation is exact, log1p is monotone on the 2**-53 grid, and /mu,
+# 1 - x and x s with s > 0 are correctly rounded), so max, min, sort and
+# partition pick the same draw either way.  The two sums run once over
+# the chunk's recovery times, so the results depend neither on _MC_BLOCK
+# nor on the thread count.  They do depend on numpy's log1p: its AVX-512
+# version and the C library's differ by an ulp on some draws.
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -291,6 +302,31 @@ def _uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     return _splitmix_uniform(z, np.empty_like(z), np.empty(count))
 
 
+def _block_recovery(plan: TaskPlan, mu: float):
+    """Function from a (rows, P) block of uniforms (possibly overwritten)
+    to the rows' recovery times, equal bit for bit to
+    finish_times(plan, sample_time(plan.task_lengths, DelayModel(mu), u))."""
+    lengths = plan.task_lengths
+    starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])  # runs of one length
+    if starts.size == 1:
+        def recover(u):
+            # not in place: for kth_overall t is a strided view of the sorted
+            # block, and numpy 2.4.6's in-place negative misreads a view
+            # with a 64-byte stride (P = 8)
+            t = finish_times(plan, u)
+            return _inverse_cdf(t, mu, lengths[0], out=np.empty(t.size))
+    elif plan.recovery_rule.kind == "all":
+        run_lengths = lengths[starts]
+
+        def recover(u):
+            t = np.maximum.reduceat(u, starts, axis=1)
+            return _inverse_cdf(t, mu, run_lengths, out=t).max(axis=1)
+    else:
+        def recover(u):
+            return finish_times(plan, _inverse_cdf(u, mu, lengths, out=u))
+    return recover
+
+
 def simulation_threads() -> int:
     """Thread cap for Monte Carlo, from SHORTDOT_THREADS (default 1 when unset)."""
     text = os.environ.get("SHORTDOT_THREADS")
@@ -324,8 +360,7 @@ def monte_carlo(
         raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
     n_threads = simulation_threads()
     P = plan.P
-    lengths = plan.task_lengths
-    mu = model.mu
+    recover = _block_recovery(plan, model.mu)
 
     bounds = [(a, min(a + _MC_CHUNK, trials)) for a in range(0, trials, _MC_CHUNK)]
     rows = max(1, _MC_BLOCK // P)
@@ -341,7 +376,7 @@ def monte_carlo(
             n = (hi - lo) * P
             np.add(steps[:n], _stream_key(seed, lo * P), out=z[:n])
             u = _splitmix_uniform(z[:n], tmp[:n], t[:n]).reshape(hi - lo, P)
-            ft[lo - a:hi - a] = finish_times(plan, _inverse_cdf(u, mu, lengths, out=u))
+            ft[lo - a:hi - a] = recover(u)
         return float(np.sum(ft)), float(np.sum(ft * ft))
 
     if n_threads > 1 and len(bounds) > 1:

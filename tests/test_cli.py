@@ -286,6 +286,19 @@ def test_exit_code_validation_error(tmp_path):
                  str(tmp_path / "c")]) == 2  # M=3 > K=2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "9"],  # the default kind is Vandermonde
+    ["--kind", "gaussian", "--seed", "2", "--nodes", "1,2,3,4,5,6"],
+], ids=["seed-on-vandermonde", "nodes-on-gaussian"])
+def test_encode_refuses_the_generator_flag_of_the_other_kind(tmp_path, flags):
+    # params.txt records the seed or the nodes, never both, so the
+    # other flag is refused instead of being dropped
+    a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
+    out = tmp_path / "c"
+    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)] + flags) == 2
+    assert not out.exists()
+
+
 def test_exit_code_io_error(tmp_path):
     assert main(["encode", str(tmp_path / "missing.csv"), "--p", "4", "--k", "3",
                  "--out", str(tmp_path / "c")]) == 4

@@ -29,8 +29,14 @@ from shortdot import (
     uncoded_closed_form,
     validate_params,
 )
-from shortdot.latency import _harmonic_table, _uniform_stream, simulation_threads
-from shortdot.strategies import RecoveryRule, TaskPlan
+from shortdot.latency import (
+    _block_recovery,
+    _harmonic_table,
+    _inverse_cdf,
+    _uniform_stream,
+    simulation_threads,
+)
+from shortdot.strategies import RecoveryRule, TaskPlan, finish_times
 
 MU5 = DelayModel(5.0)
 
@@ -367,6 +373,36 @@ GOLDEN = [
 ]
 
 
+# The Theorem-4 size P = 100 (N = 10000, K = optimize_k), as computed when
+# every draw went through the inverse CDF before the recovery rule; at
+# M = 7 uncoded has two task lengths, and short-dot waits for all (K = 100).
+# numpy's AVX-512 log1p and the C library's log1p (numpy's path without
+# AVX-512) differ by an ulp on about 7 % of uniforms; in the M = 50
+# short-dot pin that reaches the sums, so it has one value per path.
+_AVX512_LOG1P = bool(np._core._multiarray_umath.__cpu_features__.get("AVX512_SKX"))
+
+
+def _p100(name, M):
+    K, _ = optimize_k(100, M, 10000, MU5)
+    return plan_by_name(name, validate_params(100, K, M, 10000))
+
+
+GOLDEN_PLANS.update({f"P=100, M={M}, {name}": _p100(name, M)
+                     for M in (7, 50) for name in ("uncoded", "repetition", "mds", "short-dot")})
+GOLDEN += [
+    ("P=100, M=7, uncoded", 2000, 3, "0x1.648e85f4fe544p+10", "0x1.e4b594962afdcp+1"),
+    ("P=100, M=7, repetition", 2000, 3, "0x1.43f2c354ac12bp+13", "0x1.e7d1bf9f7e02ep+1"),
+    ("P=100, M=7, mds", 2000, 3, "0x1.3d04b8bcf4fc7p+13", "0x1.3c407ccb2ef60p+0"),
+    ("P=100, M=7, short-dot", 2000, 3, "0x1.63c8eea5cb21dp+10", "0x1.e3af43ffc7e49p+1"),
+    ("P=100, M=50, uncoded", 2000, 3, "0x1.3daa42cae3151p+13", "0x1.afdc7cb6a9510p+4"),
+    ("P=100, M=50, repetition", 2000, 3, "0x1.c42cd020748c1p+13", "0x1.cb358a31f3800p+4"),
+    ("P=100, M=50, mds", 2000, 3, "0x1.637ff2fc169c3p+13", "0x1.1d9723d4e38a2p+2"),
+    ("P=100, M=50, short-dot", 2000, 3,
+     *(("0x1.0ec7b93832a26p+13", "0x1.24077f4f7c986p+3") if _AVX512_LOG1P
+       else ("0x1.0ec7b93832a27p+13", "0x1.24077f4f7c7afp+3"))),
+]
+
+
 @pytest.mark.parametrize("threads", [None, "2"])
 @pytest.mark.parametrize("name, trials, seed, mean, stderr", GOLDEN)
 def test_monte_carlo_golden_bits(monkeypatch, threads, name, trials, seed, mean, stderr):
@@ -377,6 +413,68 @@ def test_monte_carlo_golden_bits(monkeypatch, threads, name, trials, seed, mean,
         monkeypatch.setenv("SHORTDOT_THREADS", threads)
     rep = monte_carlo(GOLDEN_PLANS[name], MU5, trials, seed)
     assert (rep.mc_mean.hex(), rep.mc_stderr.hex()) == (mean, stderr)
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0, 5.0, 50.0])
+@pytest.mark.parametrize("length", [1.0, 480.0, 10000 / 3])
+def test_inverse_cdf_is_non_decreasing_on_the_uniform_grid(mu, length):
+    # the Monte Carlo selects on the uniforms k 2**-53 before the inverse
+    # CDF, which is exact only if neighbouring grid points never decrease
+    rng = np.random.default_rng(53)
+    last = 2**53 - 1  # the largest uniform is last * 2**-53
+    k = np.concatenate([rng.integers(0, last, size=10**6, dtype=np.int64),
+                        np.arange(1000), np.arange(last - 1000, last)])
+    u = k.astype(float) * 2.0**-53
+    t = _inverse_cdf(u, mu, length, np.empty_like(u))
+    t_next = _inverse_cdf(u + 2.0**-53, mu, length, np.empty_like(u))
+    assert np.all(t_next >= t)
+
+
+def _random_plan(rng, kind, n_lengths):
+    P = int(rng.integers(1 if kind in ("all", "kth_overall") else 2, 13))
+    lengths = rng.choice([1.0, 2.5, 480.0, 10000 / 3][:n_lengths], size=P)
+    if kind in ("all", "kth_overall"):
+        k = int(rng.integers(1, P + 1)) if kind == "kth_overall" else None
+        return TaskPlan("random", lengths, None, RecoveryRule(kind, k))
+    G = int(rng.integers(1, P // 2 + 1))
+    group = rng.permutation(np.arange(P) % G)
+    k = int(rng.integers(1, np.bincount(group).min() + 1)) if kind == "k_per_group" else None
+    if kind == "one_per_group" and n_lengths > 1:  # one length per group
+        lengths = lengths[group]
+    return TaskPlan("random", lengths, group, RecoveryRule(kind, k))
+
+
+_FIXED_PLANS = [
+    TaskPlan("two runs twice", [1.0, 2.0, 1.0, 2.0], None, RecoveryRule("all")),
+    TaskPlan("three runs", [3.0, 3.0, 1.0, 2.0, 2.0], None, RecoveryRule("all")),
+    TaskPlan("kth, two lengths", [1.0, 2.0, 1.0, 2.0], None, RecoveryRule("kth_overall", 3)),
+    plan_uncoded(validate_params(100, 100, 7, 10000)),
+    plan_mds(validate_params(8, 2, 2, 48)),  # a selected column 64 bytes apart
+    plan_short_mds(validate_params(12, 9, 2, 60), 12),
+]
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_block_recovery_equals_finish_times_of_every_sample(case):
+    # selection on the uniforms == selection on the inverse-CDF times,
+    # bit for bit; the grids of 8 levels give ties and u = 0
+    rng = np.random.default_rng(case)
+    kinds = ("all", "kth_overall", "one_per_group", "k_per_group")
+    if case < len(_FIXED_PLANS):
+        plan = _FIXED_PLANS[case]
+    else:
+        plan = _random_plan(rng, kinds[case % 4], 1 + case // 4 % 3)
+    model = DelayModel(float(rng.choice([0.1, 1.0, 5.0, 50.0])))
+    rows = 64
+    if rng.integers(2):
+        u = rng.integers(0, 8, size=(rows, plan.P)) / 8.0
+    else:
+        u = rng.random((rows, plan.P))
+        u[::3, ::2] = 0.0
+    expected = finish_times(plan, sample_time(plan.task_lengths, model, u))
+    got = _block_recovery(plan, model.mu)(u.copy())
+    assert got.shape == (rows,)
+    assert np.array_equal(got, expected)
 
 
 def _split_factors(P, M, N, per_worker):
