@@ -107,12 +107,13 @@ def cmd_transform(args) -> int:
     code = load_transform(args.code_dir)
     params = code.params
     x = load_matrix(args.x).ravel()
-    outputs = run_workers(code, x)
+    if args.error_decode is not None and args.responders:  # one may come from --config
+        raise ValueError("--responders and --error-decode are mutually exclusive")
+    corrupt = args.corrupt or {}
+    _check_workers(corrupt, params.P, "--corrupt")
+    outputs = [(i, corrupt.get(i, v)) for i, v in run_workers(code, x)]
 
     if args.error_decode is not None:
-        corrupt = args.corrupt or {}
-        _check_workers(corrupt, params.P, "--corrupt")
-        outputs = [(i, corrupt.get(i, v)) for i, v in outputs]
         result = decode_with_errors(outputs, args.error_decode, code.generator, params)
     else:
         if not args.responders:
@@ -407,12 +408,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = command("transform", cmd_transform, "compute A@x from a transform directory")
     p.add_argument("code_dir", help="directory written by `shortdot encode`")
     p.add_argument("x", help="CSV file holding the input vector")
-    p.add_argument("--responders", type=_int_list,
-                   help="comma-separated worker indices, first K used")
-    p.add_argument("--error-decode", type=int, metavar="E_MAX",
-                   help="use all P outputs, correcting up to E_MAX errors")
+    choose = p.add_mutually_exclusive_group()
+    choose.add_argument("--responders", type=_int_list,
+                        help="comma-separated worker indices, first K used")
+    choose.add_argument("--error-decode", type=int, metavar="E_MAX",
+                        help="use all P outputs, correcting up to E_MAX errors")
     p.add_argument("--corrupt", type=_parse_corruptions,
-                   help="idx:value pairs overriding worker outputs")
+                   help="idx:value pairs overriding worker outputs before either decode")
     p.add_argument("--out", help="CSV path for A@x (default: stdout)")
 
     p = command("sweep", cmd_sweep, "expected-time sweep over M, CSV + plot script")

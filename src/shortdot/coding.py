@@ -268,9 +268,14 @@ def decode(
 ) -> np.ndarray:
     """Recover A @ x from exactly K worker outputs with distinct indices.
 
-    Solves B^V w = v and returns the first M entries of w; the solve is
-    rejected (ConditioningError) if an output is NaN or infinite, the
-    condition gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.
+    Solves B^V w = v, with the rows of B^V in the order of `outputs`, and
+    returns the first M entries of w; the solve is rejected
+    (ConditioningError) if an output is NaN or infinite, the condition
+    gate trips, or the residual ||B^V w - v|| exceeds 1e-8 ||v||.  The gate
+    belongs to the responder set, not its order: cond(B^V) is taken on
+    the rows in ascending index order, once per set, and memoized on the
+    generator (see GeneratorMatrix.condition), so a repeated set, or one
+    that decode_with_errors tries again, takes no second SVD.
     """
     idx, v = _read_outputs(outputs, params.K, params.P)
     _check_method(method, gen, "decode")
@@ -283,10 +288,11 @@ def _decode_full(idx, v, gen, method) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ConditioningError("decode refused: a worker output is NaN or infinite")
     BV = gen.entries[idx - 1]
+    c = gen.condition(idx)
     if method == "solve":
-        w = guarded_solve(BV, v)
+        w = guarded_solve(BV, v, cond=c)
     else:
-        check_condition(BV)
+        check_condition(BV, cond=c)
         w = _newton_monomial(gen.nodes[idx - 1], v[:, None])[:, 0]
     residual = np.linalg.norm(BV @ w - v)
     if not residual <= DECODE_RESIDUAL_RTOL * np.linalg.norm(v):  # NaN fails too

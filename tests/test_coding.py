@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -20,7 +22,8 @@ from shortdot import (
     verify_generator,
     zero_mask,
 )
-from shortdot.generator import check_condition
+import shortdot.coding as coding
+from shortdot.generator import CONDITION_MEMO_CAP, check_condition
 
 
 # --- zero pattern ------------------------------------------------------------
@@ -95,7 +98,8 @@ def test_check_condition_is_the_cond_gate():
     for mat in mats:
         c = np.linalg.cond(mat)
         if np.isfinite(c) and c <= COND_LIMIT:
-            check_condition(mat)
+            got = check_condition(mat)
+            assert np.float64(got).tobytes() == c.tobytes()  # bit for bit
         else:
             with pytest.raises(ConditioningError, match=re.escape(f"condition {c:.3e} exceeds")):
                 check_condition(mat)
@@ -111,6 +115,23 @@ def test_check_condition_is_the_cond_gate():
     for gate in (np.linalg.cond, check_condition):
         with pytest.raises(np.linalg.LinAlgError):
             gate(with_nan)
+
+
+def test_generator_arrays_are_read_only_and_replace_starts_an_empty_memo():
+    p = validate_params(6, 5, 3, 12)
+    nodes = np.linspace(-0.9, 0.9, 6)
+    gen = build_generator(p, nodes=nodes)
+    nodes[0] = 5.0  # the caller's array stays theirs and writable
+    assert gen.nodes[0] == -0.9
+    for arr in (gen.entries, gen.nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    gen.condition(np.arange(1, 6))
+    assert len(gen._conditions) == 1
+    other = dataclasses.replace(gen, entries=gen.entries[::-1].copy())
+    assert other._conditions == {} and not other.entries.flags.writeable
+    assert other.condition(np.arange(1, 6)) == np.linalg.cond(other.entries[:5])
+    assert gen == dataclasses.replace(gen)  # the memo takes no part in ==
 
 
 def test_verify_generator_refuses_huge_enumerations():
@@ -403,6 +424,92 @@ def test_decode_is_the_solve_on_responder_rows(kind):
         v = np.array([outs[i - 1].value for i in finished])
         expected = np.linalg.solve(gen.entries[finished - 1], v)[:10]
         np.testing.assert_array_equal(decode([outs[i - 1] for i in finished], gen, p), expected)
+
+
+@pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
+def test_decode_gate_belongs_to_the_responder_set(kind):
+    rng = np.random.default_rng(17)
+    p = validate_params(20, 18, 10, 785)
+    gen = build_generator(p, kind, seed=6 if kind == "gaussian" else None)
+    outs = run_workers(encode(rng.standard_normal((10, 785)), gen, p), rng.standard_normal(785))
+    for subset in combinations(range(1, 21), 18):
+        expected_c = np.linalg.cond(gen.entries[np.asarray(subset) - 1])
+        verdicts = []
+        for _ in range(2):
+            idx = rng.permutation(subset)
+            v = np.array([outs[i - 1].value for i in idx])
+            assert gen.condition(idx) == expected_c
+            try:
+                got = decode([outs[i - 1] for i in idx], gen, p)
+            except ConditioningError as exc:
+                verdicts.append(str(exc))
+            else:
+                verdicts.append("accepted")
+                np.testing.assert_array_equal(got, np.linalg.solve(gen.entries[idx - 1], v)[:10])
+        assert verdicts[0] == verdicts[1]
+    assert len(gen._conditions) == 190
+
+
+def test_a_refused_responder_set_is_refused_again_in_any_order():
+    p = validate_params(6, 5, 3, 12)
+    nodes = [-0.9, -0.5, 0.0, 0.5, 0.9, 0.9 + 1e-9]  # rows 5 and 6 nearly equal
+    pairs = [(i, float(i)) for i in (6, 1, 5, 2, 3)]
+    message = None
+    for order in (pairs, pairs[::-1]):
+        gen = build_generator(p, nodes=nodes)
+        for listing in (order, order[::-1], order):
+            with pytest.raises(ConditioningError, match="solve rejected: condition") as exc:
+                decode(listing, gen, p)
+            message = message or str(exc.value)
+            assert str(exc.value) == message
+        assert len(gen._conditions) == 1
+    assert decode(pairs[1:] + [(4, 4.0)], gen, p).shape == (3,)  # rows 1..5 decode
+    gen = build_generator(p, nodes=nodes[:5] + [np.nan])
+    for _ in range(2):  # a NaN SVD is raised each time, never memoized
+        with pytest.raises(np.linalg.LinAlgError):
+            decode(pairs, gen, p)
+    assert gen._conditions == {}
+
+
+def test_condition_memo_stays_bounded_where_sets_never_repeat():
+    gen = build_generator(validate_params(100, 80, 40, 100))
+    rng = np.random.default_rng(18)
+    sets = [rng.choice(100, 80, replace=False) + 1 for _ in range(5000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for idx in sets:
+            gen.condition(idx)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(gen._conditions) <= CONDITION_MEMO_CAP
+    assert growth < 1 << 20
+
+
+@pytest.mark.parametrize("bad, tries", [(1, 11), (4, 2)])
+def test_decodes_solve_through_guarded_solve(monkeypatch, bad, tries):
+    calls = []
+    solve = coding.guarded_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "guarded_solve", counted)
+    rng = np.random.default_rng(19)
+    p = validate_params(6, 4, 2, 12)
+    gen = build_generator(p)
+    outs = run_workers(encode(rng.standard_normal((2, 12)), gen, p), rng.standard_normal(12))
+    calls.clear()  # encode solves through it too
+    decode(outs[2:], gen, p)
+    assert len(calls) == 1
+    # lexicographic subsets: every one that holds worker `bad` is tried
+    # and fails, then the first clean one wins
+    outs[bad - 1] = WorkerOutput(bad, outs[bad - 1].value + 1000.0)
+    calls.clear()
+    decode_with_errors(outs, 1, gen, p)
+    assert len(calls) == tries
 
 
 def test_decode_validates_inputs():
