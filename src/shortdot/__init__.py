@@ -59,7 +59,6 @@ from .params import CodeParams, validate_params
 from .serialization import load_matrix, load_transform, save_matrix, save_transform
 from .strategies import (
     STRATEGY_NAMES,
-    RecoveryRule,
     TaskPlan,
     finish_times,
     plan_by_name,

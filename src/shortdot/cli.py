@@ -139,7 +139,10 @@ def cmd_transform(args) -> int:
 
 def _m_range(text: str) -> range:
     lo, _, hi = text.partition(":")
-    return range(int(lo), int(hi) + 1)
+    m_values = range(int(lo), int(hi) + 1)
+    if not m_values:
+        raise argparse.ArgumentTypeError(f"M range {text!r} is empty: need lo <= hi")
+    return m_values
 
 
 def _k_spec(text: str) -> int | str:
@@ -154,11 +157,12 @@ class _Names(argparse.Action):
         setattr(namespace, self.dest, ([] if names is self.default else names) + values)
 
 
-def _check_monte_carlo(trials: int, first: int, count: int) -> None:
-    """Refuse, before any output, negative trials, a malformed SHORTDOT_THREADS
-    or Monte Carlo seeds first..first+count-1 outside 0..2**64-1."""
-    if trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {trials}")
+def _check_monte_carlo(trials: int, first: int, count: int, least: int = 0) -> None:
+    """Refuse, before any output, fewer than `least` trials, a malformed
+    SHORTDOT_THREADS or Monte Carlo seeds first..first+count-1 outside
+    0..2**64-1."""
+    if trials < least:
+        raise ValueError(f"--trials must be >= {least}, got {trials}")
     simulation_threads()
     if not 0 <= first <= first + count - 1 < 2**64:
         raise ValueError(f"Monte Carlo seeds {first}..{first + count - 1} "
@@ -167,9 +171,11 @@ def _check_monte_carlo(trials: int, first: int, count: int) -> None:
 
 def cmd_sweep(args) -> int:
     P = args.p
+    if P < 1:
+        raise ValueError(f"--p must be >= 1, got {P}")
     N = 100 * P if args.n is None else args.n
     model = DelayModel(args.mu)
-    m_values = args.m_range or range(1, P + 1)
+    m_values = range(1, P + 1) if args.m_range is None else args.m_range
     _check_monte_carlo(args.trials, args.seed, len(m_values))
     rows = []
     for row_i, M in enumerate(m_values):
@@ -293,7 +299,7 @@ def cmd_experiment_sec6(args) -> int:
     model = DelayModel(args.mu)
     params = validate_params(*SEC6)
     strategies = ("short-dot", "uncoded", "mds")
-    _check_monte_carlo(args.trials, args.seed, len(strategies))
+    _check_monte_carlo(args.trials, args.seed, len(strategies), least=1)
     print(
         "simulated reproduction of the cluster comparison "
         f"(N={params.N_raw}->{params.N}, M={params.M}, P={params.P}, "

@@ -101,40 +101,33 @@ def expected_kth_order(P: int, K: int, s: float, model: DelayModel) -> float:
 
 
 def expected_time(plan: TaskPlan, model: DelayModel) -> float:
-    """Expected recovery time of a plan, read from its rule and task lengths.
+    """Expected recovery time of a plan, read from its groups, need and
+    task lengths; every group must have one task length.
 
-    kth_overall, or all with one task length: the order-statistic closed
-    form.  all with several lengths: one CDF factor per length, in
-    ascending length order.  one_per_group: L(1 + n H_n/(P mu)) when all
-    n groups share one length L and one size; otherwise one factor per
-    (length, size), the size scaling the rate of the group's minimum.
-    k_per_group has no closed form here: nan (Monte Carlo only).
+    One length, and one group or one worker per group: the order-statistic
+    closed form at the plan's worst-case threshold.  Otherwise, with need
+    1: L(1 + n H_n/(P mu)) when all n groups share one length L and one
+    size, else one CDF factor per (length, size), the size scaling the
+    rate of the group's minimum.  Several groups that each need several
+    workers have no closed form here: nan (Monte Carlo only).
     """
-    rule, task = plan.recovery_rule, plan.task_lengths
-    if rule.kind in ("all", "kth_overall") and np.all(task == task[0]):
-        k = plan.P if rule.kind == "all" else rule.k
-        return expected_kth_order(plan.P, k, float(task[0]), model)
-    if rule.kind == "all":
-        lengths, counts = np.unique(task, return_counts=True)
-        factors = [CdfFactor(int(c), float(L)) for L, c in zip(lengths, counts)]
-        return expected_time_numeric(factors, model)
-    if rule.kind == "one_per_group":
-        sizes = np.bincount(plan.group)
-        lengths = task[plan.member_index[:, 0]]
-        if np.any(task != lengths[plan.group]):
-            raise ValueError("one_per_group needs one task length per group")
-        if np.all(lengths == lengths[0]) and np.all(sizes == sizes[0]):
-            n = sizes.size
-            return float(lengths[0]) * (1.0 + n * harmonic(n) / (plan.P * model.mu))
-        # one factor per distinct (length, size), counting the groups with it
-        shapes, counts = np.unique(np.column_stack([lengths, sizes]), axis=0,
-                                   return_counts=True)
-        factors = [CdfFactor(int(c), float(L), float(size))
-                   for (L, size), c in zip(shapes, counts)]
-        return expected_time_numeric(factors, model)
-    if rule.kind == "k_per_group":
+    task, sizes, n = plan.task_lengths, plan.sizes, plan.sizes.size
+    if np.all(task == task[0]) and n in (1, plan.P):  # one group, or one worker each
+        return expected_kth_order(plan.P, plan.worst_case_threshold, float(task[0]), model)
+    lengths = np.empty(n)
+    lengths[plan.group] = task  # some member's length, per group
+    if np.any(task != lengths[plan.group]):
+        raise ValueError("expected_time needs one task length per group")
+    if plan.need > 1:
         return float("nan")
-    raise ValueError(f"no expected time for rule {rule.kind!r} with unequal task lengths")
+    if np.all(lengths == lengths[0]) and np.all(sizes == sizes[0]):
+        return float(lengths[0]) * (1.0 + n * harmonic(n) / (plan.P * model.mu))
+    # one factor per distinct (length, size), counting the groups with it;
+    # complex keys sort by length, then size
+    keys, counts = np.unique(lengths + 1j * sizes, return_counts=True)
+    factors = [CdfFactor(c, key.real, key.imag)
+               for key, c in zip(keys.tolist(), counts.tolist())]
+    return expected_time_numeric(factors, model)
 
 
 def expected_time_short_dot(params: CodeParams, model: DelayModel) -> float:
@@ -248,14 +241,14 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
 #
 # The recovery rule selects on the uniforms, and the inverse CDF runs only
 # on what it picks (_block_recovery): with one task length, on the one
-# selected draw of each trial; for "all" with several lengths, on the
-# largest draw of each run of equal consecutive lengths, then the largest
-# time is taken.  Only the other plans (group rules or kth_overall with
-# unequal lengths) transform every draw first.  This is bitwise the same
-# as transforming every draw: t = s (1 - log1p(-u)/mu) is non-decreasing
-# in u (negation is exact, log1p is monotone on the 2**-53 grid, and /mu,
-# 1 - x and x s with s > 0 are correctly rounded), so max, min, sort and
-# partition pick the same draw either way.  The two sums run once over
+# selected draw of each trial; with one worker per group and several
+# lengths, on the largest draw of each run of equal consecutive lengths,
+# then the largest time is taken.  Only the other plans (several lengths
+# and a group of several workers) transform every draw first.  This is
+# bitwise the same as transforming every draw: t = s (1 - log1p(-u)/mu)
+# is non-decreasing in u (negation is exact, log1p is monotone on the
+# 2**-53 grid, and /mu, 1 - x and x s with s > 0 are correctly rounded),
+# so max, min, sort and partition pick the same draw either way.  The two sums run once over
 # the chunk's recovery times, so the results depend neither on _MC_BLOCK
 # nor on the thread count.  They do depend on numpy's log1p: its AVX-512
 # version and the C library's differ by an ulp on some draws.
@@ -309,12 +302,12 @@ def _block_recovery(plan: TaskPlan, mu: float):
     starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])  # runs of one length
     if starts.size == 1:
         def recover(u):
-            # not in place: for kth_overall t is a strided view of the sorted
+            # not in place: for one group t is a strided view of the sorted
             # block, and numpy 2.4.6's in-place negative misreads a view
             # with a 64-byte stride (P = 8)
             t = finish_times(plan, u)
             return _inverse_cdf(t, mu, lengths[0], out=np.empty(t.size))
-    elif plan.recovery_rule.kind == "all":
+    elif plan.member_index.shape[1] == 1:  # every group is one worker
         run_lengths = lengths[starts]
 
         def recover(u):
@@ -440,15 +433,17 @@ def theorem4_regime(P_values, model: DelayModel) -> list[RegimeRow]:
 
     Rounding is half-up (recorded per row via the M and K fields).  The
     competitors' scaled times stay bounded away from 0 while short-dot's
-    decays, so the ratio diverges with P.
+    decays, so the ratio diverges with P.  A P whose rounded M and K are
+    no code (1 <= M <= K fails, which means P <= 4) raises ValueError.
     """
     rows = []
     for P in P_values:
         P = int(P)
-        if P < 2:
-            raise ValueError("theorem-4 regime needs P >= 2")
-        M = max(1, _round_half_up(P / math.log(P)))
+        M = max(1, _round_half_up(P / math.log(P))) if P >= 2 else 0
         K = P - _round_half_up(M / 2)
+        if not 1 <= M <= K:  # P <= 4
+            raise ValueError(f"theorem-4 regime needs the rounded 1 <= M <= K, which "
+                             f"fails at P={P} (it holds for P >= 5)")
         sd = expected_kth_order(P, K, (P - K + M) / P, model)
         mds = expected_kth_order(P, M, 1.0, model)
         unc = uncoded_closed_form(P, M, 1.0, model)

@@ -1,15 +1,16 @@
 """Task plans for the competing parallelization strategies.
 
 Every strategy is reduced to the same latency-relevant description: how
-long each worker's dot product is, and which subsets of finished workers
-allow recovery.  That is all the straggler model needs; no actual
-encode/decode is performed here for the baselines.
+long each worker's dot product is, which recovery group each worker is
+in, and how many finished workers every group needs.  That is all the
+straggler model needs; no actual encode/decode is performed here for the
+baselines.
 
-Recovery rules:
-    all            wait for every worker
-    kth_overall(k) any k workers suffice
-    one_per_group  one worker per recovery group (repetition)
-    k_per_group(k) k workers per group (per-group MDS blocks)
+The paper's recovery rules as (groups, need):
+    uncoded           every worker its own group, need 1
+    mds, short-dot    one group of all P workers, need M or K
+    repetition        one group per (row, block), need 1
+    short-mds         one group per column block, need M
 """
 
 from __future__ import annotations
@@ -22,29 +23,24 @@ import numpy as np
 
 from .params import CodeParams
 
-@dataclass(frozen=True)
-class RecoveryRule:
-    kind: str  # "all" | "kth_overall" | "one_per_group" | "k_per_group"
-    k: int | None = None
-
 
 @dataclass(frozen=True)
 class TaskPlan:
-    """Per-worker task lengths, per-worker group ids and the recovery rule.
+    """Per-worker task lengths and group ids, and what every group needs.
 
     task_lengths[i] is the positive dot-product length of worker i+1
     (float: the latency model is continuous in length).  group[i] is the
-    0-based recovery group of worker i+1; group is None for the rules
-    that read no groups ("all", "kth_overall").  The plan is checked
-    once, at construction, which keeps read-only copies of `task_lengths`
-    and `group`; `groups` and `member_index` are views derived from
+    0-based recovery group of worker i+1, and recovery needs `need`
+    finished workers in every group.  The plan is checked once, at
+    construction, which keeps read-only copies of `task_lengths` and
+    `group`; `sizes`, `groups` and `member_index` are views derived from
     `group`.
     """
 
     strategy_id: str
     task_lengths: np.ndarray
-    group: np.ndarray | None
-    recovery_rule: RecoveryRule
+    group: np.ndarray
+    need: int
 
     def __post_init__(self):
         lengths = np.array(self.task_lengths, dtype=float)
@@ -54,25 +50,18 @@ class TaskPlan:
                              "positive lengths")
         lengths.flags.writeable = False
         object.__setattr__(self, "task_lengths", lengths)
-        kind, k = self.recovery_rule.kind, self.recovery_rule.k
-        if kind not in ("all", "kth_overall", "one_per_group", "k_per_group"):
-            raise ValueError(f"unknown rule {kind!r}")
-        if (self.group is None) != (kind in ("all", "kth_overall")):
-            raise ValueError(f"rule {kind!r} needs a group array exactly when it reads groups")
-        limit = self.P
-        if self.group is not None:
-            group = np.array(self.group)
-            ids = group.shape == (self.P,) and group.size and group.dtype.kind == "i"
-            limit = int(np.bincount(group).min()) if ids and group.min() >= 0 else 0
-            if limit == 0:
-                raise ValueError("group must give each worker an integer id in 0..G-1 "
-                                 "and use every id")
-            group.flags.writeable = False
-            object.__setattr__(self, "group", group)
-        if kind in ("kth_overall", "k_per_group") and not (
-                isinstance(k, numbers.Integral) and 1 <= k <= limit):
-            raise ValueError(f"rule {kind!r} needs an integer k in 1..{limit} (P, or "
-                             f"the smallest group for k_per_group), got {k!r}")
+        group = np.array(self.group)
+        group.flags.writeable = False
+        object.__setattr__(self, "group", group)
+        ids = (group.shape == (self.P,) and group.dtype.kind == "i"
+               and 0 <= group.min() and group.max() < self.P)  # bincount stays small
+        smallest = int(self.sizes.min()) if ids else 0
+        if smallest == 0:
+            raise ValueError("group must give each worker an integer id in 0..G-1 "
+                             "and use every id")
+        if not (isinstance(self.need, numbers.Integral) and 1 <= self.need <= smallest):
+            raise ValueError(f"need must be an integer in 1..{smallest} (the smallest "
+                             f"group), got {self.need!r}")
 
     @property
     def P(self) -> int:
@@ -81,13 +70,14 @@ class TaskPlan:
     @property
     def worst_case_threshold(self) -> int:
         """Smallest K such that every K-subset of workers can recover."""
-        rule = self.recovery_rule
-        if rule.kind == "all":
-            return self.P
-        if rule.kind == "kth_overall":
-            return rule.k
-        smallest = int(np.bincount(self.group).min())
-        return self.P - smallest + (1 if rule.kind == "one_per_group" else rule.k)
+        return self.P - int(self.sizes.min()) + self.need
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Read-only number of workers in each group."""
+        sizes = np.bincount(self.group)
+        sizes.flags.writeable = False
+        return sizes
 
     @cached_property
     def member_index(self) -> np.ndarray:
@@ -97,7 +87,7 @@ class TaskPlan:
         shorter than the largest repeats its first member, which leaves
         the group's minimum unchanged.
         """
-        sizes = np.bincount(self.group)
+        sizes = self.sizes
         starts = np.cumsum(sizes) - sizes
         col = np.arange(sizes.max())
         pos = starts[:, None] + np.where(col < sizes[:, None], col, 0)
@@ -106,10 +96,8 @@ class TaskPlan:
         return index
 
     @property
-    def groups(self) -> tuple[frozenset[int], ...] | None:
+    def groups(self) -> tuple[frozenset[int], ...]:
         """One frozenset of 1-based workers per group, derived from `group`."""
-        if self.group is None:
-            return None
         return tuple(frozenset(row) for row in (self.member_index + 1).tolist())
 
 
@@ -139,8 +127,8 @@ def plan_uncoded(params: CodeParams) -> TaskPlan:
     return TaskPlan(
         strategy_id="uncoded",
         task_lengths=lengths,
-        group=None,
-        recovery_rule=RecoveryRule("all"),
+        group=np.arange(P),
+        need=1,
     )
 
 
@@ -159,7 +147,7 @@ def plan_repetition_block(params: CodeParams, s: int) -> TaskPlan:
         strategy_id="repetition",
         task_lengths=lengths,
         group=group,
-        recovery_rule=RecoveryRule("one_per_group"),
+        need=1,
     )
 
 
@@ -168,8 +156,8 @@ def plan_mds(params: CodeParams) -> TaskPlan:
     return TaskPlan(
         strategy_id="mds",
         task_lengths=np.full(params.P, float(params.N)),
-        group=None,
-        recovery_rule=RecoveryRule("kth_overall", params.M),
+        group=np.zeros(params.P, dtype=int),
+        need=params.M,
     )
 
 
@@ -189,7 +177,7 @@ def plan_short_mds(params: CodeParams, s: int) -> TaskPlan:
         strategy_id="short-mds",
         task_lengths=lengths,
         group=group,
-        recovery_rule=RecoveryRule("k_per_group", M),
+        need=M,
     )
 
 
@@ -198,8 +186,8 @@ def plan_short_dot(params: CodeParams) -> TaskPlan:
     return TaskPlan(
         strategy_id="short-dot",
         task_lengths=np.full(params.P, float(params.s)),
-        group=None,
-        recovery_rule=RecoveryRule("kth_overall", params.K),
+        group=np.zeros(params.P, dtype=int),
+        need=params.K,
     )
 
 
@@ -228,18 +216,17 @@ def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
     times = np.atleast_2d(np.asarray(times, dtype=float))
     if times.shape[1] != plan.P:
         raise ValueError(f"times must have {plan.P} columns")
-    rule = plan.recovery_rule
-    if rule.kind == "all":
+    index, need = plan.member_index, plan.need
+    if index.shape[1] == 1:  # every group is one worker
         return times.max(axis=1)
-    if rule.kind == "kth_overall":
-        return np.sort(times, axis=1)[:, rule.k - 1]
-    index = plan.member_index
+    if index.shape[0] == 1:  # one group
+        return np.sort(times, axis=1)[:, need - 1]
     by_group = times[:, index]  # (trials, groups, largest group size)
-    if rule.kind == "one_per_group":
+    if need == 1:
         return by_group.min(axis=2).max(axis=1)
     padded = index[:, 1:] == index[:, :1]  # the repeats of short groups
-    by_group[:, :, 1:][:, padded] = np.inf  # the k-th smallest never picks a repeat
-    return np.partition(by_group, rule.k - 1, axis=2)[:, :, rule.k - 1].max(axis=1)
+    by_group[:, :, 1:][:, padded] = np.inf  # the need-th smallest never picks a repeat
+    return np.partition(by_group, need - 1, axis=2)[:, :, need - 1].max(axis=1)
 
 
 def recoverable(plan: TaskPlan, responders) -> bool:
@@ -247,13 +234,8 @@ def recoverable(plan: TaskPlan, responders) -> bool:
     resp = set(map(int, responders))
     if not resp <= set(range(1, plan.P + 1)):
         raise ValueError("responders must be worker indices in 1..P")
-    rule = plan.recovery_rule
-    if rule.kind == "all":
-        return len(resp) == plan.P
-    if rule.kind == "kth_overall":
-        return len(resp) >= rule.k
     group = plan.group.tolist()  # a Python count: faster than numpy at small P
     counts = [0] * (max(group) + 1)
     for r in resp:
         counts[group[r - 1]] += 1
-    return min(counts) >= (1 if rule.kind == "one_per_group" else rule.k)
+    return min(counts) >= plan.need

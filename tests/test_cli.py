@@ -402,6 +402,36 @@ def test_last_64_bit_seed_is_accepted(tmp_path):
                  "--seed", str(2**64 - 3), "--out", str(out)]) == 0
 
 
+def test_sweep_refuses_an_empty_m_range_before_any_output(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    for m_range in ("5:3", "4:3"):
+        argv = ["sweep", "--p", "10", "--trials", "0", "--m-range", m_range, "--out", str(out)]
+        assert _status(argv) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "--m-range" in err and "empty" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment-sec6", "--trials", "0"], "--trials must be >= 1, got 0"),
+    (["sweep", "--p", "0", "--out", "sweep.csv"], "--p must be >= 1, got 0"),
+    (["sweep", "--p", "-2", "--trials", "5", "--out", "sweep.csv"], "--p must be >= 1, got -2"),
+])
+def test_refusals_come_before_any_output(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("p_list", ["3,4", "1000,4", "2"])
+def test_theorem4_refuses_p_whose_rounding_is_no_code(capsys, p_list):
+    assert main(["theorem4", "--p-list", p_list]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "theorem-4 regime needs" in err and "P=" in err
+
+
 def test_malformed_thread_count_exits_2_before_any_output(monkeypatch, capsys):
     monkeypatch.setenv("SHORTDOT_THREADS", "two")
     assert main(["experiment-sec6", "--trials", "10"]) == 2

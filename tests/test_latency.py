@@ -36,7 +36,7 @@ from shortdot.latency import (
     _uniform_stream,
     simulation_threads,
 )
-from shortdot.strategies import RecoveryRule, TaskPlan, finish_times
+from shortdot.strategies import TaskPlan, finish_times
 
 MU5 = DelayModel(5.0)
 
@@ -97,7 +97,7 @@ def test_expected_kth_order_examples():
 def test_expected_kth_order_matches_monte_carlo(P, K):
     s = 4.0
     analytic = expected_kth_order(P, K, s, MU5)
-    plan = TaskPlan("kth", np.full(P, s), None, RecoveryRule("kth_overall", K))
+    plan = TaskPlan("kth", np.full(P, s), np.zeros(P, dtype=int), K)
     rep = monte_carlo(plan, MU5, 400_000, 11)
     assert abs(rep.mc_mean - analytic) <= 3 * rep.mc_stderr
 
@@ -255,7 +255,7 @@ def test_optimize_k_single_choice_when_m_equals_p():
 
 
 def test_monte_carlo_single_worker_mean():
-    plan = TaskPlan("one", np.array([5.0]), None, RecoveryRule("all"))
+    plan = TaskPlan("one", np.array([5.0]), [0], 1)
     rep = monte_carlo(plan, MU5, 300_000, 2)
     expected = 5.0 * (1 + 1 / 5.0)
     assert abs(rep.mc_mean - expected) <= 4 * rep.mc_stderr
@@ -264,7 +264,7 @@ def test_monte_carlo_single_worker_mean():
 
 
 def test_monte_carlo_trials_one():
-    plan = TaskPlan("one", np.array([5.0]), None, RecoveryRule("all"))
+    plan = TaskPlan("one", np.array([5.0]), [0], 1)
     rep = monte_carlo(plan, MU5, 1, 2)
     assert rep.mc_stderr == 0.0
 
@@ -343,33 +343,33 @@ def test_uniform_stream_matches_the_one_expression_form(seed, start, count):
 # Monte Carlo that the block kernel replaced: P = 12, mu = 5.
 _P12 = validate_params(12, 9, 5, 60)
 GOLDEN_PLANS = {
-    "all, two lengths": plan_uncoded(_P12),
-    "kth_overall": plan_short_dot(_P12),
-    "one_per_group, sizes 3,3,2,2,2": plan_repetition_block(_P12, 60),
-    "k_per_group, sizes 3,3,2,2,2": plan_short_mds(validate_params(12, 9, 2, 60), 12),
-    "k_per_group, short-mds": plan_short_mds(validate_params(12, 9, 3, 60), 20),
+    "uncoded, two lengths": plan_uncoded(_P12),
+    "one group": plan_short_dot(_P12),
+    "need 1, sizes 3,3,2,2,2": plan_repetition_block(_P12, 60),
+    "need 2, sizes 3,3,2,2,2": plan_short_mds(validate_params(12, 9, 2, 60), 12),
+    "need 3, short-mds": plan_short_mds(validate_params(12, 9, 3, 60), 20),
 }
 GOLDEN = [
-    ("all, two lengths", 1, 7, "0x1.8a5aec583eaa7p+5", "0x0.0p+0"),
-    ("all, two lengths", 5000, 11, "0x1.65fbfb78c1b54p+5", "0x1.ab4a7b24ab17cp-4"),
-    ("all, two lengths", 135168, 3, "0x1.669eacbd7de3ap+5", "0x1.431c255cdf6b4p-6"),
-    ("kth_overall", 1, 7, "0x1.6862b034380e8p+5", "0x0.0p+0"),
-    ("kth_overall", 5000, 11, "0x1.904300bf0019bp+5", "0x1.99d07fd6d6276p-5"),
-    ("kth_overall", 135168, 3, "0x1.91295cf2a220ap+5", "0x1.41d79e5a75656p-7"),
-    ("kth_overall", 3000, 2**64 - 1, "0x1.8f7b68c19e53dp+5", "0x1.02f620407658ep-4"),
-    ("one_per_group, sizes 3,3,2,2,2", 1, 7, "0x1.099526f5ed208p+6", "0x0.0p+0"),
-    ("one_per_group, sizes 3,3,2,2,2", 5000, 11, "0x1.1f6394f4c0d0dp+6",
+    ("uncoded, two lengths", 1, 7, "0x1.8a5aec583eaa7p+5", "0x0.0p+0"),
+    ("uncoded, two lengths", 5000, 11, "0x1.65fbfb78c1b54p+5", "0x1.ab4a7b24ab17cp-4"),
+    ("uncoded, two lengths", 135168, 3, "0x1.669eacbd7de3ap+5", "0x1.431c255cdf6b4p-6"),
+    ("one group", 1, 7, "0x1.6862b034380e8p+5", "0x0.0p+0"),
+    ("one group", 5000, 11, "0x1.904300bf0019bp+5", "0x1.99d07fd6d6276p-5"),
+    ("one group", 135168, 3, "0x1.91295cf2a220ap+5", "0x1.41d79e5a75656p-7"),
+    ("one group", 3000, 2**64 - 1, "0x1.8f7b68c19e53dp+5", "0x1.02f620407658ep-4"),
+    ("need 1, sizes 3,3,2,2,2", 1, 7, "0x1.099526f5ed208p+6", "0x0.0p+0"),
+    ("need 1, sizes 3,3,2,2,2", 5000, 11, "0x1.1f6394f4c0d0dp+6",
      "0x1.78104940e6149p-4"),
-    ("one_per_group, sizes 3,3,2,2,2", 135168, 3, "0x1.206bcba103817p+6",
+    ("need 1, sizes 3,3,2,2,2", 135168, 3, "0x1.206bcba103817p+6",
      "0x1.2a74eb3fd00ddp-6"),
-    ("k_per_group, sizes 3,3,2,2,2", 1, 7, "0x1.18b665744bff5p+4", "0x0.0p+0"),
-    ("k_per_group, sizes 3,3,2,2,2", 5000, 11, "0x1.20ef5d8de0156p+4",
+    ("need 2, sizes 3,3,2,2,2", 1, 7, "0x1.18b665744bff5p+4", "0x0.0p+0"),
+    ("need 2, sizes 3,3,2,2,2", 5000, 11, "0x1.20ef5d8de0156p+4",
      "0x1.424301a64b023p-5"),
-    ("k_per_group, sizes 3,3,2,2,2", 135168, 3, "0x1.2126f6e483f7bp+4",
+    ("need 2, sizes 3,3,2,2,2", 135168, 3, "0x1.2126f6e483f7bp+4",
      "0x1.f4ae14e3fe1e7p-8"),
-    ("k_per_group, short-mds", 1, 7, "0x1.d3daa91729543p+4", "0x0.0p+0"),
-    ("k_per_group, short-mds", 5000, 11, "0x1.a899f90ef9d2cp+4", "0x1.3a82789fcfe61p-5"),
-    ("k_per_group, short-mds", 135168, 3, "0x1.a8f9f69fe545cp+4", "0x1.dcc00c8bcef2cp-8"),
+    ("need 3, short-mds", 1, 7, "0x1.d3daa91729543p+4", "0x0.0p+0"),
+    ("need 3, short-mds", 5000, 11, "0x1.a899f90ef9d2cp+4", "0x1.3a82789fcfe61p-5"),
+    ("need 3, short-mds", 135168, 3, "0x1.a8f9f69fe545cp+4", "0x1.dcc00c8bcef2cp-8"),
 ]
 
 
@@ -430,24 +430,25 @@ def test_inverse_cdf_is_non_decreasing_on_the_uniform_grid(mu, length):
     assert np.all(t_next >= t)
 
 
-def _random_plan(rng, kind, n_lengths):
-    P = int(rng.integers(1 if kind in ("all", "kth_overall") else 2, 13))
+def _random_plan(rng, shape, n_lengths):
+    P = int(rng.integers(1 if shape in ("singles", "one group") else 2, 13))
     lengths = rng.choice([1.0, 2.5, 480.0, 10000 / 3][:n_lengths], size=P)
-    if kind in ("all", "kth_overall"):
-        k = int(rng.integers(1, P + 1)) if kind == "kth_overall" else None
-        return TaskPlan("random", lengths, None, RecoveryRule(kind, k))
+    if shape == "singles":
+        return TaskPlan("random", lengths, np.arange(P), 1)
+    if shape == "one group":
+        return TaskPlan("random", lengths, np.zeros(P, dtype=int), int(rng.integers(1, P + 1)))
     G = int(rng.integers(1, P // 2 + 1))
     group = rng.permutation(np.arange(P) % G)
-    k = int(rng.integers(1, np.bincount(group).min() + 1)) if kind == "k_per_group" else None
-    if kind == "one_per_group" and n_lengths > 1:  # one length per group
+    need = int(rng.integers(1, np.bincount(group).min() + 1)) if shape == "need k" else 1
+    if shape == "need 1" and n_lengths > 1:  # one length per group
         lengths = lengths[group]
-    return TaskPlan("random", lengths, group, RecoveryRule(kind, k))
+    return TaskPlan("random", lengths, group, need)
 
 
 _FIXED_PLANS = [
-    TaskPlan("two runs twice", [1.0, 2.0, 1.0, 2.0], None, RecoveryRule("all")),
-    TaskPlan("three runs", [3.0, 3.0, 1.0, 2.0, 2.0], None, RecoveryRule("all")),
-    TaskPlan("kth, two lengths", [1.0, 2.0, 1.0, 2.0], None, RecoveryRule("kth_overall", 3)),
+    TaskPlan("two runs twice", [1.0, 2.0, 1.0, 2.0], np.arange(4), 1),
+    TaskPlan("three runs", [3.0, 3.0, 1.0, 2.0, 2.0], np.arange(5), 1),
+    TaskPlan("one group, two lengths", [1.0, 2.0, 1.0, 2.0], [0, 0, 0, 0], 3),
     plan_uncoded(validate_params(100, 100, 7, 10000)),
     plan_mds(validate_params(8, 2, 2, 48)),  # a selected column 64 bytes apart
     plan_short_mds(validate_params(12, 9, 2, 60), 12),
@@ -459,11 +460,11 @@ def test_block_recovery_equals_finish_times_of_every_sample(case):
     # selection on the uniforms == selection on the inverse-CDF times,
     # bit for bit; the grids of 8 levels give ties and u = 0
     rng = np.random.default_rng(case)
-    kinds = ("all", "kth_overall", "one_per_group", "k_per_group")
+    shapes = ("singles", "one group", "need 1", "need k")
     if case < len(_FIXED_PLANS):
         plan = _FIXED_PLANS[case]
     else:
-        plan = _random_plan(rng, kinds[case % 4], 1 + case // 4 % 3)
+        plan = _random_plan(rng, shapes[case % 4], 1 + case // 4 % 3)
     model = DelayModel(float(rng.choice([0.1, 1.0, 5.0, 50.0])))
     rows = 64
     if rng.integers(2):
@@ -516,7 +517,10 @@ def test_exactness_ladder_across_strategy_grid():
 
 def test_expected_time_of_plan_equals_closed_forms_exactly():
     # the plan-derived expectation reproduces each strategy's own closed
-    # form (or two-group integral) bit for bit
+    # form (or two-group integral) bit for bit; where two strategies build
+    # the same plan they get the same number: repetition at M = 1 is one
+    # group of P workers needing one (mds), at M = P one worker per group
+    # (uncoded)
     for P in range(1, 31):
         for M in range(1, P + 1):
             p = validate_params(P, (M + P) // 2, M, 100 * P)
@@ -527,6 +531,10 @@ def test_expected_time_of_plan_equals_closed_forms_exactly():
             else:
                 uncoded = expected_time_numeric(_split_factors(P, M, N, True), MU5)
                 repetition = expected_time_numeric(_split_factors(P, M, N, False), MU5)
+            if M == 1:
+                repetition = expected_kth_order(P, 1, N, MU5)
+            elif M == P:
+                repetition = uncoded
             assert expected_time(plan_uncoded(p), MU5) == uncoded, (P, M)
             assert expected_time(plan_repetition_block(p, p.N), MU5) == repetition, (P, M)
             assert expected_time(plan_mds(p), MU5) == expected_kth_order(P, M, N, MU5)
@@ -572,18 +580,17 @@ def test_expected_time_of_block_repetition_matches_monte_carlo(P, M, N, s):
 def test_expected_time_without_closed_form():
     p = validate_params(12, 6, 2, 12)
     assert math.isnan(expected_time(plan_short_mds(p, 6), MU5))
-    mixed = TaskPlan("x", np.array([1.0, 2.0]), None, RecoveryRule("kth_overall", 1))
+    mixed = TaskPlan("x", np.array([1.0, 2.0]), [0, 0], 1)
     with pytest.raises(ValueError):
         expected_time(mixed, MU5)
-    split = TaskPlan("x", np.array([1.0, 2.0, 1.0]), [0, 0, 1], RecoveryRule("one_per_group"))
+    split = TaskPlan("x", np.array([1.0, 2.0, 1.0]), [0, 0, 1], 1)
     with pytest.raises(ValueError, match="one task length per group"):
         expected_time(split, MU5)
 
 
 def test_expected_time_reads_group_ids_in_any_order():
     # groups {3, 4} and {5} of length 2, {1, 2, 6} of length 4
-    plan = TaskPlan("x", np.array([4.0, 4.0, 2.0, 2.0, 2.0, 4.0]), [1, 1, 0, 0, 2, 1],
-                    RecoveryRule("one_per_group"))
+    plan = TaskPlan("x", np.array([4.0, 4.0, 2.0, 2.0, 2.0, 4.0]), [1, 1, 0, 0, 2, 1], 1)
     factors = [CdfFactor(1, 2.0, 1.0), CdfFactor(1, 2.0, 2.0), CdfFactor(1, 4.0, 3.0)]
     assert expected_time(plan, MU5) == expected_time_numeric(factors, MU5)
 
@@ -622,3 +629,15 @@ def test_theorem4_regime_parameter_choice():
     (row,) = theorem4_regime([1000], MU5)
     assert row.M == 145  # round(1000 / ln 1000), half-up
     assert row.K == 1000 - 73  # 1000 - round(72.5), half-up
+
+
+@pytest.mark.parametrize("P", [-3, 0, 1, 2, 3, 4])
+def test_theorem4_regime_refuses_p_whose_rounding_is_no_code(P):
+    # at P = 3 and 4 the rounded (M, K) are (3, 1) and (3, 2): K < M
+    with pytest.raises(ValueError, match=f"P={P} "):
+        theorem4_regime([1000, P], MU5)
+
+
+def test_theorem4_regime_rows_are_codes_from_p_5():
+    for row in theorem4_regime(range(5, 400), MU5):
+        validate_params(row.P, row.K, row.M, row.P)

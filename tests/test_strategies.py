@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from shortdot import (
+    CdfFactor,
+    DelayModel,
+    expected_kth_order,
+    expected_time,
+    expected_time_numeric,
     finish_times,
+    monte_carlo,
     plan_by_name,
     plan_mds,
     plan_repetition_block,
@@ -15,7 +21,9 @@ from shortdot import (
     recoverable,
     validate_params,
 )
-from shortdot.strategies import RecoveryRule, TaskPlan
+from shortdot.strategies import TaskPlan
+
+MU5 = DelayModel(5.0)
 
 
 # --- uncoded split -------------------------------------------------------------
@@ -54,7 +62,7 @@ def test_uncoded_split_solves_the_system():
 def test_plan_uncoded_even_and_uneven():
     even = plan_uncoded(validate_params(6, 3, 3, 12))
     np.testing.assert_array_equal(even.task_lengths, [6.0] * 6)
-    assert even.recovery_rule == RecoveryRule("all")
+    assert even.group.tolist() == list(range(6)) and even.need == 1  # wait for all
 
     uneven = plan_uncoded(validate_params(6, 4, 4, 12))
     np.testing.assert_array_equal(uneven.task_lengths, [6, 6, 6, 6, 12, 12])
@@ -69,7 +77,7 @@ def test_plan_repetition_block_examples():
     assert len(plan.groups) == 2
     assert sorted(len(g) for g in plan.groups) == [3, 3]
     np.testing.assert_array_equal(plan.task_lengths, [6.0] * 6)
-    assert plan.recovery_rule == RecoveryRule("one_per_group")
+    assert plan.need == 1
 
     full = plan_repetition_block(validate_params(6, 5, 3, 12), s=12)
     assert full.worst_case_threshold == 6 - 6 // 3 + 1  # = 5
@@ -92,11 +100,11 @@ def test_plan_mds_and_short_dot_coincide_at_k_equals_m():
     p = validate_params(6, 3, 3, 12)
     mds = plan_mds(p)
     np.testing.assert_array_equal(mds.task_lengths, [12.0] * 6)
-    assert mds.recovery_rule == RecoveryRule("kth_overall", 3)
+    assert mds.groups == (frozenset(range(1, 7)),) and mds.need == 3
     short_dot = plan_short_dot(p)
     np.testing.assert_array_equal(short_dot.task_lengths, mds.task_lengths)
-    assert short_dot.group is None and mds.group is None
-    assert short_dot.recovery_rule == mds.recovery_rule
+    assert np.array_equal(short_dot.group, mds.group)
+    assert short_dot.need == mds.need
 
 
 def test_plan_mds_at_p_equals_m_acts_like_uncoded():
@@ -133,7 +141,7 @@ def test_plan_short_mds_examples():
 def test_plan_short_dot_lengths():
     plan = plan_short_dot(validate_params(6, 5, 3, 12))
     np.testing.assert_array_equal(plan.task_lengths, [8.0] * 6)
-    assert plan.recovery_rule == RecoveryRule("kth_overall", 5)
+    assert plan.groups == (frozenset(range(1, 7)),) and plan.need == 5
 
     big = plan_short_dot(validate_params(20, 18, 10, 785))
     np.testing.assert_array_equal(big.task_lengths, [480.0] * 20)
@@ -175,51 +183,54 @@ def test_plans_cover_the_computation():
 # --- plan construction and finish_times -------------------------------------------
 
 
-def _plan(rule, group=None, P=3):
-    return TaskPlan("test", np.ones(P), group, rule)
+def _plan(group, need):
+    return TaskPlan("test", np.ones(len(group)), group, need)
 
 
 def test_finish_times_examples():
     t = np.array([[3.0, 1.0, 2.0]])
-    assert finish_times(_plan(RecoveryRule("all")), t)[0] == 3.0
-    assert finish_times(_plan(RecoveryRule("kth_overall", 2)), t)[0] == 2.0
-    assert finish_times(_plan(RecoveryRule("one_per_group"), [0, 0, 1]), t)[0] == 2.0
-    assert finish_times(_plan(RecoveryRule("k_per_group", 2), [0, 0, 0]), t)[0] == 2.0
+    assert finish_times(_plan([0, 1, 2], 1), t)[0] == 3.0
+    assert finish_times(_plan([0, 0, 0], 2), t)[0] == 2.0
+    assert finish_times(_plan([0, 0, 1], 1), t)[0] == 2.0
+    assert finish_times(_plan([1, 0, 0], 1), t)[0] == 3.0
 
 
 FOUR = [1.0] * 4  # the task lengths of a valid four-worker plan
 
 
-@pytest.mark.parametrize("rule,group,lengths", [
-    pytest.param(RecoveryRule("kth_overall", 0), None, FOUR, id="kth_overall-k=0"),
-    pytest.param(RecoveryRule("kth_overall", 5), None, FOUR, id="kth_overall-k=P+1"),
-    pytest.param(RecoveryRule("kth_overall", None), None, FOUR, id="kth_overall-k=None"),
-    pytest.param(RecoveryRule("kth_overall", 2.0), None, FOUR, id="kth_overall-k=2.0"),
-    pytest.param(RecoveryRule("bogus", 2), None, FOUR, id="unknown-kind"),
-    pytest.param(RecoveryRule("all"), [0, 0, 1, 1], FOUR, id="all-with-groups"),
-    pytest.param(RecoveryRule("one_per_group"), None, FOUR, id="one_per_group-no-groups"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 0], FOUR, id="worker-without-id"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 2, 2], FOUR, id="empty-group"),
-    pytest.param(RecoveryRule("one_per_group"), [0, 0, 1, -1], FOUR, id="negative-id"),
-    pytest.param(RecoveryRule("one_per_group"), [0.0, 0.0, 1.0, 1.0], FOUR, id="float-ids"),
-    pytest.param(RecoveryRule("k_per_group", 3), [0, 0, 0, 1], FOUR, id="k-above-smallest-group"),
-    pytest.param(RecoveryRule("k_per_group", 0), [0, 0, 1, 1], FOUR, id="k_per_group-k=0"),
-    pytest.param(RecoveryRule("k_per_group", None), [0, 0, 1, 1], FOUR, id="k_per_group-k=None"),
-    pytest.param(RecoveryRule("all"), None, [1.0, -1.0, 1.0], id="negative-length"),
-    pytest.param(RecoveryRule("all"), None, [1.0, 0.0, 1.0], id="zero-length"),
-    pytest.param(RecoveryRule("all"), None, [1.0, np.nan, 1.0], id="nan-length"),
-    pytest.param(RecoveryRule("all"), None, [1.0, np.inf, 1.0], id="inf-length"),
-    pytest.param(RecoveryRule("all"), None, [[1.0, 1.0], [1.0, 1.0]], id="2-D-lengths"),
-    pytest.param(RecoveryRule("all"), None, [], id="empty-lengths"),
+ONE_GROUP = [0] * 4  # the group ids of a valid four-worker plan
+SINGLES = [0, 1, 2]  # a valid group array for the three-worker length cases
+
+
+@pytest.mark.parametrize("group,need,lengths", [
+    pytest.param(ONE_GROUP, 0, FOUR, id="one-group-need=0"),
+    pytest.param(ONE_GROUP, 5, FOUR, id="one-group-need=P+1"),
+    pytest.param(ONE_GROUP, None, FOUR, id="one-group-need=None"),
+    pytest.param(ONE_GROUP, 2.0, FOUR, id="one-group-need=2.0"),
+    pytest.param(None, 1, FOUR, id="group-None"),
+    pytest.param([0, 0, 0], 1, FOUR, id="worker-without-id"),
+    pytest.param([0, 0, 2, 2], 1, FOUR, id="empty-group"),
+    pytest.param([0, 0, 1, -1], 1, FOUR, id="negative-id"),
+    pytest.param([0, 1, 2, 2**40], 1, FOUR, id="id-beyond-P"),  # refused before bincount
+    pytest.param([0.0, 0.0, 1.0, 1.0], 1, FOUR, id="float-ids"),
+    pytest.param([0, 0, 0, 1], 3, FOUR, id="need-above-smallest-group"),
+    pytest.param([0, 0, 1, 1], 0, FOUR, id="two-groups-need=0"),
+    pytest.param([0, 0, 1, 1], None, FOUR, id="two-groups-need=None"),
+    pytest.param(SINGLES, 1, [1.0, -1.0, 1.0], id="negative-length"),
+    pytest.param(SINGLES, 1, [1.0, 0.0, 1.0], id="zero-length"),
+    pytest.param(SINGLES, 1, [1.0, np.nan, 1.0], id="nan-length"),
+    pytest.param(SINGLES, 1, [1.0, np.inf, 1.0], id="inf-length"),
+    pytest.param([0, 1, 2, 3], 1, [[1.0, 1.0], [1.0, 1.0]], id="2-D-lengths"),
+    pytest.param([], 1, [], id="empty-lengths"),
 ])
-def test_bad_plans_are_refused_at_construction(rule, group, lengths):
+def test_bad_plans_are_refused_at_construction(group, need, lengths):
     with pytest.raises(ValueError):
-        TaskPlan("test", np.array(lengths), group, rule)
+        TaskPlan("test", np.array(lengths), group, need)
 
 
 def test_plan_group_is_a_read_only_copy():
     group, lengths = np.array([0, 1, 0, 1]), np.array([1, 2, 1, 2])
-    plan = TaskPlan("test", lengths, group, RecoveryRule("one_per_group"))
+    plan = TaskPlan("test", lengths, group, 1)
     group[0], lengths[0] = 1, 2
     assert plan.group.tolist() == [0, 1, 0, 1]
     assert plan.task_lengths.tolist() == [1.0, 2.0, 1.0, 2.0]
@@ -234,10 +245,7 @@ def _finish_times_per_group(plan, times):
     per_group = []
     for g in range(plan.group.max() + 1):
         sub = times[:, plan.group == g]
-        if plan.recovery_rule.kind == "one_per_group":
-            per_group.append(sub.min(axis=1))
-        else:
-            per_group.append(np.sort(sub, axis=1)[:, plan.recovery_rule.k - 1])
+        per_group.append(np.sort(sub, axis=1)[:, plan.need - 1])
     return np.max(np.stack(per_group, axis=1), axis=1)
 
 
@@ -249,12 +257,10 @@ def test_finish_times_matches_a_per_group_loop():
         smallest = int(np.bincount(group).min())
         # few distinct values, so times tie within and across groups
         times = rng.integers(0, 4, size=(int(rng.integers(1, 30)), P)).astype(float)
-        rules = [RecoveryRule("one_per_group"),
-                 RecoveryRule("k_per_group", int(rng.integers(1, smallest + 1)))]
-        for rule in rules:
-            plan = TaskPlan("test", np.ones(P), group, rule)
+        for need in (1, int(rng.integers(1, smallest + 1))):
+            plan = TaskPlan("test", np.ones(P), group, need)
             got = finish_times(plan, times)
-            assert np.array_equal(got, _finish_times_per_group(plan, times)), (group, rule)
+            assert np.array_equal(got, _finish_times_per_group(plan, times)), (group, need)
 
 
 def _random_group(rng, P):
@@ -265,7 +271,7 @@ def _random_group(rng, P):
 
 
 def test_finish_times_leaves_its_input_unchanged():
-    plan = TaskPlan("test", np.ones(5), [0, 0, 0, 1, 1], RecoveryRule("k_per_group", 2))
+    plan = TaskPlan("test", np.ones(5), [0, 0, 0, 1, 1], 2)
     times = np.arange(10.0).reshape(2, 5)
     assert np.array_equal(finish_times(plan, times), [4.0, 9.0])
     assert np.array_equal(times, np.arange(10.0).reshape(2, 5))
@@ -316,9 +322,7 @@ def test_member_index_matches_the_frozenset_construction_on_the_sweep_grid():
 
 def _recoverable_by_sets(plan, responders):
     """Reference: intersect the responders with each group's worker set."""
-    rule = plan.recovery_rule
-    need = 1 if rule.kind == "one_per_group" else rule.k
-    return all(len(set(np.flatnonzero(plan.group == g) + 1) & responders) >= need
+    return all(len(set(np.flatnonzero(plan.group == g) + 1) & responders) >= plan.need
                for g in range(plan.group.max() + 1))
 
 
@@ -327,9 +331,8 @@ def test_recoverable_matches_a_set_based_reference():
     for P in list(range(1, 9)) * 4 + list(range(9, 31)):
         group = _random_group(rng, P)
         smallest = int(np.bincount(group).min())
-        for rule in (RecoveryRule("one_per_group"),
-                     RecoveryRule("k_per_group", int(rng.integers(1, smallest + 1)))):
-            plan = TaskPlan("test", np.ones(P), group, rule)
+        for need in (1, int(rng.integers(1, smallest + 1))):
+            plan = TaskPlan("test", np.ones(P), group, need)
             if P <= 8:
                 subsets = [c for r in range(P + 1) for c in combinations(range(1, P + 1), r)]
             else:
@@ -337,6 +340,72 @@ def test_recoverable_matches_a_set_based_reference():
                                       replace=False) for _ in range(300)]
             for c in subsets:
                 assert recoverable(plan, c) == _recoverable_by_sets(plan, set(map(int, c)))
+
+
+# --- one rule: `need` finished workers in every group ------------------------------
+
+
+def _first_recovery(plan, row):
+    """Smallest t at which the workers finished by t can recover."""
+    return min(t for t in np.unique(row) if recoverable(plan, np.flatnonzero(row <= t) + 1))
+
+
+def test_threshold_recoverable_and_finish_times_read_one_rule():
+    rng = np.random.default_rng(17)
+    shapes = set()
+    for case in range(300):
+        P = int(rng.integers(1, 9))
+        group = _random_group(rng, P)
+        need = int(rng.integers(1, np.bincount(group).min() + 1))
+        lengths = rng.choice([1.0, 2.5, 480.0], size=P)
+        plan = TaskPlan("random", lengths, group, need)
+        shapes.add((plan.member_index.shape[0] == 1, plan.member_index.shape[1] == 1, need == 1))
+        # the threshold is the smallest K for which every K-subset recovers
+        every = [all(recoverable(plan, c) for c in combinations(range(1, P + 1), K))
+                 for K in range(P + 1)]
+        assert plan.worst_case_threshold == every.index(True), (group, need)
+        # the finish time is the first time the finished workers recover
+        if case % 2:
+            times = rng.integers(0, 4, size=(12, P)).astype(float)  # ties
+        else:
+            times = rng.uniform(1.0, 9.0, size=(12, P))
+        expected = [_first_recovery(plan, row) for row in times]
+        assert np.array_equal(finish_times(plan, times), expected), (group, need)
+    # every reachable (one group, one worker per group, need 1): a group of
+    # one worker needs 1, and both shapes at once mean P = 1
+    assert len(shapes) == 6
+
+
+
+@pytest.mark.parametrize("P,M,N", [(12, 5, 60), (20, 18, 800), (7, 1, 28), (1, 1, 3)])
+def test_one_group_short_mds_is_the_mds_order_statistic(P, M, N):
+    p = validate_params(P, M, M, N)
+    assert expected_time(plan_short_mds(p, p.N), MU5) == expected_kth_order(P, M, p.N, MU5)
+
+
+@pytest.mark.parametrize("P,N,s,factors", [
+    # block lengths 25, 25, 10 on three groups of four
+    (12, 60, 25, [CdfFactor(1, 10.0, 4.0), CdfFactor(2, 25.0, 4.0)]),
+    # one length 22 on groups of 4, 4 and 3
+    (11, 66, 22, [CdfFactor(1, 22.0, 3.0), CdfFactor(2, 22.0, 4.0)]),
+])
+def test_short_mds_at_m_1_is_the_integral_of_its_group_minima(P, N, s, factors):
+    plan = plan_short_mds(validate_params(P, 1, 1, N), s)
+    analytic = expected_time(plan, MU5)
+    assert analytic == expected_time_numeric(factors, MU5)
+    rep = monte_carlo(plan, MU5, 100_000, P)
+    assert abs(rep.mc_mean - analytic) <= 4 * rep.mc_stderr
+
+
+def test_repetition_gets_the_number_of_the_plan_it_coincides_with():
+    for P in [*range(1, 31), 100]:
+        # M = P: one worker per group, as uncoded; M = 1: one group, as mds
+        p = validate_params(P, P, P, 100 * P)
+        assert expected_time(plan_repetition_block(p, p.N), MU5) == expected_time(
+            plan_uncoded(p), MU5), P
+        p = validate_params(P, 1, 1, 100 * P)
+        assert expected_time(plan_repetition_block(p, p.N), MU5) == expected_time(
+            plan_mds(p), MU5), P
 
 
 # --- worst-case thresholds: Table-1 formulas vs adversarial placement -------------
@@ -366,7 +435,7 @@ def _adversarial_check(plan, K_wc):
         return
     # targeted adversary: pack all absences into each group in turn
     absences = P - K_wc
-    groups = plan.groups or (frozenset(workers),)
+    groups = plan.groups
     for g in groups:
         victims = sorted(g)[: absences] if absences <= len(g) else sorted(g)
         spill = absences - len(victims)
