@@ -10,6 +10,7 @@ and deterministic Monte Carlo).
 from .bounds import (
     BoundReport,
     basic_lower_bound,
+    bound_report,
     check_achievability,
     lambda_cap,
     tight_bound_gap,

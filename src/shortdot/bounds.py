@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from .coding import EncodedTransform
+from .params import CodeParams
 
 ASYMPTOTIC_RATIO = 0.01  # proxy threshold for M^2 C(P,K-M+1) = o(N)
 
@@ -26,13 +27,14 @@ ASYMPTOTIC_RATIO = 0.01  # proxy threshold for M^2 C(P,K-M+1) = o(N)
 @dataclass(frozen=True)
 class BoundReport:
     basic_bound: float
-    tight_bound: float
-    achieved_avg_sparsity: float
-    achieved_max_sparsity: int
+    tight_bound: float  # the basic bound when M = 1
+    budget: int
     lambda_cap: int
-    asymptotic_condition_met: bool
     gap_ratio: float
-    hypothesis_ok: bool
+    asymptotic_condition_met: bool
+    achieved_avg_sparsity: float | None = None
+    achieved_max_sparsity: int | None = None
+    hypothesis_ok: bool | None = None
 
 
 def basic_lower_bound(N: int, P: int, K: int) -> float:
@@ -64,6 +66,23 @@ def tight_lower_bound(N: int, P: int, K: int, M: int) -> float:
     return float(tight_lower_bound_exact(N, P, K, M))
 
 
+def bound_report(params: CodeParams) -> BoundReport:
+    """The bounds at N = N_raw (the padded columns of F are all zero) and the
+    budget s; check_achievability adds the measured fields, None here."""
+    P, K, M, N = params.P, params.K, params.M, params.N_raw
+    basic = basic_lower_bound(N, P, K)
+    cap = lambda_cap(P, K, M)
+    gap_ratio = M * cap / N  # M^2 C(P, K-M+1) / N
+    return BoundReport(
+        basic_bound=basic,
+        tight_bound=tight_lower_bound(N, P, K, M) if M > 1 else basic,
+        budget=params.s,
+        lambda_cap=cap,
+        gap_ratio=gap_ratio,
+        asymptotic_condition_met=gap_ratio < ASYMPTOTIC_RATIO,
+    )
+
+
 def check_achievability(code: EncodedTransform) -> BoundReport:
     """Measure a constructed code against the lower bounds.
 
@@ -71,12 +90,10 @@ def check_achievability(code: EncodedTransform) -> BoundReport:
     tolerance.  Padded (all-zero) columns are excluded, matching the
     bounds' no-all-zero-column hypothesis; if an unpadded column of F is
     entirely zero the hypothesis fails, a warning is issued and the
-    bound assertions are skipped (hypothesis_ok=False in the report).
+    bound assertion is skipped (hypothesis_ok=False in the report).
     """
-    p = code.params
-    P, K, M = p.P, p.K, p.M
-    F = code.F[:, : p.N_raw]
-    nonzero = np.abs(F) > code.zero_tolerance
+    report = bound_report(code.params)
+    nonzero = np.abs(code.F[:, : code.params.N_raw]) > code.zero_tolerance
     hypothesis_ok = bool(np.all(nonzero.any(axis=0)))
     if not hypothesis_ok:
         warnings.warn(
@@ -86,38 +103,13 @@ def check_achievability(code: EncodedTransform) -> BoundReport:
         )
     row_counts = nonzero.sum(axis=1)
     achieved_avg = float(row_counts.mean())
-    achieved_max = int(row_counts.max())
-
-    N_eff = p.N_raw
-    basic = basic_lower_bound(N_eff, P, K)
-    tight = float(tight_lower_bound(N_eff, P, K, M)) if M > 1 else basic
-    budget = p.s
-    if hypothesis_ok:
-        if basic > budget:
-            raise ValueError(
-                f"basic bound {basic} exceeds the sparsity budget {budget}: "
-                "invalid code"
-            )
-        if achieved_max > budget:
-            raise ValueError(
-                f"measured max row sparsity {achieved_max} exceeds budget {budget}"
-            )
-        # the lower bound applies to ANY matrix whose every-K-rows span
-        # the encoded rows, this one included (tolerance-based counting
-        # can only undercount entries smaller than zero_tolerance)
-        if achieved_avg < basic - 1e-9:
-            raise ValueError(
-                f"measured average sparsity {achieved_avg} sits below the lower "
-                f"bound {basic}: inconsistent code or sub-tolerance entries"
-            )
-    gap_ratio = M * M * math.comb(P, K - M + 1) / N_eff
-    return BoundReport(
-        basic_bound=basic,
-        tight_bound=tight,
-        achieved_avg_sparsity=achieved_avg,
-        achieved_max_sparsity=achieved_max,
-        lambda_cap=lambda_cap(P, K, M),
-        asymptotic_condition_met=gap_ratio < ASYMPTOTIC_RATIO,
-        gap_ratio=gap_ratio,
-        hypothesis_ok=hypothesis_ok,
-    )
+    # basic <= s for all valid params, and EncodedTransform refuses a row
+    # above s; but tolerance-based counting can undercount below the bound
+    if hypothesis_ok and achieved_avg < report.basic_bound - 1e-9:
+        raise ValueError(
+            f"measured average sparsity {achieved_avg} sits below the lower "
+            f"bound {report.basic_bound}: inconsistent code or sub-tolerance entries"
+        )
+    return replace(report, achieved_avg_sparsity=achieved_avg,
+                   achieved_max_sparsity=int(row_counts.max()),
+                   hypothesis_ok=hypothesis_ok)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -38,8 +37,9 @@ from .latency import (
     theorem4_regime,
 )
 from .params import validate_params
-from .serialization import load_matrix, load_transform, save_matrix, save_transform
-from .strategies import plan_by_name, plan_short_dot
+from .serialization import (load_matrix, load_transform, read_key_values, save_matrix,
+                            save_transform)
+from .strategies import check_strategy, check_target_length, plan_by_name, plan_short_dot
 
 SEC6 = (20, 18, 10, 785)  # simulated stand-in (P, K, M, N_raw)
 
@@ -48,13 +48,7 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
     """Make each key=value line of the file the default of the flag --key;
     argparse then converts it with the flag's type unless the flag is given."""
     flags = {opt[2:]: action for action in parser._actions for opt in action.option_strings}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {line!r} is not key=value")
-        key, _, value = (part.strip() for part in line.partition("="))
+    for key, value in read_key_values(path).items():
         if key in ("config", "help") or key not in flags:
             raise ValueError(f"config key {key!r} is not a flag of {parser.prog!r}")
         flags[key].required = False
@@ -176,15 +170,24 @@ def cmd_sweep(args) -> int:
     N = 100 * P if args.n is None else args.n
     model = DelayModel(args.mu)
     m_values = range(1, P + 1) if args.m_range is None else args.m_range
-    _check_monte_carlo(args.trials, args.seed, len(m_values))
-    rows = []
-    for row_i, M in enumerate(m_values):
+    if args.trials:  # zero trials run no Monte Carlo, so nothing of it is checked
+        _check_monte_carlo(args.trials, args.seed, len(m_values))
+    # Every row's parameters, the strategy names and --s are checked
+    # before the first row runs; the plans are still built row by row.
+    grid = []
+    for M in m_values:
         # K of the sparse code: fixed, or "auto" to minimize its expected
         # time at this M; the other strategies do not read K
         K = optimize_k(P, M, float(N), model)[0] if args.k == "auto" else args.k
-        params = validate_params(P, K, M, N)
+        grid.append(validate_params(P, K, M, N))
+    for name in args.strategy:
+        check_strategy(name)
+    s = grid[0].N if args.s is None else args.s
+    check_target_length(s, grid[0].N)
+    rows = []
+    for row_i, (M, params) in enumerate(zip(m_values, grid)):
         for name in args.strategy:
-            plan = plan_by_name(name, params, params.N if args.s is None else args.s)
+            plan = plan_by_name(name, params, s)
             analytic = expected_time(plan, model)
             if args.trials > 0:
                 rep = monte_carlo(plan, model, args.trials, args.seed + row_i, analytic)
@@ -263,31 +266,26 @@ def cmd_theorem4(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    P, K, M, N = args.p, args.k, args.m, args.n
-    params = validate_params(P, K, M, N)
-    basic = bounds_mod.basic_lower_bound(params.N, P, K)
-    budget = params.s
-    print(f"P={P} K={K} M={M} N={params.N} (N_raw={N})")
-    print(f"basic lower bound on average row sparsity : {basic:.6g}")
+    P, K, M = args.p, args.k, args.m
+    params = validate_params(P, K, M, args.n)
+    report = bounds_mod.bound_report(params)
+    print(f"P={P} K={K} M={M} N={params.N} (N_raw={params.N_raw})")
+    print(f"basic lower bound on average row sparsity : {report.basic_bound:.6g}")
     if M > 1:
-        tight = bounds_mod.tight_lower_bound(params.N, P, K, M)
         gap = bounds_mod.tight_bound_gap(P, K, M)
-        print(f"tight lower bound (M>1)                   : {tight:.6g}")
+        print(f"tight lower bound (M>1)                   : {report.tight_bound:.6g}")
         print(f"budget - tight gap (M^2/P)C(P,K-M+1)      : {float(gap):.6g} (exact {gap})")
     else:
         print("tight lower bound (M>1)                   : n/a (M=1; basic bound is tight)")
-    print(f"constructive budget s=(N/P)(P-K+M)        : {budget}")
-    print(f"lambda cap M*C(P,K-M+1)                   : {bounds_mod.lambda_cap(P, K, M)}")
-    ratio = M * M * math.comb(P, K - M + 1) / params.N
-    print(f"asymptotic gap ratio M^2 C(P,K-M+1)/N     : {ratio:.6g}")
+    print(f"constructive budget s=(N/P)(P-K+M)        : {report.budget}")
+    print(f"lambda cap M*C(P,K-M+1)                   : {report.lambda_cap}")
+    print(f"asymptotic gap ratio M^2 C(P,K-M+1)/N     : {report.gap_ratio:.6g}")
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["P", "K", "M", "N", "basic_bound", "tight_bound",
-                        "budget", "lambda_cap", "gap_ratio"])
-            tight = bounds_mod.tight_lower_bound(params.N, P, K, M) if M > 1 else basic
-            w.writerow([P, K, M, params.N, basic, tight, budget,
-                        bounds_mod.lambda_cap(P, K, M), ratio])
+            fields = ["basic_bound", "tight_bound", "budget", "lambda_cap", "gap_ratio"]
+            w.writerow(["P", "K", "M", "N", *fields])
+            w.writerow([P, K, M, params.N, *(getattr(report, f) for f in fields)])
         print(f"bound report written to {args.out}")
     return 0
 

@@ -37,6 +37,8 @@ DECODE_RESIDUAL_RTOL = 1e-8
 # decode_with_errors: a re-encoded output "matches" a received one
 # within 1e-6 * (1 + |output|).
 ERROR_MATCH_RTOL = 1e-6
+# check_generator re-encodes this many columns of F at most.
+CHECK_COLUMNS = 8
 
 
 def _zero_rows0(j0: int, P: int, width: int) -> np.ndarray:
@@ -151,9 +153,10 @@ def encode(
             cols = np.arange(r, N, P)
             rows = _zero_rows0(r, P, K - M)
             Acols = Apad[:, cols]
+            BU = B[rows]
+            check_condition(BU[:, M:])  # both methods solve with this window
             if method == "solve":
-                BU = B[rows]
-                Z = -guarded_solve(BU[:, M:], BU[:, :M] @ Acols)
+                Z = -np.linalg.solve(BU[:, M:], BU[:, :M] @ Acols)
                 Fcols = B @ np.vstack([Acols, Z])
             else:
                 Fcols = _encode_poly_group(Acols, gen, rows)
@@ -188,8 +191,6 @@ def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray
     M = Acols.shape[0]
     K = gen.K
     nodes_u = gen.nodes[rows]
-    # The dense path's gate, on the submatrix it would solve with.
-    check_condition(gen.entries[rows][:, M:])
     coeffs = np.vstack([Acols, np.zeros((K - M, Acols.shape[1]))])
     vals = -np.polyval(coeffs, nodes_u[:, None])  # (K-M, ncols)
     Z = _newton_monomial(nodes_u, vals)
@@ -331,11 +332,54 @@ def decode_with_errors(
             w = _decode_full(idx[sel], v[sel], gen, "solve")
         except ConditioningError:
             continue
-        predicted = gen.entries @ w
-        agree = np.abs(predicted - v) <= ERROR_MATCH_RTOL * (1.0 + np.abs(v))
+        agree = _agrees(gen.entries @ w, v)
         if int(np.sum(agree & finite)) >= need:
             return w[: params.M]
     raise DecodingError(
         f"no K-subset decode consistent with >= {need} of {P} outputs; "
         "too many corrupted outputs or tolerance too tight"
     )
+
+
+def _agrees(predicted, received) -> np.ndarray:
+    """Where a re-encoded output matches a received one: within
+    ERROR_MATCH_RTOL * (1 + |received|)."""
+    return np.abs(predicted - received) <= ERROR_MATCH_RTOL * (1.0 + np.abs(received))
+
+
+def check_generator(code: EncodedTransform) -> None:
+    """Refuse (ValueError) an F that its generator does not reproduce.
+
+    Column j of F holds the P worker outputs for the unit input e_j.  Up
+    to CHECK_COLUMNS of them, spread over 1..N_raw and scaled to max|F| = 1,
+    are decoded from the workers of one K-subset, the first of the P
+    rotations of the evenly spread subset {floor(iP/K)} that passes the
+    condition gate (ConditioningError if none does), then re-encoded;
+    every other worker must agree as in decode_with_errors.  With K = P
+    there is no other worker, and nothing is checked.
+    """
+    p, gen = code.params, code.generator
+    scale = float(np.max(np.abs(code.F)))
+    if p.K == p.P or scale == 0.0:
+        return
+    V = code.F[:, : p.N_raw : -(-p.N_raw // CHECK_COLUMNS)] / scale
+    spread = np.arange(p.K) * p.P // p.K
+    for shift in range(p.P):
+        inside = np.zeros(p.P, dtype=bool)
+        inside[(spread + shift) % p.P] = True
+        workers, BV = np.flatnonzero(inside) + 1, gen.entries[inside]
+        try:
+            check_condition(BV, cond=gen.condition(workers))
+        except ConditioningError:
+            continue
+        W = np.linalg.solve(BV, V[inside])
+        miss = ~_agrees(gen.entries[~inside] @ W, V[~inside]).all(axis=1)
+        if miss.any():
+            raise ValueError(
+                f"F is not encoded by its {gen.kind} generator: re-encoding from "
+                f"workers {workers.tolist()} misses {int(miss.sum())} of the other "
+                f"{p.P - p.K} workers")
+        return
+    raise ConditioningError(
+        "cannot check F against its generator: every rotation of the spread "
+        "K-subset of workers fails the condition gate")

@@ -121,7 +121,7 @@ def expected_time(plan: TaskPlan, model: DelayModel) -> float:
     if plan.need > 1:
         return float("nan")
     if np.all(lengths == lengths[0]) and np.all(sizes == sizes[0]):
-        return float(lengths[0]) * (1.0 + n * harmonic(n) / (plan.P * model.mu))
+        return repetition_closed_form(plan.P, n, float(lengths[0]), model)
     # one factor per distinct (length, size), counting the groups with it;
     # complex keys sort by length, then size
     keys, counts = np.unique(lengths + 1j * sizes, return_counts=True)
@@ -155,7 +155,7 @@ def expected_time_repetition(params: CodeParams, model: DelayModel) -> float:
 def uncoded_closed_form(P: int, M: int, N: float, model: DelayModel) -> float:
     """(MN/P)(1 + H_P/mu); exact when M divides P, else the smooth
     continuation used as the integer-effect baseline."""
-    return (M * N / P) * (1.0 + harmonic(P) / model.mu)
+    return expected_kth_order(P, P, M * N / P, model)
 
 
 def repetition_closed_form(P: int, M: int, N: float, model: DelayModel) -> float:

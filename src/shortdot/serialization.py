@@ -7,9 +7,10 @@ transform is a directory of
     F.csv         the P x N encoded matrix
     supports.txt  one line per row: space-separated 1-based column indices
 
+params.txt is read with read_key_values, as are the CLI's --config files.
 The supports follow from the parameters; load_transform checks
-supports.txt against them and refuses an F that is nonzero on the
-sparsity pattern.
+supports.txt against them, and refuses an F that is nonzero on the
+sparsity pattern or that the generator does not reproduce.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coding import EncodedTransform
+from .coding import EncodedTransform, check_generator
 from .generator import build_generator
 from .params import validate_params
 
@@ -57,14 +58,25 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
     return out
 
 
-def load_transform(in_dir) -> EncodedTransform:
-    src = Path(in_dir)
+def read_key_values(path) -> dict[str, str]:
+    """The stripped key=value lines of a file (a later key wins); blank and
+    # lines are skipped, any other line without = is refused."""
     kv = {}
-    for line in (src / "params.txt").read_text().splitlines():
-        line = line.strip()
-        if line and "=" in line:
+    for line in map(str.strip, Path(path).read_text().splitlines()):
+        if line and not line.startswith("#"):
+            if "=" not in line:
+                raise ValueError(f"line {line!r} of {path} is not key=value")
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
+    return kv
+
+
+def load_transform(in_dir) -> EncodedTransform:
+    """Read a directory written by save_transform, refusing supports that
+    miss the pattern and an F its generator does not reproduce (see
+    coding.check_generator)."""
+    src = Path(in_dir)
+    kv = read_key_values(src / "params.txt")
 
     def field(key: str) -> str:
         if key not in kv:
@@ -89,4 +101,5 @@ def load_transform(in_dir) -> EncodedTransform:
     stored = np.loadtxt(src / "supports.txt", dtype=int, ndmin=2)
     if not np.array_equal(stored, code.supports):
         raise ValueError(f"supports.txt in {src} does not match the sparsity pattern")
+    check_generator(code)
     return code

@@ -101,6 +101,12 @@ class TaskPlan:
         return tuple(frozenset(row) for row in (self.member_index + 1).tolist())
 
 
+def check_target_length(s: int, N: int) -> None:
+    """Refuse a block strategy's target task length s outside 1..N."""
+    if not 1 <= s <= N:
+        raise ValueError(f"target length s={s} outside 1..{N}")
+
+
 def _block_groups(P: int, N: int, s: int, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
     """Column blocks of length s (the last one shorter) on n_groups groups
     of workers dealt round-robin (sizes floor/ceil(P/n_groups)); group g
@@ -139,8 +145,7 @@ def plan_repetition_block(params: CodeParams, s: int) -> TaskPlan:
     is plain row repetition (each full row repeated ~P/M times).
     """
     P, M, N = params.P, params.M, params.N
-    if not 1 <= s <= N:
-        raise ValueError(f"target length s={s} outside 1..{N}")
+    check_target_length(s, N)
     n_groups = M * -(-N // s)  # one per (row, block)
     group, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
@@ -169,8 +174,7 @@ def plan_short_mds(params: CodeParams, s: int) -> TaskPlan:
     a group size floor(P/ceil(N/s)) below M.
     """
     P, M, N = params.P, params.M, params.N
-    if not 1 <= s <= N:
-        raise ValueError(f"target length s={s} outside 1..{N}")
+    check_target_length(s, N)
     n_groups = -(-N // s)  # one per block
     group, lengths = _block_groups(P, N, s, n_groups)
     return TaskPlan(
@@ -204,10 +208,15 @@ PLAN_BUILDERS = {
 STRATEGY_NAMES = tuple(PLAN_BUILDERS)
 
 
-def plan_by_name(name: str, params: CodeParams, s: int | None = None) -> TaskPlan:
-    """Build a plan from its strategy name string."""
+def check_strategy(name: str) -> None:
+    """Refuse a strategy name that PLAN_BUILDERS does not hold."""
     if name not in PLAN_BUILDERS:
         raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+
+
+def plan_by_name(name: str, params: CodeParams, s: int | None = None) -> TaskPlan:
+    """Build a plan from its strategy name string."""
+    check_strategy(name)
     return PLAN_BUILDERS[name](params, s)
 
 

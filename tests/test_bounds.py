@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from shortdot import (
     basic_lower_bound,
+    bound_report,
     build_generator,
     check_achievability,
     encode,
@@ -123,3 +125,17 @@ def test_zero_column_hypothesis_warning():
     with pytest.warns(UserWarning, match="all-zero"):
         report = check_achievability(code)
     assert not report.hypothesis_ok
+
+
+@pytest.mark.parametrize("P, K, M, N_raw", [(20, 18, 10, 785), (6, 5, 1, 13), (6, 5, 3, 12)])
+def test_check_achievability_builds_on_the_bound_report(P, K, M, N_raw):
+    p = validate_params(P, K, M, N_raw)
+    code = encode(np.random.default_rng(8).standard_normal((M, N_raw)), build_generator(p), p)
+    report, measured = bound_report(p), check_achievability(code)
+    assert report.achieved_avg_sparsity is None and measured.hypothesis_ok
+    assert dataclasses.replace(measured, achieved_avg_sparsity=None,
+                               achieved_max_sparsity=None, hypothesis_ok=None) == report
+    # taken at N_raw, the budget at the padded N
+    assert report.basic_bound == basic_lower_bound(N_raw, P, K)
+    assert report.budget == p.s
+    assert report.gap_ratio == M * M * math.comb(P, K - M + 1) / N_raw

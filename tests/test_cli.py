@@ -1,6 +1,7 @@
 import csv
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shortdot import load_matrix, save_matrix
+from shortdot import (
+    build_generator,
+    check_achievability,
+    encode,
+    load_matrix,
+    save_matrix,
+    validate_params,
+)
 from shortdot.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -283,6 +291,33 @@ def test_bounds_report(capsys):
     assert "budget" in out and "8" in out
 
 
+@pytest.mark.parametrize("P, K, M, N_raw", [(20, 18, 10, 785), (6, 5, 1, 13)])
+def test_bounds_prints_and_writes_the_bound_report(tmp_path, capsys, P, K, M, N_raw):
+    # N_raw is no multiple of P: the bounds are those of a code of this size
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--p", str(P), "--k", str(K), "--m", str(M), "--n", str(N_raw),
+                 "--out", str(out)]) == 0
+    printed = dict((key.strip(), value) for key, _, value in
+                   (line.partition(" : ") for line in capsys.readouterr().out.splitlines()))
+    p = validate_params(P, K, M, N_raw)
+    code = encode(np.random.default_rng(1).standard_normal((M, N_raw)), build_generator(p), p)
+    report = check_achievability(code)
+    with open(out) as fh:
+        (row,) = csv.DictReader(fh)
+    fields = ["basic_bound", "tight_bound", "budget", "lambda_cap", "gap_ratio"]
+    assert [float(row[f]) for f in fields] == [getattr(report, f) for f in fields]
+    assert printed["basic lower bound on average row sparsity"] == f"{report.basic_bound:.6g}"
+    assert printed["constructive budget s=(N/P)(P-K+M)"] == str(report.budget)
+    assert printed["lambda cap M*C(P,K-M+1)"] == str(report.lambda_cap)
+    assert printed["asymptotic gap ratio M^2 C(P,K-M+1)/N"] == f"{report.gap_ratio:.6g}"
+    if M > 1:
+        assert printed["tight lower bound (M>1)"] == f"{report.tight_bound:.6g}"
+        assert [printed[k] for k in ("basic lower bound on average row sparsity",
+                                     "tight lower bound (M>1)",
+                                     "asymptotic gap ratio M^2 C(P,K-M+1)/N")] == [
+            "117.75", "-839329", "21396.2"]
+
+
 def test_experiment_sec6_ordering(tmp_path, capsys):
     out = tmp_path / "sec6.csv"
     assert main(["experiment-sec6", "--trials", "20000", "--seed", "0",
@@ -552,3 +587,73 @@ def test_transform_refuses_bad_zero_tolerance(small_problem, capsys, ztol):
                                     else l for l in lines) + "\n")
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
     assert "zero_tolerance must be finite" in capsys.readouterr().err
+
+
+def test_transform_refuses_a_params_line_without_equals(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    with open(out / "params.txt", "a") as fh:
+        fh.write("# a comment line is fine\nkind vandermonde\n")
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+    assert "'kind vandermonde'" in capsys.readouterr().err
+
+
+def test_transform_refuses_a_generator_that_does_not_reproduce_f(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    lines = (out / "params.txt").read_text().splitlines()
+    nodes = [float(tok) for line in lines if line.startswith("nodes=")
+             for tok in line[len("nodes="):].split(",")]
+    nodes[0] += 1e-3
+    (out / "params.txt").write_text("".join(
+        ("nodes=" + ",".join("%.17g" % h for h in nodes) if line.startswith("nodes=")
+         else line) + "\n" for line in lines))
+    capsys.readouterr()
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
+    out_text, err = capsys.readouterr()
+    assert "not encoded by its vandermonde generator" in err and out_text == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", "10", "--m-range", "1:11"], "need 1 <= M <= P, got M=11"),
+    (["--p", "10", "--m-range", "1:10", "--k", "5"], "need M <= K"),
+    (["--p", "10", "--strategy", "short-dot,bogus"], "unknown strategy 'bogus'"),
+    (["--p", "10", "--s", "0"], "target length s=0 outside 1..1000"),
+    (["--p", "10", "--n", "95", "--s", "101"], "target length s=101 outside 1..100"),
+], ids=["m-above-p", "fixed-k-below-m", "unknown-strategy", "s-zero", "s-above-n"])
+def test_sweep_checks_its_whole_grid_before_any_monte_carlo(tmp_path, monkeypatch, capsys,
+                                                            flags, message):
+    calls = []
+    monkeypatch.setattr("shortdot.cli.monte_carlo", lambda *args: calls.append(args))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--trials", "200000", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
+def test_zero_trials_sweep_checks_no_monte_carlo_input(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--p", "3", "--trials", "0", "--out", str(out)]
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+    monkeypatch.setenv("SHORTDOT_THREADS", "two")
+    assert main(argv) == 0
+    out.unlink()
+    assert main(["sweep", "--p", "3", "--trials", "-1", "--out", str(out)]) == 2
+    assert "--trials must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+                if line.startswith("shortdot ")]
+    assert len(commands) >= 8
+    rng = np.random.default_rng(11)
+    _write_matrix(tmp_path / "A.csv", rng.standard_normal((3, 12)))
+    _write_matrix(tmp_path / "x.csv", rng.standard_normal(12))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shortdot import (
+    ConditioningError,
     build_generator,
     decode,
     encode,
@@ -128,3 +129,70 @@ def test_load_refuses_bad_params_file(tmp_path, edit, message):
     params_txt.write_text("".join(f"{k}={v}\n" for k, v in kv.items() if v is not None))
     with pytest.raises(ValueError, match=message):
         load_transform(out)
+
+
+def _sec6_transform(tmp_path, **generator):
+    p = validate_params(20, 18, 10, 785)
+    A = np.random.default_rng(6).standard_normal((10, 785))
+    code = encode(A, build_generator(p, **generator), p)
+    return save_transform(code, tmp_path / "sec6"), code
+
+
+def _set_param(out, key, value):
+    params_txt = out / "params.txt"
+    lines = params_txt.read_text().splitlines()
+    params_txt.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=")
+                                  else line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("node", [0, 10, 19])
+def test_load_refuses_a_moved_vandermonde_node(tmp_path, node):
+    out, code = _sec6_transform(tmp_path)
+    nodes = code.generator.nodes.copy()
+    nodes[node] += 1e-3
+    _set_param(out, "nodes", ",".join("%.17g" % h for h in nodes))
+    with pytest.raises(ValueError, match="F is not encoded by its vandermonde generator"):
+        load_transform(out)
+
+
+def test_load_refuses_another_gaussian_seed(tmp_path):
+    out, _ = _sec6_transform(tmp_path, kind="gaussian", seed=9)
+    load_transform(out)
+    _set_param(out, "seed", 10)
+    with pytest.raises(ValueError, match="F is not encoded by its gaussian generator"):
+        load_transform(out)
+
+
+def test_generator_check_needs_a_worker_outside_the_decode(tmp_path):
+    # K = P: every worker is decoded from, none is left to compare
+    p = validate_params(5, 5, 2, 10)
+    gen = build_generator(p)
+    out = save_transform(encode(np.ones((2, 10)), gen, p), tmp_path / "t")
+    _set_param(out, "nodes", ",".join("%.17g" % h for h in gen.nodes + 1e-3))
+    load_transform(out)
+
+
+def test_params_file_grammar(tmp_path):
+    rng = np.random.default_rng(7)
+    p = validate_params(6, 5, 3, 12)
+    code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
+    out = save_transform(code, tmp_path / "t")
+    params_txt = out / "params.txt"
+    text = params_txt.read_text()
+    params_txt.write_text("# comment\n\n  " + text.replace("\n", "  \n"))
+    assert load_transform(out).params == p  # blank, comment and padded lines
+    params_txt.write_text(text + "kind vandermonde\n")
+    with pytest.raises(ValueError, match="'kind vandermonde' of .* is not key=value"):
+        load_transform(out)
+
+
+def test_load_refuses_a_transform_no_spread_subset_can_decode(tmp_path):
+    # at K = P - 1 the P rotations are every K-subset, and each one's
+    # Vandermonde condition exceeds COND_LIMIT, so no decode could pass
+    p = validate_params(24, 23, 17, 24)
+    gen = build_generator(p)
+    out = save_transform(encode(np.ones((17, 24)), gen, p), tmp_path / "t")
+    with pytest.raises(ConditioningError, match="cannot check F against its generator"):
+        load_transform(out)
+    with pytest.raises(ConditioningError):
+        decode([(i, 0.0) for i in range(2, 25)], gen, p)
