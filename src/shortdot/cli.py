@@ -245,7 +245,8 @@ def cmd_theorem4(args) -> int:
               "uncoded_scaled", "repetition_scaled", "ratio"]
     lines = [
         "# scaled expected times E[T]/N at M=round(P/ln P), K=P-round(M/2) "
-        "(round = half-up), mu=%g" % args.mu,
+        "(round = half-up), mu=%g; the latency model's closed forms only: "
+        "no code is built or decoded at these P" % args.mu,
         ",".join(header),
     ]
     for r in rows:
@@ -274,9 +275,9 @@ def cmd_bounds(args) -> int:
     if M > 1:
         gap = bounds_mod.tight_bound_gap(P, K, M)
         print(f"tight lower bound (M>1)                   : {report.tight_bound:.6g}")
-        print(f"budget - tight gap (M^2/P)C(P,K-M+1)      : {float(gap):.6g} (exact {gap})")
+        print(f"N-free gap, budget - tight at equal N     : {float(gap):.6g} (exact {gap})")
     else:
-        print("tight lower bound (M>1)                   : n/a (M=1; basic bound is tight)")
+        print("tight lower bound (M>1)                   : n/a (M=1)")
     print(f"constructive budget s=(N/P)(P-K+M)        : {report.budget}")
     print(f"lambda cap M*C(P,K-M+1)                   : {report.lambda_cap}")
     print(f"asymptotic gap ratio M^2 C(P,K-M+1)/N     : {report.gap_ratio:.6g}")

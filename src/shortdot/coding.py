@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningError, DecodingError
 from .generator import GeneratorMatrix, check_condition, guarded_solve
-from .params import CodeParams
+from .params import CodeParams, worker_indices
 
 # encode snaps pattern positions to exact zero; anything above
 # ZERO_TOL_FACTOR * max|A| there beforehand means the solve went bad.
@@ -124,9 +124,10 @@ def encode(
 ) -> EncodedTransform:
     """Encode an M x N_raw matrix A into the sparse P x N transform F.
 
-    method "solve" uses dense linear solves; "poly" uses the polynomial
-    evaluation/interpolation path (Vandermonde generators only).  Both
-    produce the same transform up to floating-point differences.
+    method picks only the solver of each pattern's window system
+    B^U_{M+1:K} z = -B^U_{1:M} A_j: "solve" is a dense solve, "poly"
+    (Vandermonde only) Newton interpolation through the pattern's nodes.
+    Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
     """
     A = np.asarray(A, dtype=float)
     P, K, M, N = params.P, params.K, params.M, params.N
@@ -155,11 +156,12 @@ def encode(
             Acols = Apad[:, cols]
             BU = B[rows]
             check_condition(BU[:, M:])  # both methods solve with this window
+            rhs = BU[:, :M] @ Acols
             if method == "solve":
-                Z = -np.linalg.solve(BU[:, M:], BU[:, :M] @ Acols)
-                Fcols = B @ np.vstack([Acols, Z])
+                Z = -np.linalg.solve(BU[:, M:], rhs)
             else:
-                Fcols = _encode_poly_group(Acols, gen, rows)
+                Z = -_newton_monomial(gen.nodes[rows], rhs)
+            Fcols = B @ np.vstack([Acols, Z])
             pattern_resid = float(np.max(np.abs(Fcols[rows])))
             if pattern_resid > ztol:
                 raise ConditioningError(
@@ -179,22 +181,6 @@ def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
         raise ValueError(f"unknown {call} method {method!r}")
     if method == "poly" and gen.kind != "vandermonde":
         raise ValueError("poly method requires a Vandermonde generator")
-
-
-def _encode_poly_group(Acols: np.ndarray, gen: GeneratorMatrix, rows: np.ndarray):
-    """The poly path's encoding of all columns sharing one zero pattern.
-
-    B^U_{1:M} A_j is the degree-(K-1) polynomial with coefficients
-    [A_j; 0] evaluated at the pattern's nodes; solving for z is the
-    interpolation of a degree-(K-M-1) polynomial through those nodes.
-    """
-    M = Acols.shape[0]
-    K = gen.K
-    nodes_u = gen.nodes[rows]
-    coeffs = np.vstack([Acols, np.zeros((K - M, Acols.shape[1]))])
-    vals = -np.polyval(coeffs, nodes_u[:, None])  # (K-M, ncols)
-    Z = _newton_monomial(nodes_u, vals)
-    return np.polyval(np.vstack([Acols, Z]), gen.nodes[:, None])
 
 
 def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -247,16 +233,14 @@ def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
 
 def _read_outputs(outputs, count: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of `outputs`, (index, value) pairs; refused
-    unless there are exactly `count` of them with distinct indices in 1..P."""
+    unless there are exactly `count` of them with distinct indices in 1..P
+    (see worker_indices)."""
     pairs = list(outputs)
     if len(pairs) != count:
         raise ValueError(f"need exactly {count} outputs, got {len(pairs)}")
     ids, vals = zip(*pairs, strict=True)  # every output is a pair
-    idx = np.asarray(ids, dtype=int)
-    ids = idx.tolist()
-    if min(ids) < 1 or max(ids) > P:
-        raise ValueError(f"worker indices must lie in 1..{P}")
-    if len(set(ids)) != count:
+    idx = worker_indices(ids, P)
+    if len(set(idx.tolist())) != count:
         raise ValueError("worker indices must be distinct")
     return idx, np.asarray(vals, dtype=float)
 

@@ -237,7 +237,7 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
 # float64 buffer, SplitMix64 fills the float64 one with uniforms in place,
 # and only the block's recovery times go to the chunk's array.  No array
 # of the chunk's draws is ever made (at 65536 x 100 one such array is
-# 52 MB; the whole-chunk form needed about eight).
+# 52 MB).
 #
 # The recovery rule selects on the uniforms, and the inverse CDF runs only
 # on what it picks (_block_recovery): with one task length, on the one

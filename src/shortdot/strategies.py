@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .params import CodeParams
+from .params import CodeParams, worker_indices
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,9 @@ def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
 
 
 def recoverable(plan: TaskPlan, responders) -> bool:
-    """Whether the given set of finished workers permits recovery."""
-    resp = set(map(int, responders))
-    if not resp <= set(range(1, plan.P + 1)):
-        raise ValueError("responders must be worker indices in 1..P")
+    """Whether the given set of finished workers permits recovery; each
+    responder must be a whole number in 1..P (see worker_indices)."""
+    resp = set(worker_indices(list(responders), plan.P).tolist())
     group = plan.group.tolist()  # a Python count: faster than numpy at small P
     counts = [0] * (max(group) + 1)
     for r in resp:

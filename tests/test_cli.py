@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from shortdot import (
     save_matrix,
     validate_params,
 )
+from shortdot.bounds import tight_lower_bound_exact
 from shortdot.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -275,6 +277,8 @@ def test_encode_transform_round_trip_fuzz(tmp_path):
 def test_theorem4_table(tmp_path, capsys):
     out = tmp_path / "t4.csv"
     assert main(["theorem4", "--p-list", "1000,10000,100000", "--out", str(out)]) == 0
+    comment = out.read_text().splitlines()[0]
+    assert comment.startswith("#") and "no code is built or decoded" in comment
     lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
     rows = list(csv.DictReader(lines))
     ratios = [float(r["ratio"]) for r in rows]
@@ -297,8 +301,9 @@ def test_bounds_prints_and_writes_the_bound_report(tmp_path, capsys, P, K, M, N_
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--p", str(P), "--k", str(K), "--m", str(M), "--n", str(N_raw),
                  "--out", str(out)]) == 0
+    text = capsys.readouterr().out
     printed = dict((key.strip(), value) for key, _, value in
-                   (line.partition(" : ") for line in capsys.readouterr().out.splitlines()))
+                   (line.partition(" : ") for line in text.splitlines()))
     p = validate_params(P, K, M, N_raw)
     code = encode(np.random.default_rng(1).standard_normal((M, N_raw)), build_generator(p), p)
     report = check_achievability(code)
@@ -316,6 +321,14 @@ def test_bounds_prints_and_writes_the_bound_report(tmp_path, capsys, P, K, M, N_
                                      "tight lower bound (M>1)",
                                      "asymptotic gap ratio M^2 C(P,K-M+1)/N")] == [
             "117.75", "-839329", "21396.2"]
+        # the gap is N-free: budget minus the tight bound, both at the padded N
+        gap = Fraction(report.budget) - tight_lower_bound_exact(p.N, P, K, M)
+        assert printed["N-free gap, budget - tight at equal N"] == f"{float(gap):.6g} (exact {gap})"
+        assert gap == 839800
+    else:
+        # at M = 1 the basic bound sits below the budget: nothing is called tight
+        assert printed["tight lower bound (M>1)"] == "n/a (M=1)"
+        assert report.basic_bound < report.budget and "is tight" not in text
 
 
 def test_experiment_sec6_ordering(tmp_path, capsys):

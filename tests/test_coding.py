@@ -549,6 +549,36 @@ def test_decode_accepts_index_value_pairs():
                               decode_with_errors(outs, 1, gen, p))
 
 
+@pytest.mark.parametrize("bad", [2.9, 1.5, np.inf, -np.inf, np.nan])
+def test_decode_refuses_an_index_that_is_not_a_whole_number(bad):
+    # truncating 2.9 to worker 2 would decode the wrong product and raise nothing
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    A = np.random.default_rng(0).standard_normal((3, 12))
+    x = np.random.default_rng(1).standard_normal(12)
+    v = [o.value for o in run_workers(encode(A, gen, p), x)]
+    outs = [(1, v[0]), (bad, v[2]), (4, v[3]), (5, v[4]), (6, v[5])]
+    with pytest.raises(ValueError, match="worker indices must"):
+        decode(outs, gen, p)
+    with pytest.raises(ValueError, match="worker indices must"):
+        decode_with_errors([*outs, (2, v[1])], 0, gen, p)
+
+
+def test_decode_reads_integer_indices_of_any_dtype_and_whole_floats_alike():
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    A = np.random.default_rng(0).standard_normal((3, 12))
+    x = np.random.default_rng(1).standard_normal(12)
+    outs = run_workers(encode(A, gen, p), x)
+    want = decode(outs[1:], gen, p)
+    for cast in (np.int8, np.int16, np.int32, np.uint32, np.uint64, float):
+        listing = [(cast(o.index), o.value) for o in outs]
+        assert np.array_equal(decode(listing[1:], gen, p), want)
+        assert np.array_equal(decode_with_errors(listing, 0, gen, p),
+                              decode_with_errors(outs, 0, gen, p))
+
+
+
 # --- decode with errors --------------------------------------------------------
 
 

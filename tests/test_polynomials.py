@@ -1,9 +1,10 @@
-"""The polynomial path's Newton interpolation, and its decode gate."""
+"""The polynomial path's Newton interpolation, its agreement with the
+dense solve at the paper's size, and its decode gate."""
 
 import numpy as np
 import pytest
 
-from shortdot import build_generator, decode, validate_params
+from shortdot import build_generator, decode, encode, validate_params
 from shortdot.coding import _newton_monomial
 from shortdot.errors import ConditioningError
 
@@ -26,6 +27,19 @@ def test_newton_round_trip_against_polyval():
     back = _newton_monomial(pts, vals)
     np.testing.assert_allclose(back, coeffs, rtol=1e-8)
     np.testing.assert_allclose(np.polyval(back, pts[:, None]), vals, rtol=1e-12)
+
+
+@pytest.mark.parametrize("P, K, M, N_raw", [(20, 18, 10, 785), (20, 10, 5, 785)])
+def test_poly_encode_agrees_with_the_solve_at_the_papers_size(P, K, M, N_raw):
+    # the two methods differ only in the window solver; at (20,18,10,785)
+    # they were measured 3.7e-10 * max|F| apart
+    p = validate_params(P, K, M, N_raw)
+    gen = build_generator(p)
+    A = np.random.default_rng(0).standard_normal((M, N_raw))
+    F_solve = encode(A, gen, p).F
+    F_poly = encode(A, gen, p, method="poly").F
+    assert np.array_equal(F_poly == 0, F_solve == 0)
+    assert np.max(np.abs(F_poly - F_solve)) <= 1e-8 * np.max(np.abs(F_solve))
 
 
 @pytest.mark.parametrize("method", ["solve", "poly"])

@@ -342,6 +342,17 @@ def test_recoverable_matches_a_set_based_reference():
                 assert recoverable(plan, c) == _recoverable_by_sets(plan, set(map(int, c)))
 
 
+def test_recoverable_refuses_a_responder_that_is_not_a_whole_number():
+    # reading 1.5 as worker 1 would count the sets below as recoverable
+    plan = plan_short_dot(validate_params(6, 5, 3, 12))
+    for bad in (1.5, 2.9, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="worker indices must"):
+            recoverable(plan, [bad, 2, 3, 4, 5])
+    assert recoverable(plan, [1.0, 2, 3, 4, 5])
+    assert recoverable(plan, np.arange(1, 6, dtype=np.uint8))
+    assert not recoverable(plan, set())
+
+
 # --- one rule: `need` finished workers in every group ------------------------------
 
 
