@@ -126,7 +126,9 @@ def encode(
 
     method picks only the solver of each pattern's window system
     B^U_{M+1:K} z = -B^U_{1:M} A_j: "solve" is a dense solve, "poly"
-    (Vandermonde only) Newton interpolation through the pattern's nodes.
+    (Vandermonde only) interpolation through the pattern's nodes by
+    Björck–Pereyra: Newton divided differences, then expansion into
+    monomial coefficients, in place.
     Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
     """
     A = np.asarray(A, dtype=float)
@@ -135,8 +137,7 @@ def encode(
         raise ValueError(f"A shape {A.shape} != (M, N_raw) = ({M}, {params.N_raw})")
     if not np.all(np.isfinite(A)):
         raise ValueError("A has non-finite entries")
-    if gen.entries.shape != (P, K):
-        raise ValueError(f"generator shape {gen.entries.shape} != ({P}, {K})")
+    _check_shape(gen, params)
     _check_method(method, gen, "encode")
 
     Apad = np.zeros((M, N))
@@ -174,6 +175,12 @@ def encode(
     return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
 
 
+def _check_shape(gen: GeneratorMatrix, params: CodeParams) -> None:
+    """Refuse a generator that is not (P, K) of params."""
+    if gen.entries.shape != (params.P, params.K):
+        raise ValueError(f"generator shape {gen.entries.shape} != ({params.P}, {params.K})")
+
+
 def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
     """Refuse a method other than "solve" or "poly", and "poly" on a
     generator that is not Vandermonde."""
@@ -184,29 +191,15 @@ def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
 
 
 def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Newton divided-difference interpolation through shared points for
-    each column of values; returns monomial coefficients, highest first,
-    shape (D, ncols)."""
-    D = points.size
-    dd = values.astype(float, copy=True)
-    newton = np.empty_like(dd)
-    newton[0] = dd[0]
-    for level in range(1, D):
-        dd = (dd[1:] - dd[:-1]) / (points[level:] - points[:-level])[:, None]
-        newton[level] = dd[0]
-    # Expand the nested Newton form into monomial coefficients
-    # (lowest-first while building, reversed on return).
-    mono = np.zeros_like(newton)
-    mono[0] = newton[D - 1]
-    deg = 0
-    for i in range(D - 2, -1, -1):
-        shifted = np.zeros_like(mono)
-        shifted[1 : deg + 2] = mono[: deg + 1]
-        shifted[: deg + 1] -= points[i] * mono[: deg + 1]
-        shifted[0] += newton[i]
-        mono = shifted
-        deg += 1
-    return mono[::-1]
+    """Interpolate each column of values through the shared points.
+    Björck–Pereyra: Newton divided differences, then expansion into
+    monomial coefficients, in place; returns them highest first, (D, ncols)."""
+    a = values.astype(float, copy=True)
+    for k in range(1, points.size):
+        a[k:] = (a[k:] - a[k - 1 : -1]) / (points[k:] - points[:-k])[:, None]
+    for k in range(points.size - 2, -1, -1):
+        a[k:-1] -= points[k] * a[k + 1 :]
+    return a[::-1]
 
 
 def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
@@ -262,6 +255,7 @@ def decode(
     generator (see GeneratorMatrix.condition), so a repeated set, or one
     that decode_with_errors tries again, takes no second SVD.
     """
+    _check_shape(gen, params)
     idx, v = _read_outputs(outputs, params.K, params.P)
     _check_method(method, gen, "decode")
     w = _decode_full(idx, v, gen, method)
@@ -305,6 +299,7 @@ def decode_with_errors(
     radius = (P - K) // 2
     if not 0 <= e_max <= radius:
         raise ValueError(f"e_max={e_max} outside correctable radius 0..{radius}")
+    _check_shape(gen, params)
     idx, v = _read_outputs(outputs, P, P)
     order = np.argsort(idx)
     idx, v = idx[order], v[order]

@@ -101,9 +101,10 @@ def build_generator(
 ) -> GeneratorMatrix:
     """Construct a generator for the given parameters.
 
-    Vandermonde kind uses the supplied nodes (must be pairwise distinct)
-    or Chebyshev nodes by default.  Gaussian kind requires a seed.  Each
-    kind refuses the other kind's argument rather than ignore it.
+    Vandermonde kind uses the supplied nodes (must be finite and pairwise
+    distinct) or Chebyshev nodes by default.  Gaussian kind requires a
+    seed.  Each kind refuses the other kind's argument rather than ignore
+    it.
     """
     P, K = params.P, params.K
     if kind == "vandermonde":
@@ -112,6 +113,8 @@ def build_generator(
         h = chebyshev_nodes(P) if nodes is None else np.array(nodes, dtype=float)
         if h.shape != (P,):
             raise ValueError(f"need {P} nodes, got shape {h.shape}")
+        if not np.all(np.isfinite(h)):
+            raise ValueError(f"Vandermonde nodes must be finite, got {h.tolist()}")
         if np.unique(h).size != P:
             raise ValueError("Vandermonde nodes must be pairwise distinct")
         entries = np.vander(h, K, increasing=False)

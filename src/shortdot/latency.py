@@ -97,6 +97,8 @@ def expected_kth_order(P: int, K: int, s: float, model: DelayModel) -> float:
     """Mean of the K-th order statistic of P iid length-s task times."""
     if not 1 <= K <= P:
         raise ValueError(f"need 1 <= K <= P, got K={K}, P={P}")
+    if not 0 < s < math.inf:  # NaN fails too
+        raise ValueError(f"task length s must be positive and finite, got {s}")
     return s * (1.0 + (harmonic(P) - harmonic(P - K)) / model.mu)
 
 
@@ -215,6 +217,8 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
     """
     if not 1 <= M <= P:
         raise ValueError(f"need 1 <= M <= P, got M={M}, P={P}")
+    if not 0 < N < math.inf:  # NaN fails too
+        raise ValueError(f"N must be positive and finite, got {N}")
     ks = np.arange(M, P + 1)
     H = _harmonic_table(P)
     h = H[P] - H[P - ks]

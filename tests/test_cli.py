@@ -388,6 +388,18 @@ def test_exit_code_numerical_error(tmp_path):
                  "--out", str(tmp_path / "c")]) == 3
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_encode_refuses_non_finite_nodes(tmp_path, capsys, bad):
+    # a bad node is a usage error (exit 2) named as such, not a failed
+    # SVD or an infinite condition number (exit 3)
+    a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
+    out = tmp_path / "c"
+    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out),
+                 f"--nodes={bad},0.1,0.2,0.3,0.4,0.5"]) == 2
+    assert "Vandermonde nodes must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--p", "6", "--n", "12", "--m-range", "1:3", "--trials", "10",
      "--seed", str(2**64 - 2)],  # the third row would need seed 2**64

@@ -70,6 +70,13 @@ def test_vandermonde_rejects_duplicate_nodes():
         build_generator(p, nodes=[1.0, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vandermonde_rejects_non_finite_nodes(bad):
+    p = validate_params(3, 2, 1, 3)
+    with pytest.raises(ValueError, match="Vandermonde nodes must be finite"):
+        build_generator(p, nodes=[bad, 1.0, 2.0])
+
+
 def test_gaussian_requires_seed_and_has_invertible_minors():
     p = validate_params(8, 5, 3, 16)
     with pytest.raises(ValueError):
@@ -464,7 +471,9 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
             assert str(exc.value) == message
         assert len(gen._conditions) == 1
     assert decode(pairs[1:] + [(4, 4.0)], gen, p).shape == (3,)  # rows 1..5 decode
-    gen = build_generator(p, nodes=nodes[:5] + [np.nan])
+    # build_generator refuses a NaN node, so the NaN rows are set directly
+    bad = np.array(nodes[:5] + [np.nan])
+    gen = dataclasses.replace(gen, entries=np.vander(bad, p.K), nodes=bad)
     for _ in range(2):  # a NaN SVD is raised each time, never memoized
         with pytest.raises(np.linalg.LinAlgError):
             decode(pairs, gen, p)
@@ -529,6 +538,24 @@ def test_decode_validates_inputs():
         decode([], gen, p)
     with pytest.raises(ValueError, match="need exactly 4 outputs, got 0"):
         decode_with_errors([], 0, gen, p)
+
+
+@pytest.mark.parametrize("P, K", [(7, 5), (6, 4), (6, 6)], ids=["P", "K-below", "K-above"])
+@pytest.mark.parametrize("call", ["encode", "decode", "decode_with_errors"])
+def test_codec_refuses_a_generator_of_another_shape(call, P, K):
+    # unchecked, a (7, 5) generator decodes (6,5,3,12) outputs without an
+    # error and misses A @ x by a relative error of 2.17
+    p = validate_params(6, 5, 3, 12)
+    other = build_generator(validate_params(P, K, min(K, 3), 12))
+    A = np.random.default_rng(3).standard_normal((3, 12))
+    outs = run_workers(encode(A, build_generator(p), p), np.ones(12))
+    run = {
+        "encode": lambda: encode(A, other, p),
+        "decode": lambda: decode(outs[:5], other, p),
+        "decode_with_errors": lambda: decode_with_errors(outs, 0, other, p),
+    }[call]
+    with pytest.raises(ValueError, match=rf"generator shape \({P}, {K}\) != \(6, 5\)"):
+        run()
 
 
 def test_decode_accepts_index_value_pairs():

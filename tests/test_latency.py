@@ -93,6 +93,12 @@ def test_expected_kth_order_examples():
     assert expected_kth_order(6, 5, 8.0, MU5) == pytest.approx(10.32, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [0.0, -1.0, math.inf, math.nan])
+def test_expected_kth_order_refuses_a_length_that_is_not_positive_and_finite(s):
+    with pytest.raises(ValueError, match="task length s must be positive and finite"):
+        expected_kth_order(5, 3, s, MU5)
+
+
 @pytest.mark.parametrize("P,K", [(10, 7), (20, 18)])
 def test_expected_kth_order_matches_monte_carlo(P, K):
     s = 4.0
@@ -229,6 +235,13 @@ def test_optimize_k_theta_m_regime():
     # claim holds with a mu-dependent constant (not the [M/4, 4M] window)
     k_star, _ = optimize_k(1000, 145, 1000.0, MU5)
     assert 145 / 16 <= 1000 - k_star <= 4 * 145
+
+
+@pytest.mark.parametrize("N", [0.0, -5.0, math.inf, math.nan])
+def test_optimize_k_refuses_an_n_that_is_not_positive_and_finite(N):
+    # unchecked, N = nan gives (3, nan) and N = -5 gives (3, -5.34)
+    with pytest.raises(ValueError, match="N must be positive and finite"):
+        optimize_k(10, 3, N, MU5)
 
 
 @pytest.mark.parametrize("mu", [0.5, 5.0])

@@ -19,6 +19,43 @@ def test_newton_single_point():
     np.testing.assert_array_equal(coeffs, [[7.5, -2.0]])
 
 
+def _two_stage_newton_monomial(points, values):
+    """The interpolation the in-place solve replaced: divided differences
+    into a Newton array, then a monomial expansion that shifts by one
+    degree per node."""
+    D = points.size
+    dd = values.astype(float, copy=True)
+    newton = np.empty_like(dd)
+    newton[0] = dd[0]
+    for level in range(1, D):
+        dd = (dd[1:] - dd[:-1]) / (points[level:] - points[:-level])[:, None]
+        newton[level] = dd[0]
+    mono = np.zeros_like(newton)
+    mono[0] = newton[D - 1]
+    deg = 0
+    for i in range(D - 2, -1, -1):
+        shifted = np.zeros_like(mono)
+        shifted[1 : deg + 2] = mono[: deg + 1]
+        shifted[: deg + 1] -= points[i] * mono[: deg + 1]
+        shifted[0] += newton[i]
+        mono = shifted
+        deg += 1
+    return mono[::-1]
+
+
+def test_newton_is_bitwise_the_two_stage_interpolation():
+    rng = np.random.default_rng(16)
+    for trial in range(10_000):
+        D = int(rng.integers(1, 41))
+        if trial % 2:
+            points = rng.permutation(np.cos((2 * np.arange(1, D + 1) - 1) * np.pi / (2 * D)))
+        else:
+            points = rng.standard_normal(D)
+        values = rng.standard_normal((D, int(rng.integers(1, 5))))
+        assert np.array_equal(_newton_monomial(points, values),
+                              _two_stage_newton_monomial(points, values)), (trial, D)
+
+
 def test_newton_round_trip_against_polyval():
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal((6, 3))  # three polynomials of degree 5

@@ -131,6 +131,16 @@ def test_load_refuses_bad_params_file(tmp_path, edit, message):
         load_transform(out)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_refuses_a_non_finite_node(tmp_path, bad):
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    out = save_transform(encode(np.ones((3, 12)), gen, p), tmp_path / "t")
+    _set_param(out, "nodes", ",".join([bad] + ["%.17g" % h for h in gen.nodes[1:]]))
+    with pytest.raises(ValueError, match="Vandermonde nodes must be finite"):
+        load_transform(out)
+
+
 def _sec6_transform(tmp_path, **generator):
     p = validate_params(20, 18, 10, 785)
     A = np.random.default_rng(6).standard_normal((10, 785))
