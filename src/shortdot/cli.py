@@ -466,6 +466,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 def main(argv=None) -> int:
     parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value that starts with "-" as a flag unless it is a
+    # single number, so "--nodes -0.5,0.1" would lose its value: join them
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--nodes" and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"--nodes={argv[i]}"]
     pre = argparse.ArgumentParser(prog="shortdot", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,9 @@ from .strategies import (
 
 DEFAULT_MU = 5.0
 _MC_CHUNK = 1 << 16  # fixed chunk size keeps reductions thread-count independent
-_MC_BLOCK = 1 << 15  # draws per block of a chunk: its three buffers stay in L2
+# draws per block of a chunk: a thread's three scratch buffers,
+# 3 x 8 x max(_MC_BLOCK, P) bytes at most, stay in L2
+_MC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -231,28 +234,35 @@ def optimize_k(P: int, M: int, N: float, model: DelayModel) -> tuple[int, float]
 # --- Monte Carlo -----------------------------------------------------------
 #
 # Uniform draws come from a counter-based SplitMix64 stream: draw number
-# d of the run is fmix64(key + (d+1)*GOLDEN).  Trial t consumes draws
-# t*P..(t+1)*P-1, so the sample for (trial, worker) is a pure function of
-# (seed, trial, worker) and results cannot depend on chunking or thread
-# count.
+# d of the run is fmix64(key + (d+1)*GOLDEN), and its uniform is
+# (fmix64 >> 11) * 2**-53.  Trial t consumes draws t*P..(t+1)*P-1, so the
+# sample for (trial, worker) is a pure function of (seed, trial, worker)
+# and results cannot depend on chunking or thread count.
 #
 # A chunk is walked in blocks of about _MC_BLOCK draws, so that its
-# working set stays in cache: each block reuses two uint64 buffers and one
-# float64 buffer, SplitMix64 fills the float64 one with uniforms in place,
-# and only the block's recovery times go to the chunk's array.  No array
-# of the chunk's draws is ever made (at 65536 x 100 one such array is
-# 52 MB).
+# working set stays in cache.  Each thread (a pool's too) keeps one
+# scratch set in a threading.local: the counter steps and two uint64 work
+# buffers, sized for the last block and rebuilt only when the block size
+# changes, so it holds 3 x 8 x max(_MC_BLOCK, P) bytes at most.  A
+# steady-state call allocates nothing of block size: buffers above glibc's
+# 128 KiB mmap threshold, allocated per call, cost hundreds of page faults
+# per call.  SplitMix64 mixes a block in place, and only the block's
+# recovery times go to the chunk's array.  No array of the chunk's draws
+# is ever made (at 65536 x 100 one such array is 52 MB).
 #
-# The recovery rule selects on the uniforms, and the inverse CDF runs only
-# on what it picks (_block_recovery): with one task length, on the one
-# selected draw of each trial; with one worker per group and several
-# lengths, on the largest draw of each run of equal consecutive lengths,
-# then the largest time is taken.  Only the other plans (several lengths
-# and a group of several workers) transform every draw first.  This is
-# bitwise the same as transforming every draw: t = s (1 - log1p(-u)/mu)
-# is non-decreasing in u (negation is exact, log1p is monotone on the
-# 2**-53 grid, and /mu, 1 - x and x s with s > 0 are correctly rounded),
-# so max, min, sort and partition pick the same draw either way.  The two sums run once over
+# The recovery rule selects on the raw 64-bit outputs, and the final
+# shift, the uint64 -> float conversion and the inverse CDF run only on
+# what it picks (_block_recovery): with one task length, on the one
+# selected draw of each trial (one group sorts the block in place); with
+# one worker per group and several lengths, on the largest output of
+# each run of equal consecutive lengths, then the largest time is taken.
+# Only the other plans (several lengths and a group of several workers)
+# convert and transform every draw first.  This is bitwise the same as
+# transforming every draw: the uniform (z >> 11) * 2**-53 is
+# non-decreasing in z, and t = s (1 - log1p(-u)/mu) is non-decreasing in
+# u (negation is exact, log1p is monotone on the 2**-53 grid, and /mu,
+# 1 - x and x s with s > 0 are correctly rounded), so max, min, sort and
+# partition pick the same draw either way.  The two sums run once over
 # the chunk's recovery times, so the results depend neither on _MC_BLOCK
 # nor on the thread count.  They do depend on numpy's log1p: its AVX-512
 # version and the C library's differ by an ulp on some draws.
@@ -276,10 +286,10 @@ def _stream_key(seed: int, start: int) -> np.uint64:
     return np.uint64((seed + start * int(_GOLDEN)) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _splitmix_uniform(z: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Finish SplitMix64 on the counters in z (overwritten, tmp is scratch)
-    and write the uniforms (z >> 11) * 2**-53 in [0, 1) to out."""
-    s30, s27, s31, s11 = _SHIFTS
+def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Finish SplitMix64 on the counters in z, in place (tmp is scratch),
+    and return z: the 64-bit outputs."""
+    s30, s27, s31, _ = _SHIFTS
     np.right_shift(z, s30, out=tmp)
     z ^= tmp
     z *= _MIX1
@@ -288,37 +298,72 @@ def _splitmix_uniform(z: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.nda
     z *= _MIX2
     np.right_shift(z, s31, out=tmp)
     z ^= tmp
-    z >>= s11
-    return np.multiply(z, 2.0**-53, out=out)
+    return z
+
+
+def _to_uniform(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The uniforms (bits >> 11) * 2**-53 in [0, 1) of SplitMix64 outputs.
+
+    With out=None a new array; with out=bits (contiguous) the conversion
+    runs in bits' memory, and the float64 view of it is returned.
+    """
+    shifted = np.right_shift(bits, _SHIFTS[3], out=out)
+    return np.multiply(shifted, 2.0**-53, out=shifted.view(np.float64))
 
 
 def _uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     z = _golden_steps(count)
     z += _stream_key(seed, start)
-    return _splitmix_uniform(z, np.empty_like(z), np.empty(count))
+    return _to_uniform(_splitmix64(z, np.empty_like(z)), out=z)
+
+
+_scratch = threading.local()
+
+
+def _block_scratch(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's (steps, z, tmp) for blocks of n draws: the read-only
+    _golden_steps(n) and two uint64 work buffers, kept between calls and
+    rebuilt only when n changes."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].size != n:
+        steps = _golden_steps(n)
+        steps.flags.writeable = False
+        bufs = _scratch.bufs = (steps, np.empty_like(steps), np.empty_like(steps))
+    return bufs
 
 
 def _block_recovery(plan: TaskPlan, mu: float):
-    """Function from a (rows, P) block of uniforms (possibly overwritten)
-    to the rows' recovery times, equal bit for bit to
-    finish_times(plan, sample_time(plan.task_lengths, DelayModel(mu), u))."""
+    """Function from a (rows, P) C-contiguous block of SplitMix64 outputs
+    (overwritten) to the rows' recovery times, equal bit for bit to
+    finish_times(plan, sample_time(plan.task_lengths, DelayModel(mu),
+    _to_uniform(bits)))."""
     lengths = plan.task_lengths
     starts = np.flatnonzero(np.r_[True, lengths[1:] != lengths[:-1]])  # runs of one length
     if starts.size == 1:
-        def recover(u):
-            # not in place: for one group t is a strided view of the sorted
-            # block, and numpy 2.4.6's in-place negative misreads a view
-            # with a 64-byte stride (P = 8)
-            t = finish_times(plan, u)
-            return _inverse_cdf(t, mu, lengths[0], out=np.empty(t.size))
+        length, need = lengths[0], plan.need
+        if plan.member_index.shape[0] == 1:  # one group: sort in place, no copy
+            def pick(bits):
+                bits.sort(axis=1)
+                return bits[:, need - 1]
+        else:
+            def pick(bits):
+                return finish_times(plan, bits)
+
+        def recover(bits):
+            # _to_uniform copies the picked column: in place on a strided
+            # view, numpy 2.4.6's negative misreads a 64-byte stride (P = 8)
+            u = _to_uniform(pick(bits))
+            return _inverse_cdf(u, mu, length, out=u)
     elif plan.member_index.shape[1] == 1:  # every group is one worker
         run_lengths = lengths[starts]
 
-        def recover(u):
-            t = np.maximum.reduceat(u, starts, axis=1)
-            return _inverse_cdf(t, mu, run_lengths, out=t).max(axis=1)
+        def recover(bits):
+            top = np.maximum.reduceat(bits, starts, axis=1)
+            u = _to_uniform(top, out=top)
+            return _inverse_cdf(u, mu, run_lengths, out=u).max(axis=1)
     else:
-        def recover(u):
+        def recover(bits):
+            u = _to_uniform(bits, out=bits)
             return finish_times(plan, _inverse_cdf(u, mu, lengths, out=u))
     return recover
 
@@ -360,19 +405,18 @@ def monte_carlo(
 
     bounds = [(a, min(a + _MC_CHUNK, trials)) for a in range(0, trials, _MC_CHUNK)]
     rows = max(1, _MC_BLOCK // P)
-    steps = _golden_steps(min(rows, trials) * P)  # read-only, shared by the chunks
+    block = min(rows, trials) * P
 
     def run_chunk(bound: tuple[int, int]) -> tuple[float, float]:
         a, b = bound
         ft = np.empty(b - a)
-        z, tmp = np.empty_like(steps), np.empty_like(steps)
-        t = np.empty(steps.size)
+        steps, z, tmp = _block_scratch(block)
         for lo in range(a, b, rows):
             hi = min(lo + rows, b)
             n = (hi - lo) * P
             np.add(steps[:n], _stream_key(seed, lo * P), out=z[:n])
-            u = _splitmix_uniform(z[:n], tmp[:n], t[:n]).reshape(hi - lo, P)
-            ft[lo - a:hi - a] = recover(u)
+            bits = _splitmix64(z[:n], tmp[:n]).reshape(hi - lo, P)
+            ft[lo - a:hi - a] = recover(bits)
         return float(np.sum(ft)), float(np.sum(ft * ft))
 
     if n_threads > 1 and len(bounds) > 1:

@@ -221,8 +221,16 @@ def plan_by_name(name: str, params: CodeParams, s: int | None = None) -> TaskPla
 
 
 def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
-    """Recovery time for each row of a (trials, P) matrix of worker times."""
-    times = np.atleast_2d(np.asarray(times, dtype=float))
+    """Recovery time for each row of a (trials, P) matrix of worker times.
+
+    Integer times keep their dtype (the Monte Carlo selects on raw 64-bit
+    outputs); anything else is read as float64.  Only comparisons are
+    made, so for every non-decreasing f, finish_times(plan, f(times)) ==
+    f(finish_times(plan, times)).
+    """
+    times = np.atleast_2d(np.asarray(times))
+    if times.dtype.kind not in "iu":
+        times = times.astype(float, copy=False)
     if times.shape[1] != plan.P:
         raise ValueError(f"times must have {plan.P} columns")
     index, need = plan.member_index, plan.need
@@ -234,7 +242,9 @@ def finish_times(plan: TaskPlan, times: np.ndarray) -> np.ndarray:
     if need == 1:
         return by_group.min(axis=2).max(axis=1)
     padded = index[:, 1:] == index[:, :1]  # the repeats of short groups
-    by_group[:, :, 1:][:, padded] = np.inf  # the need-th smallest never picks a repeat
+    # the need-th smallest never picks a repeat: it is set to the dtype's largest value
+    top = np.iinfo(times.dtype).max if times.dtype.kind in "iu" else np.inf
+    by_group[:, :, 1:][:, padded] = top
     return np.partition(by_group, need - 1, axis=2)[:, :, need - 1].max(axis=1)
 
 

@@ -15,6 +15,7 @@ from shortdot import (
     check_achievability,
     encode,
     load_matrix,
+    load_transform,
     save_matrix,
     validate_params,
 )
@@ -386,6 +387,19 @@ def test_exit_code_numerical_error(tmp_path):
     assert main(["encode", a_path, "--p", "4", "--k", "3",
                  "--nodes", "0.5,0.5000000000000001,-0.5,-0.7",
                  "--out", str(tmp_path / "c")]) == 3
+
+
+@pytest.mark.parametrize("form", ["spaced", "joined"])
+def test_encode_takes_nodes_whose_first_is_negative(tmp_path, form):
+    # argparse reads "-0.5,..." as a flag: its negative-number rule allows
+    # no commas (the rule itself differs between Python 3.11 and 3.13)
+    a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
+    out = tmp_path / "c"
+    nodes = "-0.5,-0.25,0.1,0.3,0.6,0.9"
+    flags = ["--nodes", nodes] if form == "spaced" else [f"--nodes={nodes}"]
+    assert main(["encode", a_path, "--p", "6", "--k", "5", *flags, "--out", str(out)]) == 0
+    code = load_transform(out)
+    assert np.array_equal(code.generator.nodes, [float(h) for h in nodes.split(",")])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from shortdot.latency import (
     _block_recovery,
     _harmonic_table,
     _inverse_cdf,
+    _to_uniform,
     _uniform_stream,
     simulation_threads,
 )
@@ -468,10 +470,24 @@ _FIXED_PLANS = [
 ]
 
 
+def _random_bits(rng, rows, P):
+    """(rows, P) SplitMix64-like outputs with ties in the top 53 bits and
+    distinct low 11 bits, outputs below 2**11 (u = 0) and 2**64 - 1."""
+    if rng.integers(2):  # 8 levels of the top 53 bits, the lowest 0
+        top = rng.choice(np.array([0, 1, 2**20, 2**52, 2**53 - 2, 2**53 - 1, 7, 12345],
+                                  dtype=np.uint64), size=(rows, P))
+        bits = (top << np.uint64(11)) | rng.integers(0, 2**11, size=(rows, P), dtype=np.uint64)
+    else:
+        bits = rng.integers(0, 2**64, size=(rows, P), dtype=np.uint64, endpoint=False)
+        bits[::3, ::2] = rng.integers(0, 2**11, size=bits[::3, ::2].shape, dtype=np.uint64)
+    bits[1::5, 1::3] = 2**64 - 1
+    return bits
+
+
 @pytest.mark.parametrize("case", range(60))
 def test_block_recovery_equals_finish_times_of_every_sample(case):
-    # selection on the uniforms == selection on the inverse-CDF times,
-    # bit for bit; the grids of 8 levels give ties and u = 0
+    # selection on the 64-bit outputs == selection on the inverse-CDF times
+    # of their uniforms, bit for bit
     rng = np.random.default_rng(case)
     shapes = ("singles", "one group", "need 1", "need k")
     if case < len(_FIXED_PLANS):
@@ -480,15 +496,49 @@ def test_block_recovery_equals_finish_times_of_every_sample(case):
         plan = _random_plan(rng, shapes[case % 4], 1 + case // 4 % 3)
     model = DelayModel(float(rng.choice([0.1, 1.0, 5.0, 50.0])))
     rows = 64
-    if rng.integers(2):
-        u = rng.integers(0, 8, size=(rows, plan.P)) / 8.0
-    else:
-        u = rng.random((rows, plan.P))
-        u[::3, ::2] = 0.0
-    expected = finish_times(plan, sample_time(plan.task_lengths, model, u))
-    got = _block_recovery(plan, model.mu)(u.copy())
+    bits = _random_bits(rng, rows, plan.P)
+    expected = finish_times(plan, sample_time(plan.task_lengths, model, _to_uniform(bits)))
+    got = _block_recovery(plan, model.mu)(bits.copy())
     assert got.shape == (rows,)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_finish_times_commutes_with_the_uniform_conversion(case):
+    # the Monte Carlo selects on the outputs and converts what it picks;
+    # short need-k groups are padded with 2**64 - 1 for outputs, inf for floats
+    rng = np.random.default_rng(1000 + case)
+    shape = ("singles", "one group", "need 1", "need k")[case % 4]
+    plan = _random_plan(rng, shape, 1 + case // 4 % 3)
+    bits = _random_bits(rng, 32, plan.P)
+    picked = finish_times(plan, bits)
+    assert picked.dtype == np.uint64
+    assert np.array_equal(_to_uniform(picked), finish_times(plan, _to_uniform(bits)))
+
+
+def test_finish_times_pads_integer_groups_with_the_dtypes_largest_value():
+    plan = TaskPlan("need 2, sizes 3,2", np.ones(5), [0, 1, 0, 1, 0], 2)
+    top = np.iinfo(np.uint64).max
+    times = np.array([[5, top, 1, top - 1, 9]], dtype=np.uint64)
+    got = finish_times(plan, times)
+    assert got.dtype == np.uint64 and got.tolist() == [top]
+    assert finish_times(plan, times.astype(np.int64) // 2**40).dtype == np.int64
+
+
+@pytest.mark.parametrize("name, M", [("uncoded", 7), ("mds", 20), ("short-dot", 20)])
+def test_a_warm_monte_carlo_row_allocates_no_block(monkeypatch, name, M):
+    # a sweep row at P = 100: its block buffers (3 x 256 KiB) are this
+    # thread's scratch, made by the first call and reused by the next
+    monkeypatch.delenv("SHORTDOT_THREADS", raising=False)
+    plan = _p100(name, M)
+    monte_carlo(plan, MU5, 2000, 1)
+    tracemalloc.start()
+    try:
+        monte_carlo(plan, MU5, 2000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def _split_factors(P, M, N, per_worker):
