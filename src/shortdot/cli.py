@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: encode, transform, sweep, theorem4, bounds,
-experiment-sec6, selftest; each declares only the flags it reads.
+experiment-sec6, selftest; each declares only the flags it reads, and
+an invocation that names its subcommand first builds only that
+subcommand's parser (help, no argument or an unknown name build all).
 `--config FILE` (every subcommand but selftest) holds key=value lines
 whose keys are that subcommand's flag names; they become the flags'
 defaults, so flags given on the command line win.  Exit codes:
@@ -240,6 +242,8 @@ print("wrote {out.stem}.png")
 
 
 def cmd_theorem4(args) -> int:
+    if not args.p_list:
+        raise ValueError("--p-list is empty: need one processor count or more")
     rows = theorem4_regime(args.p_list, DelayModel(args.mu))
     header = ["P", "M", "K", "short_dot_scaled", "mds_scaled",
               "uncoded_scaled", "repetition_scaled", "ratio"]
@@ -387,21 +391,7 @@ def cmd_selftest(args) -> int:
 # --- parser / entry ----------------------------------------------------------
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="shortdot",
-        description="Sparse coded distributed matrix-vector multiplication toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help, allow_abbrev=False)
-        p.set_defaults(func=func)
-        p.add_argument("--config", help="key=value file of this command's flags; flags win")
-        return p
-
-    p = command("encode", cmd_encode, "encode a matrix CSV into a transform directory")
+def _encode_flags(p):
     p.add_argument("matrix", help="CSV file holding the M x N matrix A")
     p.add_argument("--p", type=int, required=True, help="worker count P")
     p.add_argument("--k", type=int, required=True, help="recovery threshold K")
@@ -410,7 +400,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, help="gaussian generator seed")
     p.add_argument("--nodes", type=_float_list, help="comma-separated Vandermonde nodes")
 
-    p = command("transform", cmd_transform, "compute A@x from a transform directory")
+
+def _transform_flags(p):
     p.add_argument("code_dir", help="directory written by `shortdot encode`")
     p.add_argument("x", help="CSV file holding the input vector")
     choose = p.add_mutually_exclusive_group()
@@ -422,7 +413,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="idx:value pairs overriding worker outputs before either decode")
     p.add_argument("--out", help="CSV path for A@x (default: stdout)")
 
-    p = command("sweep", cmd_sweep, "expected-time sweep over M, CSV + plot script")
+
+def _sweep_flags(p):
     p.add_argument("--p", type=int, required=True, help="worker count P")
     p.add_argument("--n", type=int, help="input dimension N (default 100 P)")
     p.add_argument("--k", type=_k_spec, default="auto",
@@ -438,34 +430,72 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0, help="Monte-Carlo seed of the first row")
     p.add_argument("--out", required=True, help="CSV path")
 
-    p = command("theorem4", cmd_theorem4, "scaled times in the M ~ P/ln P regime")
+
+def _theorem4_flags(p):
     p.add_argument("--p-list", type=_int_list, default="1000,10000,100000,1000000",
                    help="comma-separated processor counts")
     p.add_argument("--mu", type=float, default=DEFAULT_MU, help="straggling parameter mu")
     p.add_argument("--out", help="CSV path (default: stdout)")
 
-    p = command("bounds", cmd_bounds, "sparsity lower bounds for a parameter tuple")
+
+def _bounds_flags(p):
     p.add_argument("--p", type=int, required=True, help="worker count P")
     p.add_argument("--k", type=int, required=True, help="recovery threshold K")
     p.add_argument("--m", type=int, required=True, help="dot-product count M")
     p.add_argument("--n", type=int, required=True, help="input dimension N (pre-padding)")
     p.add_argument("--out", help="CSV path for the report")
 
-    p = command("experiment-sec6", cmd_experiment_sec6,
-                "simulated stand-in for the cluster experiment")
+
+def _experiment_sec6_flags(p):
     p.add_argument("--mu", type=float, default=DEFAULT_MU, help="straggling parameter mu")
     p.add_argument("--trials", type=int, default=1_000_000, help="Monte-Carlo trials")
     p.add_argument("--seed", type=int, default=0, help="seed of the first strategy")
     p.add_argument("--out", help="CSV path for the report")
 
-    sub.add_parser("selftest", help="quick internal consistency battery",
-                   allow_abbrev=False).set_defaults(func=cmd_selftest)
+
+# name: (handler, help line, flag declarations; None takes no --config)
+_COMMANDS = {
+    "encode": (cmd_encode, "encode a matrix CSV into a transform directory", _encode_flags),
+    "transform": (cmd_transform, "compute A@x from a transform directory", _transform_flags),
+    "sweep": (cmd_sweep, "expected-time sweep over M, CSV + plot script", _sweep_flags),
+    "theorem4": (cmd_theorem4, "scaled times in the M ~ P/ln P regime", _theorem4_flags),
+    "bounds": (cmd_bounds, "sparsity lower bounds for a parameter tuple", _bounds_flags),
+    "experiment-sec6": (cmd_experiment_sec6, "simulated stand-in for the cluster experiment",
+                        _experiment_sec6_flags),
+    "selftest": (cmd_selftest, "quick internal consistency battery", None),
+}
+
+
+def build_parser(only: str | None = None
+                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name: all of them, or with
+    `only` the subcommand so named alone.  The usage line names every
+    subcommand either way, so usage and error text do not depend on
+    which were built."""
+    parser = argparse.ArgumentParser(
+        prog="shortdot",
+        description="Sparse coded distributed matrix-vector multiplication toolkit",
+    )
+    # left to argparse when all are built: an explicit metavar also renames
+    # the argument in its "required" and "invalid choice" errors
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help, add_flags) in _COMMANDS.items():
+        if only in (None, name):
+            p = sub.add_parser(name, help=help, allow_abbrev=False)
+            p.set_defaults(func=func)
+            if add_flags:
+                p.add_argument("--config",
+                               help="key=value file of this command's flags; flags win")
+                add_flags(p)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named subcommand's parser is built: the flags of the others
+    # cost more to declare than a request spends parsing its own
+    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     # argparse reads a value that starts with "-" as a flag unless it is a
     # single number, so "--nodes -0.5,0.1" would lose its value: join them
     for i in range(len(argv) - 1, 0, -1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -38,8 +39,9 @@ class GeneratorMatrix:
     seed that reproduces the entries).
 
     entries and nodes are read-only from construction on, so the memo of
-    responder-set condition numbers (see `condition`) cannot go stale;
-    `dataclasses.replace` starts a new generator with an empty memo.
+    responder-set condition numbers (see `condition`) and the cached
+    `parity` cannot go stale; `dataclasses.replace` starts a new generator
+    with an empty memo and no parity yet.
     """
 
     entries: np.ndarray
@@ -60,6 +62,16 @@ class GeneratorMatrix:
     @property
     def K(self) -> int:
         return self.entries.shape[1]
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        """H, a read-only orthonormal (P - K) x P basis of the left null
+        space of entries, from one full SVD (U[:, K:].T): H @ entries = 0,
+        so a P-row matrix is entries @ W for some W exactly when H maps it
+        to 0.  Empty (0 x P) when K = P."""
+        H = np.linalg.svd(self.entries)[0][:, self.K:].T.copy()
+        H.flags.writeable = False
+        return H
 
     def condition(self, idx: np.ndarray) -> float:
         """cond of the rows idx (1-based, distinct, any order) of entries.

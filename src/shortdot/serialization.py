@@ -10,7 +10,8 @@ transform is a directory of
 params.txt is read with read_key_values, as are the CLI's --config files.
 The supports follow from the parameters; load_transform checks
 supports.txt against them, and refuses an F that is nonzero on the
-sparsity pattern or that the generator does not reproduce.
+sparsity pattern or that the generator does not reproduce (see
+coding.check_generator).
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ _FMT = "%.17g"  # round-trips float64 exactly
 
 
 def save_matrix(path, mat) -> None:
+    """Write mat as np.savetxt(path, mat, fmt=_FMT, delimiter=",") does,
+    byte for byte, in one write."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    np.savetxt(path, mat, fmt=_FMT, delimiter=",")
+    row = ",".join([_FMT] * mat.shape[1]) + "\n"
+    Path(path).write_text("".join(row % tuple(r) for r in mat.tolist()))
 
 
 def load_matrix(path) -> np.ndarray:

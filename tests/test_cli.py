@@ -1,3 +1,4 @@
+import argparse
 import csv
 import os
 import re
@@ -24,6 +25,7 @@ from shortdot.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
+SUBCOMMANDS = list(build_parser()[1])
 
 
 def _write_matrix(path, mat):
@@ -506,6 +508,20 @@ def test_theorem4_refuses_p_whose_rounding_is_no_code(capsys, p_list):
     assert out == "" and "theorem-4 regime needs" in err and "P=" in err
 
 
+@pytest.mark.parametrize("p_list", ["", " , ", "config"])
+def test_theorem4_refuses_an_empty_p_list(tmp_path, capsys, p_list):
+    out = tmp_path / "t4.csv"
+    if p_list == "config":
+        (tmp_path / "t4.cfg").write_text("p-list=\n")
+        argv = ["theorem4", "--config", str(tmp_path / "t4.cfg"), "--out", str(out)]
+    else:
+        argv = ["theorem4", "--p-list", p_list, "--out", str(out)]
+    assert _status(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "--p-list" in err and "empty" in err
+    assert not out.exists()
+
+
 def test_malformed_thread_count_exits_2_before_any_output(monkeypatch, capsys):
     monkeypatch.setenv("SHORTDOT_THREADS", "two")
     assert main(["experiment-sec6", "--trials", "10"]) == 2
@@ -696,3 +712,57 @@ def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def _printed(call, capsys):
+    """Exit status, stdout and stderr of call(), which may exit."""
+    try:
+        status = call()
+    except SystemExit as exc:
+        status = exc.code
+    return (status, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["--config", "run.cfg"],
+    *([name, "--help"] for name in SUBCOMMANDS),
+    ["transform", "code", "x.csv", "--mu", "5"],
+    ["bounds", "--p", "6"],
+    ["sweep", "--p", "6", "--m-range", "3:2", "--out", "s.csv"],
+    ["selftest", "--p", "3"],
+])
+def test_cli_prints_what_the_parser_of_every_subcommand_prints(argv, capsys):
+    full = _printed(lambda: build_parser()[0].parse_args(argv), capsys)
+    assert full[0] != 0 or argv[-1] == "--help"
+    assert _printed(lambda: main(argv), capsys) == full
+
+
+def test_a_named_subcommand_builds_only_its_own_parser(monkeypatch, capsys):
+    assert len(SUBCOMMANDS) == 7
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    for name in SUBCOMMANDS:
+        assert _status([name, "--help"]) == 0
+        assert built == [name]
+        built.clear()
+    assert main(["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12"]) == 0
+    assert built == ["bounds"]
+    built.clear()
+    for argv in (["--help"], ["bogus"], ["Bounds", "--p", "6"]):
+        assert _status(argv) in (0, 2)
+        assert built == SUBCOMMANDS
+        built.clear()
+
+
+def test_unknown_subcommand_exits_2_and_lists_every_choice(capsys):
+    assert _status(["bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    choices = err.split("choose from", 1)[1]
+    assert all(name in choices for name in SUBCOMMANDS)

@@ -141,6 +141,19 @@ def test_generator_arrays_are_read_only_and_replace_starts_an_empty_memo():
     assert gen == dataclasses.replace(gen)  # the memo takes no part in ==
 
 
+@pytest.mark.parametrize("P, K, kind", [(20, 18, "vandermonde"), (12, 9, "gaussian"),
+                                        (100, 95, "gaussian"), (6, 6, "vandermonde")])
+def test_parity_is_a_cached_read_only_orthonormal_left_null_basis(P, K, kind):
+    gen = build_generator(validate_params(P, K, 1, P), kind, seed=3 if kind == "gaussian" else None)
+    H = gen.parity
+    assert H.shape == (P - K, P) and gen.parity is H
+    np.testing.assert_allclose(H @ H.T, np.eye(P - K), atol=1e-13)
+    assert np.max(np.abs(H @ gen.entries), initial=0.0) <= 1e-14 * np.max(np.abs(gen.entries))
+    with pytest.raises(ValueError, match="read-only"):
+        H[...] = 0.0
+    assert "parity" not in dataclasses.replace(gen).__dict__
+
+
 def test_verify_generator_refuses_huge_enumerations():
     p = validate_params(40, 20, 10, 40)
     gen = build_generator(p)
