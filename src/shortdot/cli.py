@@ -61,10 +61,6 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
 # --- encode ------------------------------------------------------------------
 
 
@@ -72,7 +68,7 @@ def cmd_encode(args) -> int:
     A = load_matrix(args.matrix)
     M = A.shape[0]
     params = validate_params(args.p, args.k, M, A.shape[1])
-    gen = build_generator(params, kind=args.kind, nodes=args.nodes, seed=args.seed)
+    gen = build_generator(params, kind=args.kind, seed=args.seed)
     code = encode(A, gen, params)
     save_transform(code, args.out)
     nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
@@ -398,7 +394,6 @@ def _encode_flags(p):
     p.add_argument("--out", required=True, help="transform directory to write")
     p.add_argument("--kind", choices=("vandermonde", "gaussian"), default="vandermonde")
     p.add_argument("--seed", type=int, help="gaussian generator seed")
-    p.add_argument("--nodes", type=_float_list, help="comma-separated Vandermonde nodes")
 
 
 def _transform_flags(p):
@@ -496,13 +491,9 @@ def main(argv=None) -> int:
     # only the named subcommand's parser is built: the flags of the others
     # cost more to declare than a request spends parsing its own
     parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    # argparse reads a value that starts with "-" as a flag unless it is a
-    # single number, so "--nodes -0.5,0.1" would lose its value: join them
-    for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--nodes" and not argv[i].startswith("--"):
-            argv[i - 1:i + 1] = [f"--nodes={argv[i]}"]
+    # a --config without a value is left for the subcommand's parser to refuse
     pre = argparse.ArgumentParser(prog="shortdot", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
+    pre.add_argument("--config", nargs="?")
     config = pre.parse_known_args(argv)[0].config
     try:
         if config and argv[0] in commands:

@@ -4,6 +4,8 @@ The P x K generator B must satisfy two invertibility properties: every
 K x K submatrix is invertible, and every (K-M) x (K-M) submatrix of the
 last K-M columns is invertible.  A real Vandermonde matrix on distinct
 nodes satisfies both; an i.i.d. Gaussian matrix does almost surely.
+build_generator makes the Vandermonde one on the Chebyshev nodes only,
+so a generator is rebuilt from (P, K) and, for the Gaussian kind, a seed.
 """
 
 from __future__ import annotations
@@ -108,34 +110,23 @@ def chebyshev_nodes(P: int) -> np.ndarray:
 def build_generator(
     params: CodeParams,
     kind: str = "vandermonde",
-    nodes=None,
     seed: int | None = None,
 ) -> GeneratorMatrix:
     """Construct a generator for the given parameters.
 
-    Vandermonde kind uses the supplied nodes (must be finite and pairwise
-    distinct) or Chebyshev nodes by default.  Gaussian kind requires a
-    seed.  Each kind refuses the other kind's argument rather than ignore
-    it.
+    The Vandermonde kind is np.vander on the P Chebyshev nodes, so it
+    depends on (P, K) alone and refuses a seed.  The Gaussian kind
+    requires a seed.
     """
     P, K = params.P, params.K
     if kind == "vandermonde":
         if seed is not None:
-            raise ValueError("a Vandermonde generator takes nodes, not a seed")
-        h = chebyshev_nodes(P) if nodes is None else np.array(nodes, dtype=float)
-        if h.shape != (P,):
-            raise ValueError(f"need {P} nodes, got shape {h.shape}")
-        if not np.all(np.isfinite(h)):
-            raise ValueError(f"Vandermonde nodes must be finite, got {h.tolist()}")
-        if np.unique(h).size != P:
-            raise ValueError("Vandermonde nodes must be pairwise distinct")
-        entries = np.vander(h, K, increasing=False)
-        return GeneratorMatrix(entries=entries, kind=kind, nodes=h)
+            raise ValueError("a Vandermonde generator takes no seed")
+        h = chebyshev_nodes(P)
+        return GeneratorMatrix(entries=np.vander(h, K), kind=kind, nodes=h)
     if kind == "gaussian":
         if seed is None:
             raise ValueError("gaussian generator requires a seed")
-        if nodes is not None:
-            raise ValueError("a gaussian generator takes a seed, not nodes")
         rng = np.random.default_rng(seed)
         entries = rng.standard_normal((P, K))
         return GeneratorMatrix(entries=entries, kind=kind, seed=int(seed))

@@ -2,16 +2,19 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines: P, K, M, N, N_raw, kind, seed/nodes,
-                  zero_tolerance
+    params.txt    key=value lines: P, K, M, N, N_raw, kind, seed (Gaussian
+                  kind only), zero_tolerance
     F.csv         the P x N encoded matrix
     supports.txt  one line per row: space-separated 1-based column indices
 
 params.txt is read with read_key_values, as are the CLI's --config files.
-The supports follow from the parameters; load_transform checks
-supports.txt against them, and refuses an F that is nonzero on the
-sparsity pattern or that the generator does not reproduce (see
-coding.check_generator).
+It stores no nodes: a Vandermonde generator is always the one on the
+Chebyshev nodes, and an older directory's nodes= line must list them.
+save_transform refuses a generator that build_generator would not
+rebuild from params.txt.  The supports follow from the parameters;
+load_transform checks supports.txt against them, and refuses an F that
+is nonzero on the sparsity pattern or that the generator does not
+reproduce (see coding.check_generator).
 """
 
 from __future__ import annotations
@@ -40,9 +43,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_transform(code: EncodedTransform, out_dir) -> Path:
+    p, gen = code.params, code.generator
+    if not np.array_equal(build_generator(p, gen.kind, seed=gen.seed).entries, gen.entries):
+        raise ValueError(f"the {gen.kind} generator is not the one build_generator "
+                         "makes, so params.txt could not rebuild it")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p, gen = code.params, code.generator
     lines = [
         f"P={p.P}",
         f"K={p.K}",
@@ -51,9 +57,7 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
         f"N_raw={p.N_raw}",
         f"kind={gen.kind}",
     ]
-    if gen.kind == "vandermonde":
-        lines.append("nodes=" + ",".join(_FMT % h for h in gen.nodes))
-    else:
+    if gen.kind == "gaussian":
         lines.append(f"seed={gen.seed}")
     lines.append(f"zero_tolerance={_FMT % code.zero_tolerance}")
     (out / "params.txt").write_text("\n".join(lines) + "\n")
@@ -75,9 +79,18 @@ def read_key_values(path) -> dict[str, str]:
     return kv
 
 
+def _lists(text: str, values: np.ndarray) -> bool:
+    """Whether comma-separated text holds exactly these float values."""
+    try:
+        return np.array_equal(np.array(text.split(","), dtype=float), values)
+    except ValueError:
+        return False
+
+
 def load_transform(in_dir) -> EncodedTransform:
     """Read a directory written by save_transform, refusing supports that
-    miss the pattern and an F its generator does not reproduce (see
+    miss the pattern, an older directory's nodes= line that does not list
+    the Chebyshev nodes, and an F its generator does not reproduce (see
     coding.check_generator)."""
     src = Path(in_dir)
     kv = read_key_values(src / "params.txt")
@@ -93,8 +106,10 @@ def load_transform(in_dir) -> EncodedTransform:
             f"params.txt in {src}: N={field('N')} but P and N_raw give {params.N}")
     kind = field("kind")
     if kind == "vandermonde":
-        nodes = np.array([float(tok) for tok in field("nodes").split(",")])
-        gen = build_generator(params, kind="vandermonde", nodes=nodes)
+        gen = build_generator(params)
+        if "nodes" in kv and not _lists(kv["nodes"], gen.nodes):
+            raise ValueError(f"params.txt in {src}: nodes= is not the {params.P} "
+                             "Chebyshev nodes, the only ones a generator is built on")
     elif kind == "gaussian":
         gen = build_generator(params, kind="gaussian", seed=int(field("seed")))
     else:

@@ -13,15 +13,17 @@ import pytest
 
 from shortdot import (
     build_generator,
+    chebyshev_nodes,
     check_achievability,
     encode,
     load_matrix,
-    load_transform,
     save_matrix,
     validate_params,
 )
 from shortdot.bounds import tight_lower_bound_exact
 from shortdot.cli import build_parser, main
+
+from helpers import vandermonde_on
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -366,16 +368,14 @@ def test_exit_code_validation_error(tmp_path):
                  str(tmp_path / "c")]) == 2  # M=3 > K=2
 
 
-@pytest.mark.parametrize("flags", [
-    ["--seed", "9"],  # the default kind is Vandermonde
-    ["--kind", "gaussian", "--seed", "2", "--nodes", "1,2,3,4,5,6"],
-], ids=["seed-on-vandermonde", "nodes-on-gaussian"])
-def test_encode_refuses_the_generator_flag_of_the_other_kind(tmp_path, flags):
-    # params.txt records the seed or the nodes, never both, so the
-    # other flag is refused instead of being dropped
+def test_encode_refuses_a_seed_for_the_vandermonde_kind(tmp_path, capsys):
+    # params.txt records no seed for the default Vandermonde kind, so the
+    # flag is refused instead of being dropped
     a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
     out = tmp_path / "c"
-    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)] + flags) == 2
+    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out),
+                 "--seed", "9"]) == 2
+    assert "a Vandermonde generator takes no seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -384,35 +384,13 @@ def test_exit_code_io_error(tmp_path):
                  "--out", str(tmp_path / "c")]) == 4
 
 
-def test_exit_code_numerical_error(tmp_path):
-    a_path = _write_matrix(tmp_path / "A.csv", np.ones((1, 8)))
-    assert main(["encode", a_path, "--p", "4", "--k", "3",
-                 "--nodes", "0.5,0.5000000000000001,-0.5,-0.7",
-                 "--out", str(tmp_path / "c")]) == 3
-
-
-@pytest.mark.parametrize("form", ["spaced", "joined"])
-def test_encode_takes_nodes_whose_first_is_negative(tmp_path, form):
-    # argparse reads "-0.5,..." as a flag: its negative-number rule allows
-    # no commas (the rule itself differs between Python 3.11 and 3.13)
-    a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
+def test_exit_code_numerical_error(tmp_path, capsys):
+    # a window solve of the Chebyshev generator at (20, 10) has
+    # condition 1.3e8, above COND_LIMIT
+    a_path = _write_matrix(tmp_path / "A.csv", np.ones((1, 20)))
     out = tmp_path / "c"
-    nodes = "-0.5,-0.25,0.1,0.3,0.6,0.9"
-    flags = ["--nodes", nodes] if form == "spaced" else [f"--nodes={nodes}"]
-    assert main(["encode", a_path, "--p", "6", "--k", "5", *flags, "--out", str(out)]) == 0
-    code = load_transform(out)
-    assert np.array_equal(code.generator.nodes, [float(h) for h in nodes.split(",")])
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_encode_refuses_non_finite_nodes(tmp_path, capsys, bad):
-    # a bad node is a usage error (exit 2) named as such, not a failed
-    # SVD or an infinite condition number (exit 3)
-    a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
-    out = tmp_path / "c"
-    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out),
-                 f"--nodes={bad},0.1,0.2,0.3,0.4,0.5"]) == 2
-    assert "Vandermonde nodes must be finite" in capsys.readouterr().err
+    assert main(["encode", a_path, "--p", "20", "--k", "10", "--out", str(out)]) == 3
+    assert "exceeds limit" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -561,6 +539,7 @@ def test_sweep_analytic_matches_monte_carlo_of_the_same_plan(tmp_path, flags):
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--s", "4"],  # not --seed
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--m", "3"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--method", "poly"],
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--nodes", "1,2,3,4,5,6"],
     ["transform", "code", "x.csv", "--responders", "1,2,3,4,5", "--method", "poly"],
 ])
 def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
@@ -658,17 +637,34 @@ def test_transform_refuses_a_generator_that_does_not_reproduce_f(small_problem, 
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
-    lines = (out / "params.txt").read_text().splitlines()
-    nodes = [float(tok) for line in lines if line.startswith("nodes=")
-             for tok in line[len("nodes="):].split(",")]
+    nodes = chebyshev_nodes(6)
     nodes[0] += 1e-3
-    (out / "params.txt").write_text("".join(
-        ("nodes=" + ",".join("%.17g" % h for h in nodes) if line.startswith("nodes=")
-         else line) + "\n" for line in lines))
+    p = validate_params(6, 5, 3, 12)
+    save_matrix(out / "F.csv", encode(load_matrix(a_path), vandermonde_on(nodes, 5), p).F)
     capsys.readouterr()
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
     out_text, err = capsys.readouterr()
     assert "not encoded by its vandermonde generator" in err and out_text == ""
+
+
+def test_transform_reads_the_nodes_line_of_an_older_directory(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    argv = ["transform", str(out), x_path, "--responders", "2,3,4,5,6"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr()
+    text = (out / "params.txt").read_text()
+    nodes = chebyshev_nodes(6)
+    # as directories held it before nodes were dropped from the format
+    (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes) + "\n")
+    assert main(argv) == 0
+    assert capsys.readouterr() == printed
+    nodes[0] += 1e-3
+    (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes) + "\n")
+    assert main(argv) == 2
+    assert "nodes= is not the 6 Chebyshev nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -730,6 +726,11 @@ def _printed(call, capsys):
     ["bounds", "--p", "6"],
     ["sweep", "--p", "6", "--m-range", "3:2", "--out", "s.csv"],
     ["selftest", "--p", "3"],
+    # a --config with no value is the subcommand parser's error, not the pre-parser's
+    ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--config"],
+    ["bounds", "--config", "--p", "6", "--k", "5", "--m", "3", "--n", "12"],
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--config"],
+    ["sweep", "--config", "--p", "6", "--out", "s.csv"],
 ])
 def test_cli_prints_what_the_parser_of_every_subcommand_prints(argv, capsys):
     full = _printed(lambda: build_parser()[0].parse_args(argv), capsys)

@@ -23,7 +23,9 @@ from shortdot import (
     zero_mask,
 )
 import shortdot.coding as coding
-from shortdot.generator import CONDITION_MEMO_CAP, check_condition
+from shortdot.generator import CONDITION_MEMO_CAP, check_condition, chebyshev_nodes
+
+from helpers import vandermonde_on
 
 
 # --- zero pattern ------------------------------------------------------------
@@ -56,25 +58,22 @@ def test_pattern_counts():
 
 
 def test_vandermonde_entries_match_node_powers():
-    p = validate_params(3, 2, 1, 3)
-    gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(gen.entries, [[1, 1], [2, 1], [3, 1]])
-    p2 = validate_params(2, 2, 1, 2)
-    gen2 = build_generator(p2, nodes=[0.0, 1.0])
-    np.testing.assert_array_equal(gen2.entries, [[0, 1], [1, 1]])
+    np.testing.assert_array_equal(vandermonde_on([1.0, 2.0, 3.0], 2).entries,
+                                  [[1, 1], [2, 1], [3, 1]])
+    np.testing.assert_array_equal(vandermonde_on([0.0, 1.0], 2).entries, [[0, 1], [1, 1]])
+    # build_generator's Vandermonde kind depends on (P, K) alone
+    for P, K in ((2, 2), (6, 5), (20, 18)):
+        gen = build_generator(validate_params(P, K, 1, P))
+        h = np.cos((2.0 * np.arange(1, P + 1) - 1.0) * np.pi / (2.0 * P))
+        np.testing.assert_array_equal(gen.nodes, h)
+        np.testing.assert_array_equal(gen.entries, np.vander(chebyshev_nodes(P), K))
+        np.testing.assert_allclose(gen.entries, h[:, None] ** np.arange(K - 1, -1, -1),
+                                   rtol=1e-14)
 
 
-def test_vandermonde_rejects_duplicate_nodes():
-    p = validate_params(3, 2, 1, 3)
-    with pytest.raises(ValueError):
-        build_generator(p, nodes=[1.0, 1.0, 2.0])
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_vandermonde_rejects_non_finite_nodes(bad):
-    p = validate_params(3, 2, 1, 3)
-    with pytest.raises(ValueError, match="Vandermonde nodes must be finite"):
-        build_generator(p, nodes=[bad, 1.0, 2.0])
+def test_vandermonde_refuses_a_seed():
+    with pytest.raises(ValueError, match="a Vandermonde generator takes no seed"):
+        build_generator(validate_params(3, 2, 1, 3), seed=1)
 
 
 def test_gaussian_requires_seed_and_has_invertible_minors():
@@ -126,10 +125,7 @@ def test_check_condition_is_the_cond_gate():
 
 def test_generator_arrays_are_read_only_and_replace_starts_an_empty_memo():
     p = validate_params(6, 5, 3, 12)
-    nodes = np.linspace(-0.9, 0.9, 6)
-    gen = build_generator(p, nodes=nodes)
-    nodes[0] = 5.0  # the caller's array stays theirs and writable
-    assert gen.nodes[0] == -0.9
+    gen = build_generator(p)
     for arr in (gen.entries, gen.nodes):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0
@@ -166,7 +162,7 @@ def test_verify_generator_refuses_huge_enumerations():
 
 def test_encode_without_appended_rows_is_the_plain_product():
     p = validate_params(3, 2, 2, 3)
-    gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
+    gen = vandermonde_on([1.0, 2.0, 3.0], p.K)
     A = np.arange(6.0).reshape(2, 3)
     np.testing.assert_array_equal(encode(A, gen, p).F, gen.entries @ A)
 
@@ -175,7 +171,7 @@ def test_encode_appended_row_hand_example():
     # B = [[1, 1], [2, 1], [3, 1]]: column 1 appends z = -5, so that
     # 1*5 + 1*z = 0 on its zero row, and F[:, 0] = B @ [5, -5]
     p = validate_params(3, 2, 1, 3)
-    gen = build_generator(p, nodes=[1.0, 2.0, 3.0])
+    gen = vandermonde_on([1.0, 2.0, 3.0], p.K)
     code = encode([[5.0, 0.0, 0.0]], gen, p)
     np.testing.assert_allclose(code.F[:, 0], [0.0, 5.0, 10.0])
     np.testing.assert_array_equal(code.F[:, 1:], 0.0)
@@ -267,8 +263,7 @@ def test_encode_shape_mismatch():
 
 def test_encode_rejects_near_singular_generator():
     p = validate_params(4, 3, 1, 8)
-    nodes = [0.5, 0.5 + 1e-14, -0.5, -0.7]
-    gen = build_generator(p, nodes=nodes)
+    gen = vandermonde_on([0.5, 0.5 + 1e-14, -0.5, -0.7], p.K)
     with pytest.raises(ConditioningError):
         encode(np.ones((1, 8)), gen, p)
 
@@ -476,7 +471,7 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
     pairs = [(i, float(i)) for i in (6, 1, 5, 2, 3)]
     message = None
     for order in (pairs, pairs[::-1]):
-        gen = build_generator(p, nodes=nodes)
+        gen = vandermonde_on(nodes, p.K)
         for listing in (order, order[::-1], order):
             with pytest.raises(ConditioningError, match="solve rejected: condition") as exc:
                 decode(listing, gen, p)
@@ -484,9 +479,7 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
             assert str(exc.value) == message
         assert len(gen._conditions) == 1
     assert decode(pairs[1:] + [(4, 4.0)], gen, p).shape == (3,)  # rows 1..5 decode
-    # build_generator refuses a NaN node, so the NaN rows are set directly
-    bad = np.array(nodes[:5] + [np.nan])
-    gen = dataclasses.replace(gen, entries=np.vander(bad, p.K), nodes=bad)
+    gen = vandermonde_on(nodes[:5] + [np.nan], p.K)
     for _ in range(2):  # a NaN SVD is raised each time, never memoized
         with pytest.raises(np.linalg.LinAlgError):
             decode(pairs, gen, p)

@@ -8,6 +8,8 @@ from shortdot import build_generator, decode, encode, validate_params
 from shortdot.coding import _newton_monomial
 from shortdot.errors import ConditioningError
 
+from helpers import vandermonde_on
+
 
 def test_newton_line():
     coeffs = _newton_monomial(np.array([0.0, 1.0]), np.array([[1.0], [2.0]]))
@@ -84,7 +86,7 @@ def test_decode_refuses_nearly_coincident_nodes(method):
     # nearly coincident nodes make the coefficients meaningless; the
     # condition gate must refuse rather than return garbage
     p = validate_params(4, 4, 4, 8)
-    gen = build_generator(p, nodes=[0.1, 0.1 + 1e-13, 0.2, 0.9])
+    gen = vandermonde_on([0.1, 0.1 + 1e-13, 0.2, 0.9], p.K)
     outputs = list(zip(range(1, 5), [1.0, -1.0, 2.0, 0.5]))
     with pytest.raises(ConditioningError, match="condition .* exceeds limit"):
         decode(outputs, gen, p, method=method)

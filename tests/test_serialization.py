@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from shortdot import (
     ConditioningError,
     build_generator,
+    chebyshev_nodes,
     decode,
     encode,
     load_matrix,
@@ -15,6 +18,8 @@ from shortdot import (
     zero_mask,
 )
 from shortdot.coding import check_generator
+
+from helpers import vandermonde_on
 
 
 def test_matrix_round_trip_is_exact(tmp_path):
@@ -57,6 +62,7 @@ def test_transform_round_trip_vandermonde(tmp_path):
     text = (out / "params.txt").read_text()
     for key in ("P=6", "K=5", "M=3", "N=18", "N_raw=14", "kind=vandermonde"):
         assert key in text
+    assert "nodes=" not in text and "seed=" not in text
 
     loaded = load_transform(out)
     np.testing.assert_array_equal(loaded.F, code.F)
@@ -124,14 +130,14 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
 
 @pytest.mark.parametrize("edit, message", [
     ({"M": None}, "no M= line"),
-    ({"nodes": None}, "no nodes= line"),
+    ({"kind": None}, "no kind= line"),
     ({"K": "7"}, "K <= P"),
     ({"N": "18"}, "N=18"),
     ({"zero_tolerance": "nan"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "inf"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "-1"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": None}, "no zero_tolerance= line"),
-], ids=["missing-M", "missing-nodes", "K-above-P", "N-mismatch",
+], ids=["missing-M", "missing-kind", "K-above-P", "N-mismatch",
         "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative",
         "missing-zero-tolerance"])
 def test_load_refuses_bad_params_file(tmp_path, edit, message):
@@ -147,21 +153,20 @@ def test_load_refuses_bad_params_file(tmp_path, edit, message):
         load_transform(out)
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_load_refuses_a_non_finite_node(tmp_path, bad):
-    p = validate_params(6, 5, 3, 12)
-    gen = build_generator(p)
-    out = save_transform(encode(np.ones((3, 12)), gen, p), tmp_path / "t")
-    _set_param(out, "nodes", ",".join([bad] + ["%.17g" % h for h in gen.nodes[1:]]))
-    with pytest.raises(ValueError, match="Vandermonde nodes must be finite"):
-        load_transform(out)
-
-
 def _sec6_transform(tmp_path, **generator):
+    """A (20,18,10,785) transform directory, its code and its A."""
     p = validate_params(20, 18, 10, 785)
     A = np.random.default_rng(6).standard_normal((10, 785))
     code = encode(A, build_generator(p, **generator), p)
-    return save_transform(code, tmp_path / "sec6"), code
+    return save_transform(code, tmp_path / "sec6"), code, A
+
+
+def _encode_on_moved_node(out, A, p, node, by):
+    """Overwrite F.csv in out with the F that a Vandermonde generator
+    whose node `node` (0-based) is moved by `by` encodes from A."""
+    nodes = chebyshev_nodes(p.P)
+    nodes[node] += by
+    save_matrix(out / "F.csv", encode(A, vandermonde_on(nodes, p.K), p).F)
 
 
 def _set_param(out, key, value):
@@ -173,20 +178,16 @@ def _set_param(out, key, value):
 
 @pytest.mark.parametrize("node", [0, 10, 19])
 def test_load_refuses_a_moved_vandermonde_node(tmp_path, node):
-    out, code = _sec6_transform(tmp_path)
-    nodes = code.generator.nodes.copy()
-    nodes[node] += 1e-3
-    _set_param(out, "nodes", ",".join("%.17g" % h for h in nodes))
+    out, code, A = _sec6_transform(tmp_path)
+    _encode_on_moved_node(out, A, code.params, node, 1e-3)
     with pytest.raises(ValueError, match="F is not encoded by its vandermonde generator"):
         load_transform(out)
 
 
 def test_load_refuses_any_node_moved_by_1e_9(tmp_path):
-    out, code = _sec6_transform(tmp_path)
+    out, code, A = _sec6_transform(tmp_path)
     for node in range(20):
-        nodes = code.generator.nodes.copy()
-        nodes[node] += 1e-9
-        _set_param(out, "nodes", ",".join("%.17g" % h for h in nodes))
+        _encode_on_moved_node(out, A, code.params, node, 1e-9)
         with pytest.raises(ValueError, match="F is not encoded by its vandermonde generator"):
             load_transform(out)
 
@@ -215,7 +216,7 @@ def test_every_genuine_code_on_the_grid_passes_the_parity_check():
 
 
 def test_load_refuses_another_gaussian_seed(tmp_path):
-    out, _ = _sec6_transform(tmp_path, kind="gaussian", seed=9)
+    out, _, _ = _sec6_transform(tmp_path, kind="gaussian", seed=9)
     load_transform(out)
     _set_param(out, "seed", 10)
     with pytest.raises(ValueError, match="F is not encoded by its gaussian generator"):
@@ -225,10 +226,81 @@ def test_load_refuses_another_gaussian_seed(tmp_path):
 def test_generator_check_needs_a_worker_outside_the_decode(tmp_path):
     # K = P: every worker is decoded from, none is left to compare
     p = validate_params(5, 5, 2, 10)
-    gen = build_generator(p)
-    out = save_transform(encode(np.ones((2, 10)), gen, p), tmp_path / "t")
-    _set_param(out, "nodes", ",".join("%.17g" % h for h in gen.nodes + 1e-3))
+    A = np.random.default_rng(8).standard_normal((2, 10))
+    out = save_transform(encode(A, build_generator(p), p), tmp_path / "t")
+    _encode_on_moved_node(out, A, p, 0, 1e-3)
     load_transform(out)
+
+
+def _with_nodes_line(out, value):
+    """Give params.txt the nodes= line that directories written before
+    nodes were dropped from the format hold, after its kind= line."""
+    params_txt = out / "params.txt"
+    lines = [line for line in params_txt.read_text().splitlines()
+             if not line.startswith("nodes=")]
+    lines.insert(lines.index("kind=vandermonde") + 1, f"nodes={value}")
+    params_txt.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit", ["as-written", "reformatted"])
+def test_load_accepts_the_chebyshev_nodes_line_of_an_older_directory(tmp_path, edit):
+    out, code, A = _sec6_transform(tmp_path)
+    nodes = chebyshev_nodes(20)
+    fmt = "%.17g" if edit == "as-written" else "%.25e "
+    _with_nodes_line(out, ",".join(fmt % h for h in nodes))
+    assert "nodes=" in (out / "params.txt").read_text()
+    loaded = load_transform(out)
+    assert loaded.F.tobytes() == code.F.tobytes()
+    outs = run_workers(loaded, np.random.default_rng(9).standard_normal(785))
+    for workers in (outs[:18], outs[2:]):
+        got = decode(workers, loaded.generator, loaded.params)
+        assert got.tobytes() == decode(workers, code.generator, code.params).tobytes()
+
+
+@pytest.mark.parametrize("edit", ["moved-1e-3", "moved-1-ulp", "one-missing", "not-numbers",
+                                  "empty"])
+def test_load_refuses_a_nodes_line_that_is_not_the_chebyshev_nodes(tmp_path, edit):
+    out, _, _ = _sec6_transform(tmp_path)
+    nodes = chebyshev_nodes(20)
+    if edit == "moved-1e-3":
+        nodes[0] += 1e-3
+    elif edit == "moved-1-ulp":
+        nodes[10] = np.nextafter(nodes[10], np.inf)
+    elif edit == "one-missing":
+        nodes = nodes[1:]
+    line = {"not-numbers": "nan,x", "empty": ""}.get(edit, ",".join("%.17g" % h for h in nodes))
+    _with_nodes_line(out, line)
+    with pytest.raises(ValueError, match="nodes= is not the 20 Chebyshev nodes"):
+        load_transform(out)
+
+
+@pytest.mark.parametrize("P, K, M, N", [(20, 18, 10, 785), (5, 5, 2, 10)], ids=["sec6", "k-eq-p"])
+def test_load_refuses_an_older_directory_encoded_on_other_nodes(tmp_path, P, K, M, N):
+    # what `encode --nodes` wrote: F and a nodes= line on nodes that are
+    # not the Chebyshev ones.  At K = P the parity check cannot see it,
+    # so the nodes= line is what refuses it.
+    p = validate_params(P, K, M, N)
+    A = np.random.default_rng(8).standard_normal((M, N))
+    out = save_transform(encode(A, build_generator(p), p), tmp_path / "t")
+    _encode_on_moved_node(out, A, p, 0, 1e-3)
+    nodes = chebyshev_nodes(P)
+    nodes[0] += 1e-3
+    _with_nodes_line(out, ",".join("%.17g" % h for h in nodes))
+    with pytest.raises(ValueError, match=f"nodes= is not the {P} Chebyshev nodes"):
+        load_transform(out)
+
+
+def test_save_refuses_a_generator_that_params_txt_cannot_rebuild(tmp_path):
+    p = validate_params(6, 5, 3, 12)
+    A = np.random.default_rng(10).standard_normal((3, 12))
+    nodes = chebyshev_nodes(6)
+    save_transform(encode(A, vandermonde_on(nodes, 5), p), tmp_path / "same")
+    nodes[0] += 1e-3
+    gaussian = build_generator(p, kind="gaussian", seed=9)
+    for gen in (vandermonde_on(nodes, 5), dataclasses.replace(gaussian, seed=10)):
+        with pytest.raises(ValueError, match="not the one build_generator makes"):
+            save_transform(encode(A, gen, p), tmp_path / "t")
+        assert not (tmp_path / "t").exists()
 
 
 def test_params_file_grammar(tmp_path):
