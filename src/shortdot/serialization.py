@@ -3,9 +3,19 @@
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
     params.txt    key=value lines: P, K, M, N, N_raw, kind, seed (Gaussian
-                  kind only), zero_tolerance
+                  kind only), zero_tolerance, F_crc32
     F.csv         the P x N encoded matrix
+    F.npy         the same F as a float64 .npy file (np.save)
     supports.txt  one line per row: space-separated 1-based column indices
+
+F.csv is the documented, editable form; F.npy spares a load the parse
+of its decimal text.  F_crc32 is the zlib CRC-32, as 8 hex digits, of
+F.csv's bytes followed by F.npy's, read back from disk after both are
+written; params.txt is written last.  load_transform takes F from F.npy
+only when that CRC matches both files and F.npy holds a 2-D float64
+array, and otherwise parses F.csv (a directory written before F.npy,
+or an F.csv edited after the save).  %.17g round-trips float64, so
+both give F bit for bit.
 
 params.txt is read with read_key_values, as are the CLI's --config files.
 It stores no nodes: a Vandermonde generator is always the one on the
@@ -14,11 +24,13 @@ save_transform refuses a generator that build_generator would not
 rebuild from params.txt.  The supports follow from the parameters;
 load_transform checks supports.txt against them, and refuses an F that
 is nonzero on the sparsity pattern or that the generator does not
-reproduce (see coding.check_generator).
+reproduce (see coding.check_generator), whichever file F came from.
 """
 
 from __future__ import annotations
 
+import io
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +40,21 @@ from .generator import build_generator
 from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
+_CHUNK = 1 << 16  # bytes per read of a file's CRC
+
+
+def _write_table(path, mat: np.ndarray, fmt: str, delimiter: str) -> None:
+    """Write the 2-D mat as np.savetxt(path, mat, fmt=fmt,
+    delimiter=delimiter) does, byte for byte, with one row format and
+    one write."""
+    row = delimiter.join([fmt] * mat.shape[1]) + "\n"
+    Path(path).write_text("".join(row % tuple(r) for r in mat.tolist()))
 
 
 def save_matrix(path, mat) -> None:
     """Write mat as np.savetxt(path, mat, fmt=_FMT, delimiter=",") does,
     byte for byte, in one write."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    row = ",".join([_FMT] * mat.shape[1]) + "\n"
-    Path(path).write_text("".join(row % tuple(r) for r in mat.tolist()))
+    _write_table(path, np.atleast_2d(np.asarray(mat, dtype=float)), _FMT, ",")
 
 
 def load_matrix(path) -> np.ndarray:
@@ -60,10 +79,44 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
     if gen.kind == "gaussian":
         lines.append(f"seed={gen.seed}")
     lines.append(f"zero_tolerance={_FMT % code.zero_tolerance}")
-    (out / "params.txt").write_text("\n".join(lines) + "\n")
     save_matrix(out / "F.csv", code.F)
-    np.savetxt(out / "supports.txt", code.supports, fmt="%d")
+    np.save(out / "F.npy", np.asarray(code.F, dtype=np.float64))
+    _write_table(out / "supports.txt", code.supports, "%d", " ")
+    # the CRC of what is on disk, so it vouches for no other bytes; and
+    # params.txt last, so an interrupted save leaves no CRC of new files
+    lines.append(f"F_crc32={_crc32((out / 'F.csv', out / 'F.npy')):08x}")
+    (out / "params.txt").write_text("\n".join(lines) + "\n")
     return out
+
+
+def _crc32(paths) -> int:
+    """The zlib CRC-32 of the files' bytes one after another."""
+    crc = 0
+    for path in paths:
+        with open(path, "rb") as f:
+            while chunk := f.read(_CHUNK):
+                crc = zlib.crc32(chunk, crc)
+    return crc
+
+
+def _npy_F(src: Path, crc_text: str | None) -> np.ndarray | None:
+    """F from src's F.npy when crc_text is the F_crc32 of its F.csv and
+    F.npy and F.npy holds a 2-D float64 array, else None.  Each file is
+    read once, so the CRC vouches for the bytes loaded."""
+    if crc_text is None:
+        return None
+    try:
+        with open(src / "F.npy", "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        return None
+    if crc_text != f"{zlib.crc32(raw, _crc32([src / 'F.csv'])):08x}":
+        return None
+    try:
+        F = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    except ValueError:  # truncated, or not an .npy array
+        return None
+    return F if F.dtype == np.float64 and F.ndim == 2 else None
 
 
 def read_key_values(path) -> dict[str, str]:
@@ -91,7 +144,13 @@ def load_transform(in_dir) -> EncodedTransform:
     """Read a directory written by save_transform, refusing supports that
     miss the pattern, an older directory's nodes= line that does not list
     the Chebyshev nodes, and an F its generator does not reproduce (see
-    coding.check_generator)."""
+    coding.check_generator).
+
+    F comes from F.npy when params.txt's F_crc32 matches the bytes of
+    F.csv and F.npy and F.npy holds a 2-D float64 array, and is parsed
+    from F.csv otherwise: a directory written before F.npy, or whose
+    F.csv was edited after the save.  Every check above runs on F
+    either way."""
     src = Path(in_dir)
     kv = read_key_values(src / "params.txt")
 
@@ -114,7 +173,9 @@ def load_transform(in_dir) -> EncodedTransform:
         gen = build_generator(params, kind="gaussian", seed=int(field("seed")))
     else:
         raise ValueError(f"unknown generator kind {kind!r} in {src}")
-    F = load_matrix(src / "F.csv")
+    F = _npy_F(src, kv.get("F_crc32"))
+    if F is None:
+        F = load_matrix(src / "F.csv")
     code = EncodedTransform(F=F, generator=gen, params=params,
                             zero_tolerance=float(field("zero_tolerance")))
     stored = np.loadtxt(src / "supports.txt", dtype=int, ndmin=2)

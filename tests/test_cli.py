@@ -3,6 +3,7 @@ import csv
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -665,6 +666,36 @@ def test_transform_reads_the_nodes_line_of_an_older_directory(small_problem, cap
     (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes) + "\n")
     assert main(argv) == 2
     assert "nodes= is not the 6 Chebyshev nodes" in capsys.readouterr().err
+
+
+def test_transform_gives_the_same_bytes_from_f_npy_or_f_csv(small_problem, monkeypatch, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)]) == 0
+    parsed = []
+    monkeypatch.setattr("shortdot.serialization.load_matrix",
+                        lambda path: parsed.append(path.name) or load_matrix(path))
+
+    def transform(code_dir):
+        capsys.readouterr()
+        assert main(["transform", str(code_dir), x_path, "--responders", "2,3,4,5,6"]) == 0
+        assert main(["transform", str(code_dir), x_path, "--responders", "2,3,4,5,6",
+                     "--out", str(tmp / "y.csv")]) == 0
+        return capsys.readouterr().out, (tmp / "y.csv").read_bytes()
+
+    want = transform(out)
+    assert parsed == []  # F came from F.npy
+    no_npy = shutil.copytree(out, tmp / "no-npy")
+    (no_npy / "F.npy").unlink()
+    # the last row of F.csv in repr text: the same values, other bytes
+    as_repr = shutil.copytree(out, tmp / "repr")
+    rows = (as_repr / "F.csv").read_text().splitlines()
+    rows[-1] = ",".join(repr(float(v)) for v in rows[-1].split(","))
+    (as_repr / "F.csv").write_text("\n".join(rows) + "\n")
+    assert (as_repr / "F.csv").read_bytes() != (out / "F.csv").read_bytes()
+    for code_dir in (no_npy, as_repr):
+        assert transform(code_dir) == want
+    assert parsed == ["F.csv"] * 4
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,4 +1,6 @@
 import dataclasses
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from shortdot import (
     zero_mask,
 )
 from shortdot.coding import check_generator
+from shortdot.serialization import read_key_values
 
 from helpers import vandermonde_on
 
@@ -43,6 +46,124 @@ def test_save_matrix_writes_the_bytes_of_savetxt(tmp_path, values):
         save_matrix(tmp_path / "ours.csv", mat)
         np.savetxt(tmp_path / "numpy.csv", mat, fmt="%.17g", delimiter=",")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
+
+
+@pytest.fixture(scope="module", params=["sec6", "p100-gaussian"])
+def saved_transform(request, tmp_path_factory):
+    """A transform directory saved at (20,18,10,785) with the Vandermonde
+    kind or at (100,98,20,10000) with the Gaussian kind, and its code."""
+    shape, generator = {"sec6": ((20, 18, 10, 785), {}),
+                        "p100-gaussian": ((100, 98, 20, 10000),
+                                          {"kind": "gaussian", "seed": 5})}[request.param]
+    p = validate_params(*shape)
+    A = np.random.default_rng(11).standard_normal((p.M, p.N_raw))
+    code = encode(A, build_generator(p, **generator), p)
+    return save_transform(code, tmp_path_factory.mktemp(request.param)), code
+
+
+def test_save_transform_writes_the_supports_of_savetxt(saved_transform, tmp_path):
+    out, code = saved_transform
+    np.savetxt(tmp_path / "numpy.txt", code.supports, fmt="%d")
+    assert (out / "supports.txt").read_bytes() == (tmp_path / "numpy.txt").read_bytes()
+
+
+@pytest.fixture
+def csv_parses(monkeypatch):
+    """The names of the files load_transform parses with load_matrix."""
+    parsed = []
+
+    def counting(path):
+        parsed.append(path.name)
+        return load_matrix(path)
+
+    monkeypatch.setattr("shortdot.serialization.load_matrix", counting)
+    return parsed
+
+
+def test_f_from_f_npy_is_bitwise_the_f_of_f_csv(saved_transform, csv_parses):
+    out, code = saved_transform
+    loaded = load_transform(out)
+    assert csv_parses == []  # a fresh save loads F from F.npy
+    assert loaded.F.tobytes() == load_matrix(out / "F.csv").tobytes() == code.F.tobytes()
+
+
+def test_f_crc32_is_the_crc_of_f_csv_then_f_npy(saved_transform):
+    out, code = saved_transform
+    crc = zlib.crc32((out / "F.csv").read_bytes() + (out / "F.npy").read_bytes())
+    lines = (out / "params.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("F_crc32=")] == [f"F_crc32={crc:08x}"]
+    assert (out / "F.npy").stat().st_size == 8 * code.F.size + 128
+    assert np.load(out / "F.npy", allow_pickle=False).tobytes() == code.F.tobytes()
+
+
+def _restamp(out):
+    """Set F_crc32 to the CRC of out's F.csv and F.npy as they are now."""
+    crc = zlib.crc32((out / "F.csv").read_bytes() + (out / "F.npy").read_bytes())
+    _set_param(out, "F_crc32", f"{crc:08x}")
+
+
+def _edit_for_fallback(out, other, edit):
+    """Make one of the edits after which load_transform must parse F.csv;
+    other is another save of the same shape."""
+    npy = out / "F.npy"
+    if edit == "no-f-npy":
+        npy.unlink()
+    elif edit == "no-crc-line":
+        params_txt = out / "params.txt"
+        params_txt.write_text("".join(line + "\n" for line in params_txt.read_text().splitlines()
+                                      if not line.startswith("F_crc32=")))
+    elif edit == "garbled-crc":
+        _set_param(out, "F_crc32", "not-a-crc")
+    elif edit == "crc-off-by-one":
+        crc = int(read_key_values(out / "params.txt")["F_crc32"], 16)
+        _set_param(out, "F_crc32", f"{(crc + 1) % 2**32:08x}")
+    elif edit == "npy-of-another-save":
+        shutil.copyfile(other / "F.npy", npy)
+    else:  # F.npy's contents, with a CRC that matches them
+        raw, F = npy.read_bytes(), np.load(npy)
+        if edit == "truncated-data":
+            npy.write_bytes(raw[:-8])
+        elif edit == "truncated-header":
+            npy.write_bytes(raw[:64])
+        elif edit == "not-npy":
+            npy.write_bytes(b"P=6\n")
+        else:
+            np.save(npy, {"float32": F.astype(np.float32), "big-endian": F.astype(">f8"),
+                          "1-d": F.ravel(), "3-d": F[None], "object": F.astype(object)}[edit],
+                    allow_pickle=True)
+        _restamp(out)
+
+
+@pytest.mark.parametrize("edit", [
+    "no-f-npy", "no-crc-line", "garbled-crc", "crc-off-by-one", "npy-of-another-save",
+    "truncated-data", "truncated-header", "not-npy", "float32", "big-endian", "1-d", "3-d",
+    "object"])
+def test_load_parses_f_csv_unless_the_crc_vouches_for_a_2d_float64_f_npy(tmp_path, csv_parses,
+                                                                         edit):
+    p = validate_params(6, 5, 3, 12)
+    rng = np.random.default_rng(12)
+    code, other = (encode(rng.standard_normal((3, 12)), build_generator(p), p) for _ in range(2))
+    out = save_transform(code, tmp_path / "t")
+    other_out = save_transform(other, tmp_path / "other")
+    assert (out / "F.npy").read_bytes() != (other_out / "F.npy").read_bytes()
+    _edit_for_fallback(out, other_out, edit)
+    loaded = load_transform(out)
+    assert csv_parses == ["F.csv"]
+    assert loaded.F.tobytes() == code.F.tobytes()
+
+
+def test_load_refuses_on_the_fast_path_an_f_its_generator_does_not_reproduce(tmp_path,
+                                                                             csv_parses):
+    p = validate_params(20, 18, 10, 785)
+    A = np.random.default_rng(6).standard_normal((10, 785))
+    nodes = chebyshev_nodes(20)
+    nodes[10] += 1e-3
+    moved_F = encode(A, vandermonde_on(nodes, 18), p).F
+    out = save_transform(dataclasses.replace(encode(A, build_generator(p), p), F=moved_F),
+                         tmp_path / "t")
+    with pytest.raises(ValueError, match="F is not encoded by its vandermonde generator"):
+        load_transform(out)
+    assert csv_parses == []
 
 
 def test_vector_loads_as_2d(tmp_path):
