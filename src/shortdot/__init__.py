@@ -29,13 +29,7 @@ from .coding import (
     zero_mask,
 )
 from .errors import ConditioningError, DecodingError
-from .generator import (
-    COND_LIMIT,
-    GeneratorMatrix,
-    build_generator,
-    chebyshev_nodes,
-    verify_generator,
-)
+from .generator import COND_LIMIT, GeneratorMatrix, build_generator, chebyshev_nodes
 from .latency import (
     CdfFactor,
     DelayModel,

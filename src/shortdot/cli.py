@@ -68,7 +68,7 @@ def cmd_encode(args) -> int:
     A = load_matrix(args.matrix)
     M = A.shape[0]
     params = validate_params(args.p, args.k, M, A.shape[1])
-    gen = build_generator(params, kind=args.kind, seed=args.seed)
+    gen = build_generator(params, kind=args.kind)
     code = encode(A, gen, params)
     save_transform(code, args.out)
     nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
@@ -98,7 +98,10 @@ def _check_workers(indices, P: int, flag: str) -> None:
 def cmd_transform(args) -> int:
     code = load_transform(args.code_dir)
     params = code.params
-    x = load_matrix(args.x).ravel()
+    x = load_matrix(args.x)
+    if 1 not in x.shape:
+        raise ValueError(f"{args.x} holds a {x.shape[0]} x {x.shape[1]} matrix; "
+                         "x must be one row or one column")
     if args.error_decode is not None and args.responders:  # one may come from --config
         raise ValueError("--responders and --error-decode are mutually exclusive")
     corrupt = args.corrupt or {}
@@ -393,7 +396,6 @@ def _encode_flags(p):
     p.add_argument("--k", type=int, required=True, help="recovery threshold K")
     p.add_argument("--out", required=True, help="transform directory to write")
     p.add_argument("--kind", choices=("vandermonde", "gaussian"), default="vandermonde")
-    p.add_argument("--seed", type=int, help="gaussian generator seed")
 
 
 def _transform_flags(p):

@@ -213,7 +213,8 @@ def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("x has non-finite entries")
     if x.size not in (params.N_raw, params.N):
-        raise ValueError(f"x has length {x.size}, expected {params.N_raw} or {params.N}")
+        lengths = params.N if params.N_raw == params.N else f"{params.N_raw} or {params.N}"
+        raise ValueError(f"x has length {x.size}, expected {lengths}")
     out = np.zeros(params.N + 1)
     out[1 : x.size + 1] = x
     return out

@@ -4,8 +4,9 @@ The P x K generator B must satisfy two invertibility properties: every
 K x K submatrix is invertible, and every (K-M) x (K-M) submatrix of the
 last K-M columns is invertible.  A real Vandermonde matrix on distinct
 nodes satisfies both; an i.i.d. Gaussian matrix does almost surely.
-build_generator makes the Vandermonde one on the Chebyshev nodes only,
-so a generator is rebuilt from (P, K) and, for the Gaussian kind, a seed.
+build_generator makes the Vandermonde one on the Chebyshev nodes and the
+Gaussian one as one fixed draw, so a generator is rebuilt from
+(P, K, kind) alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .params import CodeParams
 # size, so beyond this limit float64 results are not trustworthy to the
 # tolerances this package promises; we fail loudly.
 COND_LIMIT = 1e8
-# verify_generator refuses to enumerate more submatrices than this.
-_MAX_SUBSETS = 200_000
+# The Gaussian kind is default_rng(_GAUSSIAN_SEED).standard_normal((P, K)).
+_GAUSSIAN_SEED = 0
 # A generator memoizes the condition numbers of at most this many
 # responder sets (each keyed by a P-bit mask: under 1 MB at P = 100).
 CONDITION_MEMO_CAP = 4096
@@ -37,8 +37,8 @@ class GeneratorMatrix:
     """A P x K encoding matrix plus the recipe that built it.
 
     kind is "vandermonde" (nodes holds the P distinct evaluation points,
-    entry (i, j) = nodes[i]**(K-1-j)) or "gaussian" (seed holds the RNG
-    seed that reproduces the entries).
+    entry (i, j) = nodes[i]**(K-1-j)) or "gaussian" (the fixed draw of
+    build_generator; nodes is None).
 
     entries and nodes are read-only from construction on, so the memo of
     responder-set condition numbers (see `condition`) and the cached
@@ -49,7 +49,6 @@ class GeneratorMatrix:
     entries: np.ndarray
     kind: str
     nodes: np.ndarray | None = None
-    seed: int | None = None
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -107,50 +106,19 @@ def chebyshev_nodes(P: int) -> np.ndarray:
     return np.cos((2.0 * i - 1.0) * np.pi / (2.0 * P))
 
 
-def build_generator(
-    params: CodeParams,
-    kind: str = "vandermonde",
-    seed: int | None = None,
-) -> GeneratorMatrix:
-    """Construct a generator for the given parameters.
-
-    The Vandermonde kind is np.vander on the P Chebyshev nodes, so it
-    depends on (P, K) alone and refuses a seed.  The Gaussian kind
-    requires a seed.
-    """
+def build_generator(params: CodeParams, kind: str = "vandermonde") -> GeneratorMatrix:
+    """The generator of the given kind for the given parameters, a
+    function of (P, K, kind) alone: the Vandermonde kind is np.vander on
+    the P Chebyshev nodes, the Gaussian kind one fixed standard normal
+    draw."""
     P, K = params.P, params.K
     if kind == "vandermonde":
-        if seed is not None:
-            raise ValueError("a Vandermonde generator takes no seed")
         h = chebyshev_nodes(P)
         return GeneratorMatrix(entries=np.vander(h, K), kind=kind, nodes=h)
     if kind == "gaussian":
-        if seed is None:
-            raise ValueError("gaussian generator requires a seed")
-        rng = np.random.default_rng(seed)
-        entries = rng.standard_normal((P, K))
-        return GeneratorMatrix(entries=entries, kind=kind, seed=int(seed))
+        entries = np.random.default_rng(_GAUSSIAN_SEED).standard_normal((P, K))
+        return GeneratorMatrix(entries=entries, kind=kind)
     raise ValueError(f"unknown generator kind {kind!r}")
-
-
-def verify_generator(gen: GeneratorMatrix, params: CodeParams) -> None:
-    """Exhaustively check the two submatrix-invertibility properties.
-
-    Feasible only for small P (the number of K x K submatrices is
-    C(P, K)); raises ValueError if the enumeration would be too large,
-    ConditioningError if some required submatrix is (near-)singular.
-    """
-    P, K, M = params.P, params.K, params.M
-    B = gen.entries
-    n_full = math.comb(P, K)
-    n_tail = math.comb(P, K - M) if K > M else 0
-    if n_full + n_tail > _MAX_SUBSETS:
-        raise ValueError(f"{n_full + n_tail} submatrices to check exceeds {_MAX_SUBSETS}")
-    for rows in combinations(range(P), K):
-        check_condition(B[list(rows), :], f"K x K submatrix at rows {rows}")
-    if K > M:
-        for rows in combinations(range(P), K - M):
-            check_condition(B[list(rows), M:], f"tail submatrix at rows {rows}")
 
 
 def _condition_number(mat: np.ndarray) -> float:

@@ -2,8 +2,8 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines: P, K, M, N, N_raw, kind, seed (Gaussian
-                  kind only), zero_tolerance, F_crc32
+    params.txt    key=value lines: P, K, M, N, N_raw, kind, zero_tolerance,
+                  F_crc32
     F.csv         the P x N encoded matrix
     F.npy         the same F as a float64 .npy file (np.save)
     supports.txt  one line per row: space-separated 1-based column indices
@@ -18,13 +18,15 @@ or an F.csv edited after the save).  %.17g round-trips float64, so
 both give F bit for bit.
 
 params.txt is read with read_key_values, as are the CLI's --config files.
-It stores no nodes: a Vandermonde generator is always the one on the
-Chebyshev nodes, and an older directory's nodes= line must list them.
-save_transform refuses a generator that build_generator would not
-rebuild from params.txt.  The supports follow from the parameters;
-load_transform checks supports.txt against them, and refuses an F that
-is nonzero on the sparsity pattern or that the generator does not
-reproduce (see coding.check_generator), whichever file F came from.
+It stores no nodes and no seed: a generator is a function of (P, K,
+kind), the Vandermonde kind on the Chebyshev nodes and the Gaussian kind
+one fixed draw.  An older directory's nodes= line must list those nodes
+and its seed= line must name that draw's seed.  save_transform refuses a
+generator that build_generator would not rebuild from params.txt.  The
+supports follow from the parameters; load_transform checks supports.txt
+against them, and refuses an F that is nonzero on the sparsity pattern
+or that the generator does not reproduce (see coding.check_generator),
+whichever file F came from.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .coding import EncodedTransform, check_generator
-from .generator import build_generator
+from .generator import _GAUSSIAN_SEED, build_generator
 from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
@@ -58,12 +60,17 @@ def save_matrix(path, mat) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """The matrix of a CSV file, at least 2-D; a file with no entries
+    (every line blank or a # comment) is refused."""
+    lines = Path(path).read_text().splitlines()
+    if not any(line.partition("#")[0].strip() for line in lines):
+        raise ValueError(f"{path} holds no matrix entries")
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def save_transform(code: EncodedTransform, out_dir) -> Path:
     p, gen = code.params, code.generator
-    if not np.array_equal(build_generator(p, gen.kind, seed=gen.seed).entries, gen.entries):
+    if not np.array_equal(build_generator(p, gen.kind).entries, gen.entries):
         raise ValueError(f"the {gen.kind} generator is not the one build_generator "
                          "makes, so params.txt could not rebuild it")
     out = Path(out_dir)
@@ -75,10 +82,8 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
         f"N={p.N}",
         f"N_raw={p.N_raw}",
         f"kind={gen.kind}",
+        f"zero_tolerance={_FMT % code.zero_tolerance}",
     ]
-    if gen.kind == "gaussian":
-        lines.append(f"seed={gen.seed}")
-    lines.append(f"zero_tolerance={_FMT % code.zero_tolerance}")
     save_matrix(out / "F.csv", code.F)
     np.save(out / "F.npy", np.asarray(code.F, dtype=np.float64))
     _write_table(out / "supports.txt", code.supports, "%d", " ")
@@ -143,7 +148,8 @@ def _lists(text: str, values: np.ndarray) -> bool:
 def load_transform(in_dir) -> EncodedTransform:
     """Read a directory written by save_transform, refusing supports that
     miss the pattern, an older directory's nodes= line that does not list
-    the Chebyshev nodes, and an F its generator does not reproduce (see
+    the Chebyshev nodes or seed= line that does not name the Gaussian
+    kind's fixed seed, and an F its generator does not reproduce (see
     coding.check_generator).
 
     F comes from F.npy when params.txt's F_crc32 matches the bytes of
@@ -164,15 +170,16 @@ def load_transform(in_dir) -> EncodedTransform:
         raise ValueError(
             f"params.txt in {src}: N={field('N')} but P and N_raw give {params.N}")
     kind = field("kind")
-    if kind == "vandermonde":
-        gen = build_generator(params)
-        if "nodes" in kv and not _lists(kv["nodes"], gen.nodes):
-            raise ValueError(f"params.txt in {src}: nodes= is not the {params.P} "
-                             "Chebyshev nodes, the only ones a generator is built on")
-    elif kind == "gaussian":
-        gen = build_generator(params, kind="gaussian", seed=int(field("seed")))
-    else:
-        raise ValueError(f"unknown generator kind {kind!r} in {src}")
+    try:
+        gen = build_generator(params, kind)
+    except ValueError as exc:  # the kind is unknown
+        raise ValueError(f"{exc} in {src}") from None
+    if "nodes" in kv and not _lists(kv["nodes"], gen.nodes):
+        raise ValueError(f"params.txt in {src}: nodes= is not the {params.P} "
+                         "Chebyshev nodes, the only ones a generator is built on")
+    if "seed" in kv and not _lists(kv["seed"], [_GAUSSIAN_SEED]):
+        raise ValueError(f"params.txt in {src}: seed= is not {_GAUSSIAN_SEED}, "
+                         "the seed of the one Gaussian generator")
     F = _npy_F(src, kv.get("F_crc32"))
     if F is None:
         F = load_matrix(src / "F.csv")

@@ -369,15 +369,66 @@ def test_exit_code_validation_error(tmp_path):
                  str(tmp_path / "c")]) == 2  # M=3 > K=2
 
 
-def test_encode_refuses_a_seed_for_the_vandermonde_kind(tmp_path, capsys):
-    # params.txt records no seed for the default Vandermonde kind, so the
-    # flag is refused instead of being dropped
+@pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
+def test_encode_takes_no_seed(tmp_path, capsys, kind):
+    # each kind is one generator of (P, K), so there is no seed to choose
     a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 12)))
     out = tmp_path / "c"
-    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out),
-                 "--seed", "9"]) == 2
-    assert "a Vandermonde generator takes no seed" in capsys.readouterr().err
+    assert _status(["encode", a_path, "--p", "6", "--k", "5", "--kind", kind,
+                    "--out", str(out), "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (4, 3)])
+def test_transform_refuses_an_x_file_that_is_not_one_row_or_column(small_problem, capsys,
+                                                                    shape):
+    _, x, a_path, _, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    argv = ["transform", str(out), "", "--responders", "1,2,3,4,5"]
+    printed = []
+    for layout in (x[None, :], x[:, None]):  # one row, and one column as np.savetxt writes
+        argv[2] = _write_matrix(tmp / "x1.csv", layout)
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].count("\n") == 3
+    argv[2] = _write_matrix(tmp / "x2.csv", x.reshape(shape))
+    assert main(argv) == 2
+    out_text, err = capsys.readouterr()
+    assert f"holds a {shape[0]} x {shape[1]} matrix" in err and out_text == ""
+
+
+@pytest.mark.parametrize("content", ["", "\n \n", "# no entries\n"])
+@pytest.mark.parametrize("command", ["encode", "transform"])
+def test_cli_refuses_an_empty_matrix_file(small_problem, capsys, command, content):
+    _, _, a_path, x_path, tmp = small_problem
+    empty = tmp / "empty.csv"
+    empty.write_text(content)
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
+    capsys.readouterr()
+    if command == "encode":
+        argv = ["encode", str(empty), "--p", "6", "--k", "5", "--out", str(tmp / "c2")]
+    else:
+        argv = ["transform", str(out), str(empty), "--responders", "1,2,3,4,5"]
+    assert main(argv) == 2  # and no numpy warning: pytest makes warnings errors
+    out_text, err = capsys.readouterr()
+    assert err == f"error: {empty} holds no matrix entries\n" and out_text == ""
+    assert not (tmp / "c2").exists()
+
+
+@pytest.mark.parametrize("N_raw, expected", [(12, "12"), (10, "10 or 12")])
+def test_transform_names_the_x_lengths_it_takes(tmp_path, capsys, N_raw, expected):
+    rng = np.random.default_rng(4)
+    a_path = _write_matrix(tmp_path / "A.csv", rng.standard_normal((2, N_raw)))
+    x_path = _write_matrix(tmp_path / "x.csv", rng.standard_normal(11))
+    out = tmp_path / "code"
+    main(["encode", a_path, "--p", "4", "--k", "3", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3"]) == 2
+    assert capsys.readouterr().err == f"error: x has length 11, expected {expected}\n"
 
 
 def test_exit_code_io_error(tmp_path):
@@ -537,7 +588,7 @@ def test_sweep_analytic_matches_monte_carlo_of_the_same_plan(tmp_path, flags):
     ["theorem4", "--trials", "5"],
     ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--seed", "1"],
     ["sweep", "--p", "6", "--m", "3", "--out", "s.csv"],
-    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--s", "4"],  # not --seed
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--s", "4"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--m", "3"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--method", "poly"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--nodes", "1,2,3,4,5,6"],

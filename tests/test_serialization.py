@@ -7,6 +7,7 @@ import pytest
 
 from shortdot import (
     ConditioningError,
+    GeneratorMatrix,
     build_generator,
     chebyshev_nodes,
     decode,
@@ -54,7 +55,7 @@ def saved_transform(request, tmp_path_factory):
     kind or at (100,98,20,10000) with the Gaussian kind, and its code."""
     shape, generator = {"sec6": ((20, 18, 10, 785), {}),
                         "p100-gaussian": ((100, 98, 20, 10000),
-                                          {"kind": "gaussian", "seed": 5})}[request.param]
+                                          {"kind": "gaussian"})}[request.param]
     p = validate_params(*shape)
     A = np.random.default_rng(11).standard_normal((p.M, p.N_raw))
     code = encode(A, build_generator(p, **generator), p)
@@ -202,11 +203,13 @@ def test_transform_round_trip_vandermonde(tmp_path):
 def test_transform_round_trip_gaussian(tmp_path):
     rng = np.random.default_rng(2)
     p = validate_params(5, 4, 2, 10)
-    gen = build_generator(p, kind="gaussian", seed=9)
+    gen = build_generator(p, kind="gaussian")
     code = encode(rng.standard_normal((2, 10)), gen, p)
-    loaded = load_transform(save_transform(code, tmp_path / "g"))
-    assert loaded.generator.kind == "gaussian"
-    assert loaded.generator.seed == 9
+    out = save_transform(code, tmp_path / "g")
+    text = (out / "params.txt").read_text()
+    assert "kind=gaussian" in text and "seed=" not in text and "nodes=" not in text
+    loaded = load_transform(out)
+    assert loaded.generator.kind == "gaussian" and loaded.generator.nodes is None
     np.testing.assert_array_equal(loaded.generator.entries, gen.entries)
     np.testing.assert_array_equal(loaded.F, code.F)
 
@@ -251,14 +254,15 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
 
 @pytest.mark.parametrize("edit, message", [
     ({"M": None}, "no M= line"),
-    ({"kind": None}, "no kind= line"),
+    ({"kind": None}, "^params.txt in .* has no kind= line$"),
+    ({"kind": "trig"}, "^unknown generator kind 'trig' in "),
     ({"K": "7"}, "K <= P"),
     ({"N": "18"}, "N=18"),
     ({"zero_tolerance": "nan"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "inf"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "-1"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": None}, "no zero_tolerance= line"),
-], ids=["missing-M", "missing-kind", "K-above-P", "N-mismatch",
+], ids=["missing-M", "missing-kind", "unknown-kind", "K-above-P", "N-mismatch",
         "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative",
         "missing-zero-tolerance"])
 def test_load_refuses_bad_params_file(tmp_path, edit, message):
@@ -326,7 +330,7 @@ def test_every_genuine_code_on_the_grid_passes_the_parity_check():
         p = validate_params(P, K, M, 10 * P)
         A = rng.standard_normal((M, p.N_raw))
         for kind in ("vandermonde", "gaussian"):
-            gen = build_generator(p, kind, seed=5 if kind == "gaussian" else None)
+            gen = build_generator(p, kind)
             try:
                 code = encode(A, gen, p)
             except ConditioningError:
@@ -336,11 +340,43 @@ def test_every_genuine_code_on_the_grid_passes_the_parity_check():
     assert checked >= 80
 
 
-def test_load_refuses_another_gaussian_seed(tmp_path):
-    out, _, _ = _sec6_transform(tmp_path, kind="gaussian", seed=9)
-    load_transform(out)
-    _set_param(out, "seed", 10)
-    with pytest.raises(ValueError, match="F is not encoded by its gaussian generator"):
+def _with_older_line(out, key, value):
+    """Give params.txt, after its kind= line, the key= line (nodes= or
+    seed=) that directories written before it was dropped from the format
+    hold."""
+    params_txt = out / "params.txt"
+    lines = [line for line in params_txt.read_text().splitlines()
+             if not line.startswith(f"{key}=")]
+    kind = next(i for i, line in enumerate(lines) if line.startswith("kind="))
+    lines.insert(kind + 1, f"{key}={value}")
+    params_txt.write_text("\n".join(lines) + "\n")
+
+
+def test_load_accepts_the_seed_line_of_an_older_gaussian_directory(tmp_path):
+    out, code, _ = _sec6_transform(tmp_path, kind="gaussian")
+    _with_older_line(out, "seed", 0)
+    loaded = load_transform(out)
+    assert loaded.F.tobytes() == code.F.tobytes()
+    outs = run_workers(loaded, np.random.default_rng(9).standard_normal(785))
+    for workers in (outs[:18], outs[2:]):
+        got = decode(workers, loaded.generator, loaded.params)
+        assert got.tobytes() == decode(workers, code.generator, code.params).tobytes()
+
+
+@pytest.mark.parametrize("P, K, M, N", [(20, 18, 10, 785), (6, 6, 3, 12)], ids=["sec6", "k-eq-p"])
+def test_load_refuses_an_older_directory_drawn_from_another_seed(tmp_path, P, K, M, N):
+    # what `encode --kind gaussian --seed 9` wrote: F on the seed-9 draw
+    # and a seed=9 line.  At K = P the parity check cannot see it, so the
+    # seed= line is what refuses it.
+    p = validate_params(P, K, M, N)
+    A = np.random.default_rng(8).standard_normal((M, N))
+    out = save_transform(encode(A, build_generator(p, "gaussian"), p), tmp_path / "t")
+    seed9 = GeneratorMatrix(np.random.default_rng(9).standard_normal((P, K)), "gaussian")
+    save_matrix(out / "F.csv", encode(A, seed9, p).F)
+    if K == P:
+        load_transform(out)
+    _with_older_line(out, "seed", 9)
+    with pytest.raises(ValueError, match="seed= is not 0"):
         load_transform(out)
 
 
@@ -353,22 +389,12 @@ def test_generator_check_needs_a_worker_outside_the_decode(tmp_path):
     load_transform(out)
 
 
-def _with_nodes_line(out, value):
-    """Give params.txt the nodes= line that directories written before
-    nodes were dropped from the format hold, after its kind= line."""
-    params_txt = out / "params.txt"
-    lines = [line for line in params_txt.read_text().splitlines()
-             if not line.startswith("nodes=")]
-    lines.insert(lines.index("kind=vandermonde") + 1, f"nodes={value}")
-    params_txt.write_text("\n".join(lines) + "\n")
-
-
 @pytest.mark.parametrize("edit", ["as-written", "reformatted"])
 def test_load_accepts_the_chebyshev_nodes_line_of_an_older_directory(tmp_path, edit):
     out, code, A = _sec6_transform(tmp_path)
     nodes = chebyshev_nodes(20)
     fmt = "%.17g" if edit == "as-written" else "%.25e "
-    _with_nodes_line(out, ",".join(fmt % h for h in nodes))
+    _with_older_line(out, "nodes", ",".join(fmt % h for h in nodes))
     assert "nodes=" in (out / "params.txt").read_text()
     loaded = load_transform(out)
     assert loaded.F.tobytes() == code.F.tobytes()
@@ -390,7 +416,7 @@ def test_load_refuses_a_nodes_line_that_is_not_the_chebyshev_nodes(tmp_path, edi
     elif edit == "one-missing":
         nodes = nodes[1:]
     line = {"not-numbers": "nan,x", "empty": ""}.get(edit, ",".join("%.17g" % h for h in nodes))
-    _with_nodes_line(out, line)
+    _with_older_line(out, "nodes", line)
     with pytest.raises(ValueError, match="nodes= is not the 20 Chebyshev nodes"):
         load_transform(out)
 
@@ -406,7 +432,7 @@ def test_load_refuses_an_older_directory_encoded_on_other_nodes(tmp_path, P, K, 
     _encode_on_moved_node(out, A, p, 0, 1e-3)
     nodes = chebyshev_nodes(P)
     nodes[0] += 1e-3
-    _with_nodes_line(out, ",".join("%.17g" % h for h in nodes))
+    _with_older_line(out, "nodes", ",".join("%.17g" % h for h in nodes))
     with pytest.raises(ValueError, match=f"nodes= is not the {P} Chebyshev nodes"):
         load_transform(out)
 
@@ -417,8 +443,9 @@ def test_save_refuses_a_generator_that_params_txt_cannot_rebuild(tmp_path):
     nodes = chebyshev_nodes(6)
     save_transform(encode(A, vandermonde_on(nodes, 5), p), tmp_path / "same")
     nodes[0] += 1e-3
-    gaussian = build_generator(p, kind="gaussian", seed=9)
-    for gen in (vandermonde_on(nodes, 5), dataclasses.replace(gaussian, seed=10)):
+    other_draw = np.random.default_rng(9).standard_normal((6, 5))
+    gaussian = dataclasses.replace(build_generator(p, kind="gaussian"), entries=other_draw)
+    for gen in (vandermonde_on(nodes, 5), gaussian):
         with pytest.raises(ValueError, match="not the one build_generator makes"):
             save_transform(encode(A, gen, p), tmp_path / "t")
         assert not (tmp_path / "t").exists()
