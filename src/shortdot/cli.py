@@ -488,15 +488,28 @@ def build_parser(only: str | None = None
     return parser, sub.choices
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """FILE of the last --config FILE or --config=FILE before any "--" in
+    argv, else None.  A --config followed by nothing or by another flag
+    gives None: the subcommand's parser refuses it."""
+    config = None
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if arg == "--config":
+            value = argv[i + 1] if i + 1 < len(argv) else ""
+            config = value if value == "-" or value[:1] not in ("", "-") else None
+        elif arg.startswith("--config="):
+            config = arg.removeprefix("--config=")
+    return config
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named subcommand's parser is built: the flags of the others
     # cost more to declare than a request spends parsing its own
     parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    # a --config without a value is left for the subcommand's parser to refuse
-    pre = argparse.ArgumentParser(prog="shortdot", add_help=False, allow_abbrev=False)
-    pre.add_argument("--config", nargs="?")
-    config = pre.parse_known_args(argv)[0].config
+    config = _config_path(argv)
     try:
         if config and argv[0] in commands:
             _apply_config(commands[argv[0]], config)

@@ -19,8 +19,9 @@ Indices in public interfaces (rows/workers, columns/supports) are
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -134,12 +135,10 @@ def encode(
     monomial coefficients, in place.
     Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
     """
-    A = np.asarray(A, dtype=float)
+    A = _finite_real(A, "A")
     P, K, M, N = params.P, params.K, params.M, params.N
     if A.shape != (M, params.N_raw):
         raise ValueError(f"A shape {A.shape} != (M, N_raw) = ({M}, {params.N_raw})")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("A has non-finite entries")
     _check_shape(gen, params)
     _check_method(method, gen, "encode")
 
@@ -205,13 +204,23 @@ def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     return a[::-1]
 
 
+def _finite_real(a, name: str) -> np.ndarray:
+    """a as a float array, refused (ValueError) if it is complex, which a
+    float cast would silently make real, or has a NaN or infinite entry."""
+    a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{name} has complex entries")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return a
+
+
 def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
-    """Finite x of length N_raw or N, zero-padded to length N, behind one
-    leading zero: entry j is x_j, so the 1-based supports index it
+    """Real finite x of length N_raw or N, zero-padded to length N, behind
+    one leading zero: entry j is x_j, so the 1-based supports index it
     directly."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x has non-finite entries")
+    x = _finite_real(x, "x").ravel()
     if x.size not in (params.N_raw, params.N):
         lengths = params.N if params.N_raw == params.N else f"{params.N_raw} or {params.N}"
         raise ValueError(f"x has length {x.size}, expected {lengths}")
@@ -225,21 +234,32 @@ def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
     x over the (P, s) supports, then one vecdot with the coefficients."""
     xz = _input_behind_zero(x, code.params)
     values = np.vecdot(code.coefficients, xz[code.supports])
-    return list(map(WorkerOutput, range(1, code.params.P + 1), values.tolist()))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return list(map(tuple.__new__, repeat(WorkerOutput),
+                    zip(range(1, code.params.P + 1), values.tolist())))
 
 
 def _read_outputs(outputs, count: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of `outputs`, (index, value) pairs; refused
-    unless there are exactly `count` of them with distinct indices in 1..P
-    (see worker_indices)."""
+    (ValueError) unless there are exactly `count` of them, each a pair of
+    a real number and a distinct index in 1..P (see worker_indices)."""
     pairs = list(outputs)
     if len(pairs) != count:
         raise ValueError(f"need exactly {count} outputs, got {len(pairs)}")
-    ids, vals = zip(*pairs, strict=True)  # every output is a pair
+    try:
+        ids, vals = zip(*pairs, strict=True)
+    except (TypeError, ValueError):
+        raise ValueError("every worker output must be an (index, value) pair") from None
     idx = worker_indices(ids, P)
-    if len(set(idx.tolist())) != count:
+    if len(set(ids)) != count:  # whole numbers by now: equal values hash alike
         raise ValueError("worker indices must be distinct")
-    return idx, np.asarray(vals, dtype=float)
+    try:  # a None, text or complex value is refused, not cast to float
+        v = np.array(vals)
+        if v.dtype.kind not in "biuf" or v.ndim != 1:
+            raise ValueError
+    except ValueError:  # numpy's too, for a sequence among the numbers
+        raise ValueError("worker output values must be real numbers") from None
+    return idx, v.astype(float, copy=False)
 
 
 def decode(
@@ -262,23 +282,25 @@ def decode(
     _check_shape(gen, params)
     idx, v = _read_outputs(outputs, params.K, params.P)
     _check_method(method, gen, "decode")
-    w = _decode_full(idx, v, gen, method)
-    return w[: params.M]
+    return _decode_full(idx, v, gen, method)[: params.M]
 
 
 def _decode_full(idx, v, gen, method) -> np.ndarray:
     """Solve B^V w = v for checked responders idx; see decode."""
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ConditioningError("decode refused: a worker output is NaN or infinite")
-    BV = gen.entries[idx - 1]
+    rows = idx - 1
+    BV = gen.entries[rows]
     c = gen.condition(idx)
     if method == "solve":
         w = guarded_solve(BV, v, cond=c)
     else:
         check_condition(BV, cond=c)
-        w = _newton_monomial(gen.nodes[idx - 1], v[:, None])[:, 0]
-    residual = np.linalg.norm(BV @ w - v)
-    if not residual <= DECODE_RESIDUAL_RTOL * np.linalg.norm(v):  # NaN fails too
+        w = _newton_monomial(gen.nodes[rows], v[:, None])[:, 0]
+    # sqrt(r.dot(r)) is np.linalg.norm's own formula for a real vector
+    r = BV @ w - v
+    residual = math.sqrt(r.dot(r))
+    if not residual <= DECODE_RESIDUAL_RTOL * math.sqrt(v.dot(v)):  # NaN fails too
         raise ConditioningError(
             f"decode residual {residual:.3e} exceeds "
             f"{DECODE_RESIDUAL_RTOL:.0e} * ||v||"

@@ -28,7 +28,8 @@ COND_LIMIT = 1e8
 # The Gaussian kind is default_rng(_GAUSSIAN_SEED).standard_normal((P, K)).
 _GAUSSIAN_SEED = 0
 # A generator memoizes the condition numbers of at most this many
-# responder sets (each keyed by a P-bit mask: under 1 MB at P = 100).
+# responder sets (each keyed by its rows as the bits of a Python int:
+# under 1 MB at P = 100).
 CONDITION_MEMO_CAP = 4096
 
 
@@ -75,21 +76,23 @@ class GeneratorMatrix:
         return H
 
     def condition(self, idx: np.ndarray) -> float:
-        """cond of the rows idx (1-based, distinct, any order) of entries.
+        """cond of the rows idx (1-based, distinct, any order; an int
+        array) of entries.
 
         The value belongs to the responder set: it is taken by the gate's
         SVD on the rows in ascending order, once per set, and memoized
         for up to CONDITION_MEMO_CAP sets, refused ones (c not finite or
-        above COND_LIMIT) included.  A NaN SVD raises LinAlgError and is
-        not memoized.  Threads may share a generator: two that miss on
-        one set both store the same c, and racing inserts can pass the
-        cap by at most one entry per thread.
+        above COND_LIMIT) included, keyed by the int whose bit i is set
+        for each row i in idx.  A NaN SVD raises LinAlgError and is not
+        memoized.  Threads may share a generator: two that miss on one
+        set both store the same c, and racing inserts can pass the cap by
+        at most one entry per thread.
         """
-        mask = np.zeros(self.P, dtype=bool)
-        mask[idx - 1] = True
-        key = np.packbits(mask).tobytes()
+        key = sum(map((1).__lshift__, idx.tolist()))  # distinct rows: sum is or
         c = self._conditions.get(key)
         if c is None:
+            mask = np.zeros(self.P, dtype=bool)
+            mask[idx - 1] = True
             c = _condition_number(self.entries[mask])
             if len(self._conditions) < CONDITION_MEMO_CAP:
                 self._conditions[key] = c

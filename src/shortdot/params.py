@@ -65,14 +65,15 @@ def validate_params(P: int, K: int, M: int, N_raw: int) -> CodeParams:
 
 
 def worker_indices(ids, P: int) -> np.ndarray:
-    """ids as a 1-D int array, refused (ValueError) unless every entry is
-    a whole number in 1..P.  Integers of any dtype are read as they are;
-    a float such as 3.0 reads as worker 3, and 2.9, inf or NaN is refused."""
+    """ids as a 1-D int array, refused (ValueError) unless ids is a flat
+    sequence of real numbers, each a whole number in 1..P.  Integers of
+    any dtype are read as they are; a float such as 3.0 reads as worker 3,
+    and 2.9, inf, NaN, None, text or a complex number is refused."""
     idx = np.asarray(ids)
-    if idx.dtype.kind not in "iu":
-        idx = np.asarray(idx, dtype=float)
-        if not np.all(idx == np.trunc(idx)):  # NaN fails too
-            raise ValueError("worker indices must be whole numbers")
+    if idx.ndim != 1 or idx.dtype.kind not in "iuf":
+        raise ValueError("worker indices must be whole numbers")
+    if idx.dtype.kind == "f" and not np.all(idx == np.trunc(idx)):  # NaN fails too
+        raise ValueError("worker indices must be whole numbers")
     listed = idx.tolist()  # Python min and max: faster than numpy at small P
     if listed and (min(listed) < 1 or max(listed) > P):  # inf fails here
         raise ValueError(f"worker indices must lie in 1..{P}")

@@ -361,6 +361,11 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "P=6 K=5 M=3" in capsys.readouterr().out
     assert main(["bounds", "--config", str(cfg), "--k", "4"]) == 0
     assert "P=6 K=4 M=3" in capsys.readouterr().out
+    assert main(["bounds", "--k", "4", f"--config={cfg}"]) == 0
+    assert "P=6 K=4 M=3" in capsys.readouterr().out
+    # the last --config names the file
+    assert main(["bounds", "--config", str(tmp_path / "missing.cfg"), f"--config={cfg}"]) == 0
+    assert "P=6 K=5 M=3" in capsys.readouterr().out
 
 
 def test_exit_code_validation_error(tmp_path):
@@ -802,7 +807,7 @@ def _printed(call, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    [], ["--help"], ["bogus"], ["--config", "run.cfg"],
+    [], ["--help"], ["bogus"], ["--config", "run.cfg"], ["--config=run.cfg"],
     *([name, "--help"] for name in SUBCOMMANDS),
     ["transform", "code", "x.csv", "--mu", "5"],
     ["bounds", "--p", "6"],

@@ -22,6 +22,7 @@ from shortdot import (
     zero_mask,
 )
 import shortdot.coding as coding
+import shortdot.generator as generator
 from shortdot.generator import CONDITION_MEMO_CAP, check_condition, chebyshev_nodes
 
 from helpers import vandermonde_on
@@ -365,6 +366,18 @@ def test_workers_are_exact_short_dots(kind, P, K, M, N_raw):
             assert out.value == code.F[i, S] @ xp[S]
 
 
+def test_complex_inputs_are_refused_not_made_real():
+    # a float cast keeps the real part: 1j * x once ran as four 0.0 outputs
+    p = validate_params(4, 3, 2, 8)
+    gen = build_generator(p)
+    code = encode(np.ones((2, 8)), gen, p)
+    for x in (1j * np.ones(8), np.ones(8) + 0j, [1.0] * 7 + [2j]):
+        with pytest.raises(ValueError, match="x has complex entries"):
+            run_workers(code, x)
+    with pytest.raises(ValueError, match="A has complex entries"):
+        encode(np.ones((2, 8)) + 1j, gen, p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_inputs_rejected(bad):
     p = validate_params(6, 5, 3, 12)
@@ -439,6 +452,38 @@ def test_decode_is_the_solve_on_responder_rows(kind):
         v = np.array([outs[i - 1].value for i in finished])
         expected = np.linalg.solve(gen.entries[finished - 1], v)[:10]
         np.testing.assert_array_equal(decode([outs[i - 1] for i in finished], gen, p), expected)
+
+
+@pytest.mark.parametrize("P, K, M, N_raw", [(20, 18, 10, 785), (6, 4, 2, 12)])
+def test_a_request_is_one_vecdot_then_one_solve(monkeypatch, P, K, M, N_raw):
+    rng = np.random.default_rng(21)
+    p = validate_params(P, K, M, N_raw)
+    gen = build_generator(p)
+    code = encode(rng.standard_normal((M, N_raw)), gen, p)
+    svds = []
+    svd = generator._condition_number
+    monkeypatch.setattr(generator, "_condition_number",
+                        lambda mat: svds.append(1) or svd(mat))
+    for _ in range(300):
+        x = rng.standard_normal(N_raw)
+        xz = np.zeros(p.N + 1)
+        xz[1 : N_raw + 1] = x
+        outs = run_workers(code, x)
+        assert type(outs) is list
+        assert all(type(o) is WorkerOutput and type(o.index) is int and type(o.value) is float
+                   for o in outs)
+        assert [o.index for o in outs] == list(range(1, P + 1))
+        assert np.array_equal([o.value for o in outs],
+                              np.vecdot(code.coefficients, xz[code.supports]))
+        finished = rng.permutation(P)[:K] + 1
+        v = np.array([outs[i - 1].value for i in finished])
+        expected = np.linalg.solve(gen.entries[finished - 1], v)[:M]
+        assert np.array_equal(decode([outs[i - 1] for i in finished], gen, p), expected)
+        # the same responders in another order: same set, no second SVD
+        before = len(svds)
+        decode([outs[i - 1] for i in finished[::-1]], gen, p)
+        assert len(svds) == before
+    assert len(svds) == len(gen._conditions)
 
 
 @pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
@@ -540,6 +585,13 @@ def test_decode_validates_inputs():
         decode([WorkerOutput(9, 1.0), outs[0], outs[1]], gen, p)  # bad index
     with pytest.raises(ValueError):
         decode([outs[0], outs[1], (3, outs[2].value, 0.0)], gen, p)  # not a pair
+    # not a pair, not a real value, not a number as index: malformed input,
+    # not a numerical failure
+    for bad in (5.0, (3,), (3, None), (3, 1j), (3, "1.0"), (3, [1.0]), (None, 1.0)):
+        with pytest.raises(ValueError, match="pair|real numbers|whole numbers"):
+            decode([outs[0], outs[1], bad], gen, p)
+        with pytest.raises(ValueError, match="pair|real numbers|whole numbers"):
+            decode_with_errors([outs[0], outs[1], bad, outs[3]], 0, gen, p)
     with pytest.raises(ValueError, match="need exactly 3 outputs, got 0"):
         decode([], gen, p)
     with pytest.raises(ValueError, match="need exactly 4 outputs, got 0"):
