@@ -17,15 +17,17 @@ array, and otherwise parses F.csv (a directory written before F.npy,
 or an F.csv edited after the save).  %.17g round-trips float64, so
 both give F bit for bit.
 
+supports.txt is written for workers and never read back: the supports
+follow from (P, K, M, N), and a load derives them.
+
 params.txt is read with read_key_values, as are the CLI's --config files.
 It stores no nodes and no seed: a generator is a function of (P, K,
 kind), the Vandermonde kind on the Chebyshev nodes and the Gaussian kind
 one fixed draw.  An older directory's nodes= line must list those nodes
 and its seed= line must name that draw's seed.  save_transform refuses a
-generator that build_generator would not rebuild from params.txt.  The
-supports follow from the parameters; load_transform checks supports.txt
-against them, and refuses an F that is nonzero on the sparsity pattern
-or that the generator does not reproduce (see coding.check_generator),
+generator that build_generator would not rebuild from params.txt.
+load_transform refuses an F that is nonzero on the sparsity pattern or
+that the generator does not reproduce (see coding.check_generator),
 whichever file F came from.
 """
 
@@ -42,7 +44,6 @@ from .generator import _GAUSSIAN_SEED, build_generator
 from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
-_CHUNK = 1 << 16  # bytes per read of a file's CRC
 
 
 def _write_table(path, mat: np.ndarray, fmt: str, delimiter: str) -> None:
@@ -84,24 +85,15 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
         f"kind={gen.kind}",
         f"zero_tolerance={_FMT % code.zero_tolerance}",
     ]
-    save_matrix(out / "F.csv", code.F)
-    np.save(out / "F.npy", np.asarray(code.F, dtype=np.float64))
+    csv, npy = out / "F.csv", out / "F.npy"
+    save_matrix(csv, code.F)
+    np.save(npy, np.asarray(code.F, dtype=np.float64))
     _write_table(out / "supports.txt", code.supports, "%d", " ")
     # the CRC of what is on disk, so it vouches for no other bytes; and
     # params.txt last, so an interrupted save leaves no CRC of new files
-    lines.append(f"F_crc32={_crc32((out / 'F.csv', out / 'F.npy')):08x}")
+    lines.append(f"F_crc32={zlib.crc32(npy.read_bytes(), zlib.crc32(csv.read_bytes())):08x}")
     (out / "params.txt").write_text("\n".join(lines) + "\n")
     return out
-
-
-def _crc32(paths) -> int:
-    """The zlib CRC-32 of the files' bytes one after another."""
-    crc = 0
-    for path in paths:
-        with open(path, "rb") as f:
-            while chunk := f.read(_CHUNK):
-                crc = zlib.crc32(chunk, crc)
-    return crc
 
 
 def _npy_F(src: Path, crc_text: str | None) -> np.ndarray | None:
@@ -111,11 +103,10 @@ def _npy_F(src: Path, crc_text: str | None) -> np.ndarray | None:
     if crc_text is None:
         return None
     try:
-        with open(src / "F.npy", "rb") as f:
-            raw = f.read()
+        raw = (src / "F.npy").read_bytes()
     except FileNotFoundError:
         return None
-    if crc_text != f"{zlib.crc32(raw, _crc32([src / 'F.csv'])):08x}":
+    if crc_text != f"{zlib.crc32(raw, zlib.crc32((src / 'F.csv').read_bytes())):08x}":
         return None
     try:
         F = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
@@ -146,11 +137,12 @@ def _lists(text: str, values: np.ndarray) -> bool:
 
 
 def load_transform(in_dir) -> EncodedTransform:
-    """Read a directory written by save_transform, refusing supports that
-    miss the pattern, an older directory's nodes= line that does not list
-    the Chebyshev nodes or seed= line that does not name the Gaussian
-    kind's fixed seed, and an F its generator does not reproduce (see
-    coding.check_generator).
+    """Read a directory written by save_transform, refusing an older
+    directory's nodes= line that does not list the Chebyshev nodes or
+    seed= line that does not name the Gaussian kind's fixed seed, an F
+    that is nonzero on the sparsity pattern, and an F its generator does
+    not reproduce (see coding.check_generator).  supports.txt is never
+    opened: the supports are derived from (P, K, M, N).
 
     F comes from F.npy when params.txt's F_crc32 matches the bytes of
     F.csv and F.npy and F.npy holds a 2-D float64 array, and is parsed
@@ -185,8 +177,5 @@ def load_transform(in_dir) -> EncodedTransform:
         F = load_matrix(src / "F.csv")
     code = EncodedTransform(F=F, generator=gen, params=params,
                             zero_tolerance=float(field("zero_tolerance")))
-    stored = np.loadtxt(src / "supports.txt", dtype=int, ndmin=2)
-    if not np.array_equal(stored, code.supports):
-        raise ValueError(f"supports.txt in {src} does not match the sparsity pattern")
     check_generator(code)
     return code

@@ -572,6 +572,30 @@ def test_decodes_solve_through_guarded_solve(monkeypatch, bad, tries):
     assert len(calls) == tries
 
 
+def test_residual_gate_holds_where_the_squared_norm_overflows():
+    # outputs near 1e200: v.dot(v) would be inf, and so would the bound
+    p = validate_params(6, 4, 2, 12)
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((2, 12)) * 1e150
+    x = rng.standard_normal(12) * 1e50
+    gen = build_generator(p)
+    outs = run_workers(encode(A, gen, p), x)
+    assert max(abs(value) for _, value in outs) > 1e200
+    np.testing.assert_allclose(decode(outs[1:5], gen, p), A @ x, rtol=1e-8)
+
+
+def test_residual_gate_refuses_a_solve_that_misses_the_outputs(monkeypatch):
+    solve = coding.guarded_solve
+    monkeypatch.setattr(coding, "guarded_solve",
+                        lambda *args, **kwargs: solve(*args, **kwargs) * (1 + 1e-6))
+    p = validate_params(6, 4, 2, 12)
+    rng = np.random.default_rng(1)
+    gen = build_generator(p)
+    outs = run_workers(encode(rng.standard_normal((2, 12)), gen, p), rng.standard_normal(12))
+    with pytest.raises(ConditioningError, match=r"decode residual .* exceeds 1e-08 \* \|\|v\|\|"):
+        decode(outs[:4], gen, p)
+
+
 def test_decode_validates_inputs():
     p = validate_params(4, 3, 2, 8)
     gen = build_generator(p)

@@ -20,6 +20,7 @@ from shortdot import (
     validate_params,
     zero_mask,
 )
+from shortdot.cli import main
 from shortdot.coding import check_generator
 from shortdot.serialization import read_key_values
 
@@ -66,6 +67,35 @@ def test_save_transform_writes_the_supports_of_savetxt(saved_transform, tmp_path
     out, code = saved_transform
     np.savetxt(tmp_path / "numpy.txt", code.supports, fmt="%d")
     assert (out / "supports.txt").read_bytes() == (tmp_path / "numpy.txt").read_bytes()
+
+
+@pytest.mark.parametrize("edit", ["deleted", "garbled"])
+def test_load_derives_the_supports_without_supports_txt(saved_transform, tmp_path, capsys,
+                                                        edit):
+    out, code = saved_transform
+    p = code.params
+    edited = shutil.copytree(out, tmp_path / "edited")
+    if edit == "deleted":
+        (edited / "supports.txt").unlink()
+    else:
+        (edited / "supports.txt").write_bytes(b"not,supports\n\xff\x00 -3 1e9\n")
+    original, loaded = load_transform(out), load_transform(edited)
+    for name in ("F", "supports", "coefficients"):
+        a, b = getattr(original, name), getattr(loaded, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert a.tobytes() == getattr(code, name).tobytes()
+    x_path = tmp_path / "x.csv"
+    save_matrix(x_path, np.random.default_rng(13).standard_normal(p.N_raw))
+    responders = ",".join(map(str, range(p.P - p.K + 1, p.P + 1)))
+    results = []
+    for directory in (out, edited):
+        y_path = tmp_path / f"y_{directory.name}.csv"
+        argv = ["transform", str(directory), str(x_path), "--responders", responders]
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(y_path)]) == 0
+        results.append((capsys.readouterr().out.split("decoded product")[0],
+                        y_path.read_bytes()))
+    assert results[0] == results[1]
 
 
 @pytest.fixture
@@ -227,12 +257,6 @@ def test_supports_file_is_one_based(tmp_path):
         assert not zero_mask(p)[i - 1, np.array(indices) - 1].any()
 
 
-def _edit_supports(out, p):
-    lines = (out / "supports.txt").read_text().splitlines()
-    lines[2] = " ".join(str(int(tok) % p.N + 1) for tok in lines[2].split())
-    (out / "supports.txt").write_text("\n".join(lines) + "\n")
-
-
 def _nonzero_on_pattern(out, p):
     F = load_matrix(out / "F.csv")
     i, j = np.argwhere(zero_mask(p))[0]
@@ -240,7 +264,15 @@ def _nonzero_on_pattern(out, p):
     save_matrix(out / "F.csv", F)
 
 
-@pytest.mark.parametrize("tamper", [_edit_supports, _nonzero_on_pattern])
+def _nonzero_on_pattern_in_f_npy(out, p):
+    F = np.load(out / "F.npy")
+    i, j = np.argwhere(zero_mask(p))[-1]
+    F[i, j] = 0.25
+    np.save(out / "F.npy", F)
+    _restamp(out)  # so the load takes the fast path
+
+
+@pytest.mark.parametrize("tamper", [_nonzero_on_pattern, _nonzero_on_pattern_in_f_npy])
 def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
     rng = np.random.default_rng(4)
     p = validate_params(6, 5, 3, 12)
