@@ -21,9 +21,6 @@ import numpy as np
 from .coding import EncodedTransform
 from .params import CodeParams
 
-ASYMPTOTIC_RATIO = 0.01  # proxy threshold for M^2 C(P,K-M+1) = o(N)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     basic_bound: float
@@ -31,7 +28,6 @@ class BoundReport:
     budget: int
     lambda_cap: int
     gap_ratio: float
-    asymptotic_condition_met: bool
     achieved_avg_sparsity: float | None = None
     achieved_max_sparsity: int | None = None
     hypothesis_ok: bool | None = None
@@ -72,14 +68,12 @@ def bound_report(params: CodeParams) -> BoundReport:
     P, K, M, N = params.P, params.K, params.M, params.N_raw
     basic = basic_lower_bound(N, P, K)
     cap = lambda_cap(P, K, M)
-    gap_ratio = M * cap / N  # M^2 C(P, K-M+1) / N
     return BoundReport(
         basic_bound=basic,
         tight_bound=tight_lower_bound(N, P, K, M) if M > 1 else basic,
         budget=params.s,
         lambda_cap=cap,
-        gap_ratio=gap_ratio,
-        asymptotic_condition_met=gap_ratio < ASYMPTOTIC_RATIO,
+        gap_ratio=M * cap / N,  # M^2 C(P, K-M+1) / N
     )
 
 

@@ -4,9 +4,7 @@ Subcommands: encode, transform, sweep, theorem4, bounds,
 experiment-sec6, selftest; each declares only the flags it reads, and
 an invocation that names its subcommand first builds only that
 subcommand's parser (help, no argument or an unknown name build all).
-`--config FILE` (every subcommand but selftest) holds key=value lines
-whose keys are that subcommand's flag names; they become the flags'
-defaults, so flags given on the command line win.  Exit codes:
+Every setting comes from argv.  Exit codes:
 0 success, 2 validation error (argparse's own errors included),
 3 numerical/conditioning failure, 4 I/O failure.
 """
@@ -39,22 +37,10 @@ from .latency import (
     theorem4_regime,
 )
 from .params import validate_params
-from .serialization import (load_matrix, load_transform, read_key_values, save_matrix,
-                            save_transform)
+from .serialization import load_matrix, load_transform, save_matrix, save_transform
 from .strategies import check_strategy, check_target_length, plan_by_name, plan_short_dot
 
 SEC6 = (20, 18, 10, 785)  # simulated stand-in (P, K, M, N_raw)
-
-
-def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
-    """Make each key=value line of the file the default of the flag --key;
-    argparse then converts it with the flag's type unless the flag is given."""
-    flags = {opt[2:]: action for action in parser._actions for opt in action.option_strings}
-    for key, value in read_key_values(path).items():
-        if key in ("config", "help") or key not in flags:
-            raise ValueError(f"config key {key!r} is not a flag of {parser.prog!r}")
-        flags[key].required = False
-        parser.set_defaults(**{flags[key].dest: value})
 
 
 def _int_list(text: str) -> list[int]:
@@ -85,7 +71,10 @@ def _parse_corruptions(text: str) -> dict[int, float]:
     out = {}
     for tok in text.replace(",", " ").split():
         idx, _, val = tok.partition(":")
-        out[int(idx)] = float(val)
+        worker = int(idx)
+        if worker in out:
+            raise argparse.ArgumentTypeError(f"worker {worker} is corrupted twice")
+        out[worker] = float(val)
     return out
 
 
@@ -102,8 +91,6 @@ def cmd_transform(args) -> int:
     if 1 not in x.shape:
         raise ValueError(f"{args.x} holds a {x.shape[0]} x {x.shape[1]} matrix; "
                          "x must be one row or one column")
-    if args.error_decode is not None and args.responders:  # one may come from --config
-        raise ValueError("--responders and --error-decode are mutually exclusive")
     corrupt = args.corrupt or {}
     _check_workers(corrupt, params.P, "--corrupt")
     outputs = [(i, corrupt.get(i, v)) for i, v in run_workers(code, x)]
@@ -144,14 +131,6 @@ def _k_spec(text: str) -> int | str:
     return text if text == "auto" else int(text)
 
 
-class _Names(argparse.Action):
-    """Comma-separated names, repeatable; the first flag replaces the default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        names = getattr(namespace, self.dest)
-        setattr(namespace, self.dest, ([] if names is self.default else names) + values)
-
-
 def _check_monte_carlo(trials: int, first: int, count: int, least: int = 0) -> None:
     """Refuse, before any output, fewer than `least` trials, a malformed
     SHORTDOT_THREADS or Monte Carlo seeds first..first+count-1 outside
@@ -181,13 +160,16 @@ def cmd_sweep(args) -> int:
         # time at this M; the other strategies do not read K
         K = optimize_k(P, M, float(N), model)[0] if args.k == "auto" else args.k
         grid.append(validate_params(P, K, M, N))
-    for name in args.strategy:
+    names = args.strategy or ["uncoded", "repetition", "mds", "short-dot"]
+    for i, name in enumerate(names):
         check_strategy(name)
+        if name in names[:i]:
+            raise ValueError(f"--strategy names {name!r} twice")
     s = grid[0].N if args.s is None else args.s
     check_target_length(s, grid[0].N)
     rows = []
     for row_i, (M, params) in enumerate(zip(m_values, grid)):
-        for name in args.strategy:
+        for name in names:
             plan = plan_by_name(name, params, s)
             analytic = expected_time(plan, model)
             if args.trials > 0:
@@ -417,8 +399,7 @@ def _sweep_flags(p):
     p.add_argument("--k", type=_k_spec, default="auto",
                    help="short-dot recovery threshold, or auto (default) per M")
     p.add_argument("--m-range", type=_m_range, help="M sweep range lo:hi (default 1:P)")
-    p.add_argument("--strategy", type=lambda text: text.split(","), action=_Names,
-                   default="uncoded,repetition,mds,short-dot",
+    p.add_argument("--strategy", type=lambda text: text.split(","), action="extend",
                    help="comma-separated strategy names (repeatable)")
     p.add_argument("--s", type=int,
                    help="task length of repetition and short-mds blocks (default N)")
@@ -450,7 +431,7 @@ def _experiment_sec6_flags(p):
     p.add_argument("--out", help="CSV path for the report")
 
 
-# name: (handler, help line, flag declarations; None takes no --config)
+# name: (handler, help line, flag declarations or None)
 _COMMANDS = {
     "encode": (cmd_encode, "encode a matrix CSV into a transform directory", _encode_flags),
     "transform": (cmd_transform, "compute A@x from a transform directory", _transform_flags),
@@ -482,37 +463,16 @@ def build_parser(only: str | None = None
             p = sub.add_parser(name, help=help, allow_abbrev=False)
             p.set_defaults(func=func)
             if add_flags:
-                p.add_argument("--config",
-                               help="key=value file of this command's flags; flags win")
                 add_flags(p)
     return parser, sub.choices
-
-
-def _config_path(argv: list[str]) -> str | None:
-    """FILE of the last --config FILE or --config=FILE before any "--" in
-    argv, else None.  A --config followed by nothing or by another flag
-    gives None: the subcommand's parser refuses it."""
-    config = None
-    for i, arg in enumerate(argv):
-        if arg == "--":
-            break
-        if arg == "--config":
-            value = argv[i + 1] if i + 1 < len(argv) else ""
-            config = value if value == "-" or value[:1] not in ("", "-") else None
-        elif arg.startswith("--config="):
-            config = arg.removeprefix("--config=")
-    return config
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # only the named subcommand's parser is built: the flags of the others
     # cost more to declare than a request spends parsing its own
-    parser, commands = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    config = _config_path(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)[0]
     try:
-        if config and argv[0] in commands:
-            _apply_config(commands[argv[0]], config)
         args = parser.parse_args(argv)
         return args.func(args)
     except ValueError as exc:

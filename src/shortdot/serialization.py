@@ -20,7 +20,7 @@ both give F bit for bit.
 supports.txt is written for workers and never read back: the supports
 follow from (P, K, M, N), and a load derives them.
 
-params.txt is read with read_key_values, as are the CLI's --config files.
+params.txt is read with read_key_values.
 It stores no nodes and no seed: a generator is a function of (P, K,
 kind), the Vandermonde kind on the Chebyshev nodes and the Gaussian kind
 one fixed draw.  An older directory's nodes= line must list those nodes

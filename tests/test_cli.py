@@ -146,10 +146,17 @@ def test_transform_takes_responders_or_error_decode_not_both(small_problem, caps
     argv = ["transform", str(out), x_path, "--error-decode", "1", "--responders", "1,2"]
     assert _status(argv) == 2
     assert "not allowed with argument" in capsys.readouterr().err
-    cfg = tmp / "run.cfg"
-    cfg.write_text("responders=1,2,3,4\n")
-    assert main(["transform", str(out), x_path, "--error-decode", "1", "--config", str(cfg)]) == 2
-    assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_transform_refuses_a_worker_corrupted_twice(small_problem, capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    main(["encode", a_path, "--p", "6", "--k", "4", "--out", str(out)])
+    capsys.readouterr()
+    argv = ["transform", str(out), x_path, "--error-decode", "1", "--corrupt", "3:999,3:5"]
+    assert _status(argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "worker 3 is corrupted twice" in err
 
 
 def test_transform_needs_enough_responders(small_problem):
@@ -348,20 +355,6 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
-def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p=6\nk=5\nm=3\nn=12\n")
-    assert main(["bounds", "--config", str(cfg)]) == 0
-    assert "P=6 K=5 M=3" in capsys.readouterr().out
-    assert main(["bounds", "--config", str(cfg), "--k", "4"]) == 0
-    assert "P=6 K=4 M=3" in capsys.readouterr().out
-    assert main(["bounds", "--k", "4", f"--config={cfg}"]) == 0
-    assert "P=6 K=4 M=3" in capsys.readouterr().out
-    # the last --config names the file
-    assert main(["bounds", "--config", str(tmp_path / "missing.cfg"), f"--config={cfg}"]) == 0
-    assert "P=6 K=5 M=3" in capsys.readouterr().out
-
-
 def test_exit_code_validation_error(tmp_path):
     a_path = _write_matrix(tmp_path / "A.csv", np.ones((3, 4)))
     assert main(["encode", a_path, "--p", "4", "--k", "2", "--out",
@@ -537,15 +530,10 @@ def test_theorem4_refuses_p_whose_rounding_is_no_code(capsys, p_list):
     assert out == "" and "theorem-4 regime needs" in err and "P=" in err
 
 
-@pytest.mark.parametrize("p_list", ["", " , ", "config"])
+@pytest.mark.parametrize("p_list", ["", " , "])
 def test_theorem4_refuses_an_empty_p_list(tmp_path, capsys, p_list):
     out = tmp_path / "t4.csv"
-    if p_list == "config":
-        (tmp_path / "t4.cfg").write_text("p-list=\n")
-        argv = ["theorem4", "--config", str(tmp_path / "t4.cfg"), "--out", str(out)]
-    else:
-        argv = ["theorem4", "--p-list", p_list, "--out", str(out)]
-    assert _status(argv) == 2
+    assert _status(["theorem4", "--p-list", p_list, "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and "--p-list" in err and "empty" in err
     assert not out.exists()
@@ -598,6 +586,25 @@ def test_flags_a_subcommand_does_not_read_are_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c"],
+    ["transform", "code", "x.csv", "--responders", "1,2,3,4,5"],
+    ["sweep", "--p", "6", "--trials", "0", "--out", "s.csv"],
+    ["theorem4", "--out", "t4.csv"],
+    ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--out", "b.csv"],
+    ["experiment-sec6", "--trials", "10", "--out", "e.csv"],
+])
+def test_config_file_flag_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # every setting comes from argv: a key=value file is not read
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("# no keys\n")
+    for config in (["--config", "run.cfg"], ["--config=run.cfg"]):
+        assert _status([*argv, *config]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "unrecognized arguments: --config" in err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def test_readme_flag_table_matches_the_parser():
     # each row: `subcommand ARGS` | `--flag`, ... (required); `--flag`, ...
     table = {}
@@ -615,39 +622,32 @@ def test_readme_flag_table_matches_the_parser():
     assert table == parsed
 
 
-def test_config_key_that_names_no_flag_is_refused(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("mu=5\n")
-    assert _status(["bounds", "--config", str(cfg), "--p", "6", "--k", "5",
-                    "--m", "3", "--n", "12"]) == 2
-    assert "'mu'" in capsys.readouterr().err
-    cfg.write_text("p=6\n")
-    assert _status(["selftest", "--config", str(cfg)]) == 2
-
-
-def test_sweep_config_values(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
+def test_sweep_strategy_flags_accumulate_and_refuse_a_repeated_name(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    cfg.write_text(f"p=6\nn=12\nk=auto\nm-range=2:3\nstrategy=short-dot,mds\n"
-                   f"trials=0\nout={out}\n")
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    with open(out) as fh:
-        rows = [(r["M"], r["strategy"], r["K_used"]) for r in csv.DictReader(fh)]
-    auto_k = [int(k) for _, name, k in rows if name == "short-dot"]
-    assert rows == [("2", "short-dot", str(auto_k[0])), ("2", "mds", "2"),
-                    ("3", "short-dot", str(auto_k[1])), ("3", "mds", "3")]
-    # flags win: --strategy replaces the config list, --k the config k
-    assert main(["sweep", "--config", str(cfg), "--strategy", "uncoded",
-                 "--k", "5"]) == 0
-    with open(out) as fh:
-        assert [(r["M"], r["strategy"]) for r in csv.DictReader(fh)] == [
-            ("2", "uncoded"), ("3", "uncoded")]
-    with open(tmp_path / "sweep_plot.py") as fh:
-        assert "sweep.csv" in fh.read()
 
+    def sweep(*flags):
+        argv = ["sweep", "--p", "6", "--m-range", "2:3", "--trials", "100", *flags,
+                "--out", str(out)]
+        assert main(argv) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(r["K_used"] == r["M"] for r in rows if r["strategy"] == "mds")
+        return [(r["M"], r["strategy"]) for r in rows], out.read_bytes()
 
-def test_missing_config_file_is_an_io_error(tmp_path):
-    assert main(["theorem4", "--config", str(tmp_path / "missing.cfg")]) == 4
+    rows, _ = sweep("--strategy", "short-dot", "--strategy", "mds,uncoded")
+    assert rows == [(M, name) for M in ("2", "3") for name in ("short-dot", "mds", "uncoded")]
+    rows, default = sweep()
+    defaults = ["uncoded", "repetition", "mds", "short-dot"]
+    assert rows == [(M, name) for M in ("2", "3") for name in defaults]
+    assert sweep("--strategy", ",".join(defaults))[1] == default
+    assert "sweep_plot.py" in capsys.readouterr().out
+
+    out.unlink()
+    for flags in (["--strategy", "mds", "--strategy", "uncoded,mds"], ["--strategy", "mds,mds"]):
+        assert main(["sweep", "--p", "6", *flags, "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "'mds' twice" in err
+        assert not out.exists()
 
 
 def test_transform_reports_missing_params_key(small_problem, capsys):
@@ -807,7 +807,7 @@ def _printed(call, capsys):
     ["bounds", "--p", "6"],
     ["sweep", "--p", "6", "--m-range", "3:2", "--out", "s.csv"],
     ["selftest", "--p", "3"],
-    # a --config with no value is the subcommand parser's error, not the pre-parser's
+    # --config, with or without a value, is the subcommand parser's error
     ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12", "--config"],
     ["bounds", "--config", "--p", "6", "--k", "5", "--m", "3", "--n", "12"],
     ["encode", "A.csv", "--p", "6", "--k", "5", "--out", "c", "--config"],
