@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: encode, transform, sweep, theorem4, bounds,
-experiment-sec6, selftest; each declares only the flags it reads, and
-an invocation that names its subcommand first builds only that
+Subcommands: encode, transform, sweep, theorem4, bounds and
+experiment-sec6; each declares only the flags it reads, and an
+invocation that names its subcommand first builds only that
 subcommand's parser (help, no argument or an unknown name build all).
 Every setting comes from argv.  Exit codes:
 0 success, 2 validation error (argparse's own errors included),
@@ -22,14 +22,15 @@ from . import bounds as bounds_mod
 from .coding import decode, decode_with_errors, encode, run_workers
 from .errors import ConditioningError, DecodingError
 from .generator import build_generator
-# perfbench/workloads.py traces the expected_time_* names on this module
+# perfbench/workloads.py traces the expected_time_* names and
+# plan_short_dot on this module
 from .latency import (
     DEFAULT_MU,
     DelayModel,
     expected_time,
     expected_time_mds,  # noqa: F401
     expected_time_repetition,  # noqa: F401
-    expected_time_short_dot,
+    expected_time_short_dot,  # noqa: F401
     expected_time_uncoded,  # noqa: F401
     monte_carlo,
     optimize_k,
@@ -38,7 +39,8 @@ from .latency import (
 )
 from .params import validate_params
 from .serialization import load_matrix, load_transform, save_matrix, save_transform
-from .strategies import check_strategy, check_target_length, plan_by_name, plan_short_dot
+from .strategies import check_strategy, check_target_length, plan_by_name
+from .strategies import plan_short_dot  # noqa: F401
 
 SEC6 = (20, 18, 10, 785)  # simulated stand-in (P, K, M, N_raw)
 
@@ -67,15 +69,9 @@ def cmd_encode(args) -> int:
 # --- transform ---------------------------------------------------------------
 
 
-def _parse_corruptions(text: str) -> dict[int, float]:
-    out = {}
-    for tok in text.replace(",", " ").split():
-        idx, _, val = tok.partition(":")
-        worker = int(idx)
-        if worker in out:
-            raise argparse.ArgumentTypeError(f"worker {worker} is corrupted twice")
-        out[worker] = float(val)
-    return out
+def _parse_corruptions(text: str) -> list[tuple[int, float]]:
+    pairs = [tok.partition(":") for tok in text.replace(",", " ").split()]
+    return [(int(idx), float(val)) for idx, _, val in pairs]
 
 
 def _check_workers(indices, P: int, flag: str) -> None:
@@ -85,13 +81,14 @@ def _check_workers(indices, P: int, flag: str) -> None:
 
 
 def cmd_transform(args) -> int:
+    corrupt = {}
+    for worker, value in args.corrupt or ():  # every --corrupt flag, in order
+        if worker in corrupt:
+            raise ValueError(f"--corrupt: worker {worker} is corrupted twice")
+        corrupt[worker] = value
     code = load_transform(args.code_dir)
     params = code.params
     x = load_matrix(args.x)
-    if 1 not in x.shape:
-        raise ValueError(f"{args.x} holds a {x.shape[0]} x {x.shape[1]} matrix; "
-                         "x must be one row or one column")
-    corrupt = args.corrupt or {}
     _check_workers(corrupt, params.P, "--corrupt")
     outputs = [(i, corrupt.get(i, v)) for i, v in run_workers(code, x)]
 
@@ -318,57 +315,6 @@ def cmd_experiment_sec6(args) -> int:
     return 0
 
 
-# --- selftest ----------------------------------------------------------------
-
-
-def cmd_selftest(args) -> int:
-    rng = np.random.default_rng(0)
-    failures = 0
-
-    def check(name: str, ok: bool):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    params = validate_params(6, 5, 3, 12)
-    check("params (P=6 K=5 M=3 N=12) budget s=8", params.s == 8)
-
-    gen = build_generator(params)
-    A = rng.standard_normal((3, 12))
-    x = rng.standard_normal(12)
-    code = encode(A, gen, params)
-    outputs = run_workers(code, x)
-    truth = A @ x
-    ok = True
-    from itertools import combinations
-    for subset in combinations(outputs, params.K):
-        got = decode(subset, gen, params)
-        ok &= bool(np.linalg.norm(got - truth) <= 1e-8 * np.linalg.norm(truth))
-    check("any-5-of-6 decode recovers A@x at 1e-8", ok)
-
-    nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
-    check("row sparsity within budget", int(nz.max()) <= params.s)
-
-    model = DelayModel(5.0)
-    analytic = expected_time_short_dot(params, model)
-    rep = monte_carlo(plan_short_dot(params), model, 200_000, 1, analytic)
-    check(
-        f"monte carlo vs analytic ({rep.mc_mean:.3f} vs {analytic:.3f})",
-        abs(rep.mc_mean - analytic) <= 0.03 * analytic,
-    )
-
-    code_poly = encode(A, gen, params, method="poly")
-    check(
-        "poly encode matches solve encode",
-        float(np.max(np.abs(code_poly.F - code.F))) <= 1e-6 * float(np.max(np.abs(code.F))),
-    )
-
-    if failures:
-        raise ConditioningError(f"selftest: {failures} check(s) failed")
-    print("selftest: all checks passed")
-    return 0
-
-
 # --- parser / entry ----------------------------------------------------------
 
 
@@ -388,8 +334,9 @@ def _transform_flags(p):
                         help="comma-separated worker indices, first K used")
     choose.add_argument("--error-decode", type=int, metavar="E_MAX",
                         help="use all P outputs, correcting up to E_MAX errors")
-    p.add_argument("--corrupt", type=_parse_corruptions,
-                   help="idx:value pairs overriding worker outputs before either decode")
+    p.add_argument("--corrupt", type=_parse_corruptions, action="extend",
+                   help="idx:value pairs overriding worker outputs before either decode "
+                        "(repeatable)")
     p.add_argument("--out", help="CSV path for A@x (default: stdout)")
 
 
@@ -431,7 +378,7 @@ def _experiment_sec6_flags(p):
     p.add_argument("--out", help="CSV path for the report")
 
 
-# name: (handler, help line, flag declarations or None)
+# name: (handler, help line, flag declarations)
 _COMMANDS = {
     "encode": (cmd_encode, "encode a matrix CSV into a transform directory", _encode_flags),
     "transform": (cmd_transform, "compute A@x from a transform directory", _transform_flags),
@@ -440,7 +387,6 @@ _COMMANDS = {
     "bounds": (cmd_bounds, "sparsity lower bounds for a parameter tuple", _bounds_flags),
     "experiment-sec6": (cmd_experiment_sec6, "simulated stand-in for the cluster experiment",
                         _experiment_sec6_flags),
-    "selftest": (cmd_selftest, "quick internal consistency battery", None),
 }
 
 
@@ -462,8 +408,7 @@ def build_parser(only: str | None = None
         if only in (None, name):
             p = sub.add_parser(name, help=help, allow_abbrev=False)
             p.set_defaults(func=func)
-            if add_flags:
-                add_flags(p)
+            add_flags(p)
     return parser, sub.choices
 
 

@@ -219,8 +219,14 @@ def _finite_real(a, name: str) -> np.ndarray:
 def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
     """Real finite x of length N_raw or N, zero-padded to length N, behind
     one leading zero: entry j is x_j, so the 1-based supports index it
-    directly."""
-    x = _finite_real(x, "x").ravel()
+    directly.  x is 1-D, one row or one column; a block of several rows
+    and columns is refused, not flattened into one input."""
+    x = _finite_real(x, "x")
+    if x.ndim != 1 and (x.ndim != 2 or 1 not in x.shape):
+        held = (f"{x.shape[0]} x {x.shape[1]} matrix" if x.ndim == 2
+                else f"{x.ndim}-d array of shape {x.shape}")
+        raise ValueError(f"x holds a {held}; x must be one row or one column")
+    x = x.ravel()
     if x.size not in (params.N_raw, params.N):
         lengths = params.N if params.N_raw == params.N else f"{params.N_raw} or {params.N}"
         raise ValueError(f"x has length {x.size}, expected {lengths}")
@@ -230,8 +236,9 @@ def _input_behind_zero(x, params: CodeParams) -> np.ndarray:
 
 
 def run_workers(code: EncodedTransform, x) -> list[WorkerOutput]:
-    """Simulate all P workers on input x (length N_raw or N): one gather of
-    x over the (P, s) supports, then one vecdot with the coefficients."""
+    """Simulate all P workers on input x (length N_raw or N; 1-D, one row
+    or one column): one gather of x over the (P, s) supports, then one
+    vecdot with the coefficients."""
     xz = _input_behind_zero(x, code.params)
     values = np.vecdot(code.coefficients, xz[code.supports])
     # tuple.__new__ skips the NamedTuple's Python-level __new__

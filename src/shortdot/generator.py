@@ -131,7 +131,7 @@ def _condition_number(mat: np.ndarray) -> float:
     return float(s[0]) / float(s[-1]) if s[-1] > 0 else math.inf
 
 
-def check_condition(mat: np.ndarray, what: str = "solve", cond: float | None = None) -> float:
+def check_condition(mat: np.ndarray, cond: float | None = None) -> float:
     """The one conditioning rule: refuse mat if c = cond(mat) is not
     finite or exceeds COND_LIMIT, else return c.  A caller that already
     holds c (a generator's `condition`) passes it as cond, and no SVD is
@@ -139,7 +139,7 @@ def check_condition(mat: np.ndarray, what: str = "solve", cond: float | None = N
     c = _condition_number(mat) if cond is None else cond
     if not math.isfinite(c) or c > COND_LIMIT:
         raise ConditioningError(
-            f"{what} rejected: condition {c:.3e} exceeds limit {COND_LIMIT:.1e}"
+            f"solve rejected: condition {c:.3e} exceeds limit {COND_LIMIT:.1e}"
         )
     return c
 

@@ -333,6 +333,22 @@ def test_run_workers_accepts_padded_or_raw_length_only():
         run_workers(code, rng.standard_normal(11))
 
 
+def test_run_workers_takes_one_row_or_column_and_refuses_a_block():
+    # x may be 1-D, one row or one column; a block of several inputs is
+    # refused rather than flattened into one input of the right length
+    rng = np.random.default_rng(17)
+    p = validate_params(6, 5, 3, 12)
+    code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
+    x = rng.standard_normal(12)
+    want = run_workers(code, x)
+    for layout in (x[None, :], x[:, None]):
+        assert run_workers(code, layout) == want
+    for shape, held in [((3, 4), "3 x 4 matrix"), ((2, 6), "2 x 6 matrix"),
+                        ((2, 2, 3), "3-d array of shape")]:
+        with pytest.raises(ValueError, match=f"x holds a {held}"):
+            run_workers(code, x.reshape(shape))
+
+
 def test_workers_reproduce_dense_product():
     rng = np.random.default_rng(7)
     p = validate_params(6, 5, 3, 12)
