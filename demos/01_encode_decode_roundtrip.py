@@ -26,10 +26,9 @@ for row in code.F:
     print("  " + " ".join("   .  " if v == 0 else f"{v:6.2f}" for v in row))
 
 # each worker sees only its support's coordinates of x
-tasks = code.worker_tasks()
 print("\nworker supports (1-based column indices):")
-for t in tasks:
-    print(f"  worker {t.index}: {t.support}")
+for i, support in enumerate(code.supports, start=1):
+    print(f"  worker {i}: {support}")
 
 outputs = sd.run_workers(code, x)
 

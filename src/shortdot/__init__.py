@@ -20,7 +20,6 @@ from .bounds import (
 from .coding import (
     EncodedTransform,
     WorkerOutput,
-    WorkerTask,
     decode,
     decode_with_errors,
     encode,

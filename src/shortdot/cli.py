@@ -21,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .coding import decode, decode_with_errors, encode, run_workers
 from .errors import ConditioningError, DecodingError
-from .generator import build_generator
+from .generator import KINDS, build_generator
 # perfbench/workloads.py traces the expected_time_* names and
 # plan_short_dot on this module
 from .latency import (
@@ -323,7 +323,7 @@ def _encode_flags(p):
     p.add_argument("--p", type=int, required=True, help="worker count P")
     p.add_argument("--k", type=int, required=True, help="recovery threshold K")
     p.add_argument("--out", required=True, help="transform directory to write")
-    p.add_argument("--kind", choices=("vandermonde", "gaussian"), default="vandermonde")
+    p.add_argument("--kind", choices=KINDS, default=KINDS[0])
 
 
 def _transform_flags(p):

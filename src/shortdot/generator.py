@@ -25,6 +25,8 @@ from .params import CodeParams
 # size, so beyond this limit float64 results are not trustworthy to the
 # tolerances this package promises; we fail loudly.
 COND_LIMIT = 1e8
+# The kinds build_generator makes, the first its default.
+KINDS = ("vandermonde", "gaussian")
 # The Gaussian kind is default_rng(_GAUSSIAN_SEED).standard_normal((P, K)).
 _GAUSSIAN_SEED = 0
 # A generator memoizes the condition numbers of at most this many

@@ -2,33 +2,28 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines: P, K, M, N, N_raw, kind, zero_tolerance,
-                  F_crc32
+    params.txt    key=value lines, exactly the keys _KEYS: P, K, M, N,
+                  N_raw, kind, zero_tolerance, F_crc32
     F.csv         the P x N encoded matrix
     F.npy         the same F as a float64 .npy file (np.save)
     supports.txt  one line per row: space-separated 1-based column indices
 
-F.csv is the documented, editable form; F.npy spares a load the parse
-of its decimal text.  F_crc32 is the zlib CRC-32, as 8 hex digits, of
+F.csv and supports.txt are written for people, workers and other tools,
+and a load parses neither: F comes from F.npy, and the supports follow
+from (P, K, M, N).  F_crc32 is the zlib CRC-32, as 8 hex digits, of
 F.csv's bytes followed by F.npy's, read back from disk after both are
-written; params.txt is written last.  load_transform takes F from F.npy
-only when that CRC matches both files and F.npy holds a 2-D float64
-array, and otherwise parses F.csv (a directory written before F.npy,
-or an F.csv edited after the save).  %.17g round-trips float64, so
-both give F bit for bit.
+written; params.txt is written last.  load_transform refuses, with
+ValueError and the advice to run `shortdot encode` again, a params.txt
+with any other key (such as the nodes= and seed= lines of directories
+written by older versions), a CRC that does not match both files (so an
+edited F.csv or F.npy) and an F.npy that is not a 2-D float64 array; a
+missing F.npy raises FileNotFoundError.
 
-supports.txt is written for workers and never read back: the supports
-follow from (P, K, M, N), and a load derives them.
-
-params.txt is read with read_key_values.
-It stores no nodes and no seed: a generator is a function of (P, K,
-kind), the Vandermonde kind on the Chebyshev nodes and the Gaussian kind
-one fixed draw.  An older directory's nodes= line must list those nodes
-and its seed= line must name that draw's seed.  save_transform refuses a
-generator that build_generator would not rebuild from params.txt.
+params.txt is read with read_key_values.  It stores no nodes and no
+seed: a generator is a function of (P, K, kind), and save_transform
+refuses one that build_generator would not rebuild from params.txt.
 load_transform refuses an F that is nonzero on the sparsity pattern or
-that the generator does not reproduce (see coding.check_generator),
-whichever file F came from.
+that the generator does not reproduce (see coding.check_generator).
 """
 
 from __future__ import annotations
@@ -40,10 +35,13 @@ from pathlib import Path
 import numpy as np
 
 from .coding import EncodedTransform, check_generator
-from .generator import _GAUSSIAN_SEED, build_generator
+from .generator import build_generator
 from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
+# the keys of params.txt, in the order save_transform writes them
+_KEYS = ("P", "K", "M", "N", "N_raw", "kind", "zero_tolerance", "F_crc32")
+_AGAIN = "run `shortdot encode` again"
 
 
 def _write_table(path, mat: np.ndarray, fmt: str, delimiter: str) -> None:
@@ -76,81 +74,65 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
                          "makes, so params.txt could not rebuild it")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"P={p.P}",
-        f"K={p.K}",
-        f"M={p.M}",
-        f"N={p.N}",
-        f"N_raw={p.N_raw}",
-        f"kind={gen.kind}",
-        f"zero_tolerance={_FMT % code.zero_tolerance}",
-    ]
     csv, npy = out / "F.csv", out / "F.npy"
     save_matrix(csv, code.F)
     np.save(npy, np.asarray(code.F, dtype=np.float64))
     _write_table(out / "supports.txt", code.supports, "%d", " ")
     # the CRC of what is on disk, so it vouches for no other bytes; and
     # params.txt last, so an interrupted save leaves no CRC of new files
-    lines.append(f"F_crc32={zlib.crc32(npy.read_bytes(), zlib.crc32(csv.read_bytes())):08x}")
-    (out / "params.txt").write_text("\n".join(lines) + "\n")
+    crc = zlib.crc32(npy.read_bytes(), zlib.crc32(csv.read_bytes()))
+    values = (p.P, p.K, p.M, p.N, p.N_raw, gen.kind, _FMT % code.zero_tolerance, f"{crc:08x}")
+    (out / "params.txt").write_text("".join(f"{k}={v}\n" for k, v in zip(_KEYS, values)))
     return out
 
 
-def _npy_F(src: Path, crc_text: str | None) -> np.ndarray | None:
-    """F from src's F.npy when crc_text is the F_crc32 of its F.csv and
-    F.npy and F.npy holds a 2-D float64 array, else None.  Each file is
+def _npy_F(src: Path, crc_text: str) -> np.ndarray:
+    """F from src's F.npy, refused unless crc_text is the F_crc32 of its
+    F.csv and F.npy and F.npy holds a 2-D float64 array.  Each file is
     read once, so the CRC vouches for the bytes loaded."""
-    if crc_text is None:
-        return None
-    try:
-        raw = (src / "F.npy").read_bytes()
-    except FileNotFoundError:
-        return None
+    raw = (src / "F.npy").read_bytes()
     if crc_text != f"{zlib.crc32(raw, zlib.crc32((src / 'F.csv').read_bytes())):08x}":
-        return None
+        raise ValueError(f"F.csv and F.npy in {src} are not the files F_crc32 names "
+                         f"(one was changed or replaced after the save); {_AGAIN}")
     try:
         F = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
-    except ValueError:  # truncated, or not an .npy array
-        return None
-    return F if F.dtype == np.float64 and F.ndim == 2 else None
+    except ValueError as exc:  # truncated, or not an .npy array
+        raise ValueError(f"F.npy in {src} is not a readable .npy array ({exc}); "
+                         f"{_AGAIN}") from None
+    if F.dtype != np.float64 or F.ndim != 2:
+        raise ValueError(f"F.npy in {src} holds a {F.ndim}-D {F.dtype} array, not a "
+                         f"2-D float64 one; {_AGAIN}")
+    return F
 
 
 def read_key_values(path) -> dict[str, str]:
-    """The stripped key=value lines of a file (a later key wins); blank and
-    # lines are skipped, any other line without = is refused."""
+    """The stripped key=value lines of a file; blank and # lines are
+    skipped, any other line without = and a key given twice are refused."""
     kv = {}
     for line in map(str.strip, Path(path).read_text().splitlines()):
         if line and not line.startswith("#"):
             if "=" not in line:
                 raise ValueError(f"line {line!r} of {path} is not key=value")
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
+            key, _, value = map(str.strip, line.partition("="))
+            if key in kv:
+                raise ValueError(f"{path} has two {key}= lines")
+            kv[key] = value
     return kv
 
 
-def _lists(text: str, values: np.ndarray) -> bool:
-    """Whether comma-separated text holds exactly these float values."""
-    try:
-        return np.array_equal(np.array(text.split(","), dtype=float), values)
-    except ValueError:
-        return False
-
-
 def load_transform(in_dir) -> EncodedTransform:
-    """Read a directory written by save_transform, refusing an older
-    directory's nodes= line that does not list the Chebyshev nodes or
-    seed= line that does not name the Gaussian kind's fixed seed, an F
-    that is nonzero on the sparsity pattern, and an F its generator does
-    not reproduce (see coding.check_generator).  supports.txt is never
-    opened: the supports are derived from (P, K, M, N).
-
-    F comes from F.npy when params.txt's F_crc32 matches the bytes of
-    F.csv and F.npy and F.npy holds a 2-D float64 array, and is parsed
-    from F.csv otherwise: a directory written before F.npy, or whose
-    F.csv was edited after the save.  Every check above runs on F
-    either way."""
+    """Read a directory written by save_transform.  params.txt must hold
+    only the keys save_transform writes, and F comes from F.npy alone,
+    vouched for by F_crc32 (see _npy_F); F.csv and supports.txt are
+    never parsed.  Also refuses an F that is nonzero on the sparsity
+    pattern and an F its generator does not reproduce (see
+    coding.check_generator)."""
     src = Path(in_dir)
     kv = read_key_values(src / "params.txt")
+    unknown = [f"{key}=" for key in kv if key not in _KEYS]
+    if unknown:
+        raise ValueError(f"params.txt in {src} holds {', '.join(unknown)}, not a key of "
+                         f"the transform format ({', '.join(_KEYS)}); {_AGAIN}")
 
     def field(key: str) -> str:
         if key not in kv:
@@ -166,16 +148,7 @@ def load_transform(in_dir) -> EncodedTransform:
         gen = build_generator(params, kind)
     except ValueError as exc:  # the kind is unknown
         raise ValueError(f"{exc} in {src}") from None
-    if "nodes" in kv and not _lists(kv["nodes"], gen.nodes):
-        raise ValueError(f"params.txt in {src}: nodes= is not the {params.P} "
-                         "Chebyshev nodes, the only ones a generator is built on")
-    if "seed" in kv and not _lists(kv["seed"], [_GAUSSIAN_SEED]):
-        raise ValueError(f"params.txt in {src}: seed= is not {_GAUSSIAN_SEED}, "
-                         "the seed of the one Gaussian generator")
-    F = _npy_F(src, kv.get("F_crc32"))
-    if F is None:
-        F = load_matrix(src / "F.csv")
-    code = EncodedTransform(F=F, generator=gen, params=params,
+    code = EncodedTransform(F=_npy_F(src, field("F_crc32")), generator=gen, params=params,
                             zero_tolerance=float(field("zero_tolerance")))
     check_generator(code)
     return code

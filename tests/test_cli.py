@@ -25,7 +25,7 @@ from shortdot import (
 from shortdot.bounds import tight_lower_bound_exact
 from shortdot.cli import build_parser, main
 
-from helpers import vandermonde_on
+from helpers import replace_f, vandermonde_on
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -211,9 +211,9 @@ def test_transform_rejects_tampered_transform(small_problem):
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
-    F = load_matrix(out / "F.csv")
+    F = np.load(out / "F.npy")
     F[0, 0] = 1.0  # column 1 is zero at rows 1 and 2 for (6, 5, 3)
-    save_matrix(out / "F.csv", F)
+    replace_f(out, F)
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
 
 
@@ -222,9 +222,9 @@ def test_transform_refuses_non_finite_f(small_problem, capsys, responders):
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
-    F = load_matrix(out / "F.csv")
+    F = np.load(out / "F.npy")
     F[0, np.flatnonzero(F[0])[0]] = np.nan  # on row 1's support
-    save_matrix(out / "F.csv", F)
+    replace_f(out, F)
     capsys.readouterr()
     assert main(["transform", str(out), x_path, "--responders", responders]) == 2
     assert "non-finite" in capsys.readouterr().err
@@ -702,50 +702,35 @@ def test_transform_refuses_a_generator_that_does_not_reproduce_f(small_problem, 
     nodes = chebyshev_nodes(6)
     nodes[0] += 1e-3
     p = validate_params(6, 5, 3, 12)
-    save_matrix(out / "F.csv", encode(load_matrix(a_path), vandermonde_on(nodes, 5), p).F)
+    replace_f(out, encode(load_matrix(a_path), vandermonde_on(nodes, 5), p).F)
     capsys.readouterr()
     assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
     out_text, err = capsys.readouterr()
     assert "not encoded by its vandermonde generator" in err and out_text == ""
 
 
-def test_transform_reads_the_nodes_line_of_an_older_directory(small_problem, capsys):
+def test_transform_refuses_the_nodes_line_of_an_older_directory(small_problem, capsys):
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
-    argv = ["transform", str(out), x_path, "--responders", "2,3,4,5,6"]
-    capsys.readouterr()
-    assert main(argv) == 0
-    printed = capsys.readouterr()
     text = (out / "params.txt").read_text()
-    nodes = chebyshev_nodes(6)
-    # as directories held it before nodes were dropped from the format
-    (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes) + "\n")
-    assert main(argv) == 0
-    assert capsys.readouterr() == printed
-    nodes[0] += 1e-3
-    (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes) + "\n")
-    assert main(argv) == 2
-    assert "nodes= is not the 6 Chebyshev nodes" in capsys.readouterr().err
+    for by in (0.0, 1e-3):  # the Chebyshev nodes themselves, and moved ones
+        nodes = chebyshev_nodes(6)
+        nodes[0] += by
+        # as directories held it before nodes were dropped from the format
+        (out / "params.txt").write_text(text + "nodes=" + ",".join("%.17g" % h for h in nodes)
+                                        + "\n")
+        capsys.readouterr()
+        assert main(["transform", str(out), x_path, "--responders", "2,3,4,5,6"]) == 2
+        out_text, err = capsys.readouterr()
+        assert "holds nodes=, not a key of the transform format" in err and out_text == ""
 
 
-def test_transform_gives_the_same_bytes_from_f_npy_or_f_csv(small_problem, monkeypatch, capsys):
+def test_transform_refuses_a_directory_with_a_changed_or_missing_f(small_problem, capsys):
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)]) == 0
-    parsed = []
-    monkeypatch.setattr("shortdot.serialization.load_matrix",
-                        lambda path: parsed.append(path.name) or load_matrix(path))
-
-    def transform(code_dir):
-        capsys.readouterr()
-        assert main(["transform", str(code_dir), x_path, "--responders", "2,3,4,5,6"]) == 0
-        assert main(["transform", str(code_dir), x_path, "--responders", "2,3,4,5,6",
-                     "--out", str(tmp / "y.csv")]) == 0
-        return capsys.readouterr().out, (tmp / "y.csv").read_bytes()
-
-    want = transform(out)
-    assert parsed == []  # F came from F.npy
+    assert main(["transform", str(out), x_path, "--responders", "2,3,4,5,6"]) == 0
     no_npy = shutil.copytree(out, tmp / "no-npy")
     (no_npy / "F.npy").unlink()
     # the last row of F.csv in repr text: the same values, other bytes
@@ -754,9 +739,22 @@ def test_transform_gives_the_same_bytes_from_f_npy_or_f_csv(small_problem, monke
     rows[-1] = ",".join(repr(float(v)) for v in rows[-1].split(","))
     (as_repr / "F.csv").write_text("\n".join(rows) + "\n")
     assert (as_repr / "F.csv").read_bytes() != (out / "F.csv").read_bytes()
-    for code_dir in (no_npy, as_repr):
-        assert transform(code_dir) == want
-    assert parsed == ["F.csv"] * 4
+    with_seed = shutil.copytree(out, tmp / "seed")
+    with open(with_seed / "params.txt", "a") as fh:
+        fh.write("seed=0\n")
+    for code_dir, status, message in [
+        (no_npy, 4, "i/o failure: "),
+        (as_repr, 2, "are not the files F_crc32 names"),
+        (with_seed, 2, "holds seed=, not a key of the transform format"),
+    ]:
+        capsys.readouterr()
+        y_path = tmp / f"y_{code_dir.name}.csv"
+        assert main(["transform", str(code_dir), x_path, "--responders", "2,3,4,5,6",
+                     "--out", str(y_path)]) == status
+        out_text, err = capsys.readouterr()
+        assert message in err and out_text == ""
+        assert not y_path.exists()
+        assert status == 4 or "run `shortdot encode` again" in err
 
 
 @pytest.mark.parametrize("flags, message", [

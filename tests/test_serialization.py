@@ -24,7 +24,7 @@ from shortdot.cli import main
 from shortdot.coding import check_generator
 from shortdot.serialization import read_key_values
 
-from helpers import vandermonde_on
+from helpers import replace_f, restamp, set_param, vandermonde_on
 
 
 def test_matrix_round_trip_is_exact(tmp_path):
@@ -127,27 +127,25 @@ def test_f_crc32_is_the_crc_of_f_csv_then_f_npy(saved_transform):
     assert np.load(out / "F.npy", allow_pickle=False).tobytes() == code.F.tobytes()
 
 
-def _restamp(out):
-    """Set F_crc32 to the CRC of out's F.csv and F.npy as they are now."""
-    crc = zlib.crc32((out / "F.csv").read_bytes() + (out / "F.npy").read_bytes())
-    _set_param(out, "F_crc32", f"{crc:08x}")
-
-
-def _edit_for_fallback(out, other, edit):
-    """Make one of the edits after which load_transform must parse F.csv;
-    other is another save of the same shape."""
+def _edit_f_files(out, other, edit):
+    """Make one of the edits after which load_transform must refuse the
+    directory; other is another save of the same shape."""
     npy = out / "F.npy"
     if edit == "no-f-npy":
         npy.unlink()
+    elif edit == "repr-f-csv":  # the same values in other text
+        rows = (out / "F.csv").read_text().splitlines()
+        rows[-1] = ",".join(repr(float(v)) for v in rows[-1].split(","))
+        (out / "F.csv").write_text("\n".join(rows) + "\n")
     elif edit == "no-crc-line":
         params_txt = out / "params.txt"
         params_txt.write_text("".join(line + "\n" for line in params_txt.read_text().splitlines()
                                       if not line.startswith("F_crc32=")))
     elif edit == "garbled-crc":
-        _set_param(out, "F_crc32", "not-a-crc")
+        set_param(out, "F_crc32", "not-a-crc")
     elif edit == "crc-off-by-one":
         crc = int(read_key_values(out / "params.txt")["F_crc32"], 16)
-        _set_param(out, "F_crc32", f"{(crc + 1) % 2**32:08x}")
+        set_param(out, "F_crc32", f"{(crc + 1) % 2**32:08x}")
     elif edit == "npy-of-another-save":
         shutil.copyfile(other / "F.npy", npy)
     else:  # F.npy's contents, with a CRC that matches them
@@ -162,37 +160,43 @@ def _edit_for_fallback(out, other, edit):
             np.save(npy, {"float32": F.astype(np.float32), "big-endian": F.astype(">f8"),
                           "1-d": F.ravel(), "3-d": F[None], "object": F.astype(object)}[edit],
                     allow_pickle=True)
-        _restamp(out)
+        restamp(out)
 
 
-@pytest.mark.parametrize("edit", [
-    "no-f-npy", "no-crc-line", "garbled-crc", "crc-off-by-one", "npy-of-another-save",
-    "truncated-data", "truncated-header", "not-npy", "float32", "big-endian", "1-d", "3-d",
-    "object"])
-def test_load_parses_f_csv_unless_the_crc_vouches_for_a_2d_float64_f_npy(tmp_path, csv_parses,
-                                                                         edit):
+_AGAIN = "; run `shortdot encode` again$"
+_CHANGED = "are not the files F_crc32 names .*" + _AGAIN
+_UNREADABLE = r"is not a readable \.npy array .*" + _AGAIN
+_NOT_2D_FLOAT64 = "not a 2-D float64 one" + _AGAIN
+_F_REFUSALS = [
+    ("no-f-npy", FileNotFoundError, "F.npy"),
+    ("no-crc-line", ValueError, "has no F_crc32= line$"),
+    ("repr-f-csv", ValueError, _CHANGED),
+    ("garbled-crc", ValueError, _CHANGED),
+    ("crc-off-by-one", ValueError, _CHANGED),
+    ("npy-of-another-save", ValueError, _CHANGED),
+    ("truncated-data", ValueError, _UNREADABLE),
+    ("truncated-header", ValueError, _UNREADABLE),
+    ("not-npy", ValueError, _UNREADABLE),
+    ("object", ValueError, _UNREADABLE),
+    ("float32", ValueError, _NOT_2D_FLOAT64),
+    ("big-endian", ValueError, _NOT_2D_FLOAT64),
+    ("1-d", ValueError, _NOT_2D_FLOAT64),
+    ("3-d", ValueError, _NOT_2D_FLOAT64),
+]
+
+
+@pytest.mark.parametrize("edit, error, message", _F_REFUSALS,
+                         ids=[edit for edit, _, _ in _F_REFUSALS])
+def test_load_refuses_f_unless_the_crc_vouches_for_a_2d_float64_f_npy(tmp_path, csv_parses,
+                                                                      edit, error, message):
     p = validate_params(6, 5, 3, 12)
     rng = np.random.default_rng(12)
     code, other = (encode(rng.standard_normal((3, 12)), build_generator(p), p) for _ in range(2))
     out = save_transform(code, tmp_path / "t")
     other_out = save_transform(other, tmp_path / "other")
     assert (out / "F.npy").read_bytes() != (other_out / "F.npy").read_bytes()
-    _edit_for_fallback(out, other_out, edit)
-    loaded = load_transform(out)
-    assert csv_parses == ["F.csv"]
-    assert loaded.F.tobytes() == code.F.tobytes()
-
-
-def test_load_refuses_on_the_fast_path_an_f_its_generator_does_not_reproduce(tmp_path,
-                                                                             csv_parses):
-    p = validate_params(20, 18, 10, 785)
-    A = np.random.default_rng(6).standard_normal((10, 785))
-    nodes = chebyshev_nodes(20)
-    nodes[10] += 1e-3
-    moved_F = encode(A, vandermonde_on(nodes, 18), p).F
-    out = save_transform(dataclasses.replace(encode(A, build_generator(p), p), F=moved_F),
-                         tmp_path / "t")
-    with pytest.raises(ValueError, match="F is not encoded by its vandermonde generator"):
+    _edit_f_files(out, other_out, edit)
+    with pytest.raises(error, match=message):
         load_transform(out)
     assert csv_parses == []
 
@@ -268,19 +272,21 @@ def _nonzero_on_pattern_in_f_npy(out, p):
     F = np.load(out / "F.npy")
     i, j = np.argwhere(zero_mask(p))[-1]
     F[i, j] = 0.25
-    np.save(out / "F.npy", F)
-    _restamp(out)  # so the load takes the fast path
+    replace_f(out, F)
 
 
-@pytest.mark.parametrize("tamper", [_nonzero_on_pattern, _nonzero_on_pattern_in_f_npy])
-def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
+@pytest.mark.parametrize("tamper, message", [
+    (_nonzero_on_pattern, "are not the files F_crc32 names"),
+    (_nonzero_on_pattern_in_f_npy, "nonzero at a position the sparsity pattern forces to zero"),
+], ids=["_nonzero_on_pattern", "_nonzero_on_pattern_in_f_npy"])
+def test_load_refuses_transform_off_the_pattern(tmp_path, tamper, message):
     rng = np.random.default_rng(4)
     p = validate_params(6, 5, 3, 12)
     code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
     out = save_transform(code, tmp_path / "t")
     load_transform(out)
     tamper(out, p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         load_transform(out)
 
 
@@ -294,9 +300,11 @@ def test_load_refuses_transform_off_the_pattern(tmp_path, tamper):
     ({"zero_tolerance": "inf"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": "-1"}, "zero_tolerance must be finite"),
     ({"zero_tolerance": None}, "no zero_tolerance= line"),
+    ({"note": "hand-written"}, "holds note=, not a key of the transform format"),
+    ({"nodes": "1", "seed": "0"}, "holds nodes=, seed=, not a key"),
 ], ids=["missing-M", "missing-kind", "unknown-kind", "K-above-P", "N-mismatch",
         "zero-tolerance-nan", "zero-tolerance-inf", "zero-tolerance-negative",
-        "missing-zero-tolerance"])
+        "missing-zero-tolerance", "other-key", "two-older-keys"])
 def test_load_refuses_bad_params_file(tmp_path, edit, message):
     rng = np.random.default_rng(5)
     p = validate_params(6, 5, 3, 12)
@@ -319,18 +327,11 @@ def _sec6_transform(tmp_path, **generator):
 
 
 def _encode_on_moved_node(out, A, p, node, by):
-    """Overwrite F.csv in out with the F that a Vandermonde generator
-    whose node `node` (0-based) is moved by `by` encodes from A."""
+    """Give out the F that a Vandermonde generator whose node `node`
+    (0-based) is moved by `by` encodes from A."""
     nodes = chebyshev_nodes(p.P)
     nodes[node] += by
-    save_matrix(out / "F.csv", encode(A, vandermonde_on(nodes, p.K), p).F)
-
-
-def _set_param(out, key, value):
-    params_txt = out / "params.txt"
-    lines = params_txt.read_text().splitlines()
-    params_txt.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=")
-                                  else line + "\n" for line in lines))
+    replace_f(out, encode(A, vandermonde_on(nodes, p.K), p).F)
 
 
 @pytest.mark.parametrize("node", [0, 10, 19])
@@ -384,15 +385,13 @@ def _with_older_line(out, key, value):
     params_txt.write_text("\n".join(lines) + "\n")
 
 
-def test_load_accepts_the_seed_line_of_an_older_gaussian_directory(tmp_path):
-    out, code, _ = _sec6_transform(tmp_path, kind="gaussian")
+def test_load_refuses_the_seed_line_of_an_older_gaussian_directory(tmp_path):
+    # seed 0 is the one Gaussian draw, yet the line is not of the format
+    out, _, _ = _sec6_transform(tmp_path, kind="gaussian")
+    load_transform(out)
     _with_older_line(out, "seed", 0)
-    loaded = load_transform(out)
-    assert loaded.F.tobytes() == code.F.tobytes()
-    outs = run_workers(loaded, np.random.default_rng(9).standard_normal(785))
-    for workers in (outs[:18], outs[2:]):
-        got = decode(workers, loaded.generator, loaded.params)
-        assert got.tobytes() == decode(workers, code.generator, code.params).tobytes()
+    with pytest.raises(ValueError, match="holds seed=, not a key of the transform format"):
+        load_transform(out)
 
 
 @pytest.mark.parametrize("P, K, M, N", [(20, 18, 10, 785), (6, 6, 3, 12)], ids=["sec6", "k-eq-p"])
@@ -404,11 +403,13 @@ def test_load_refuses_an_older_directory_drawn_from_another_seed(tmp_path, P, K,
     A = np.random.default_rng(8).standard_normal((M, N))
     out = save_transform(encode(A, build_generator(p, "gaussian"), p), tmp_path / "t")
     seed9 = GeneratorMatrix(np.random.default_rng(9).standard_normal((P, K)), "gaussian")
-    save_matrix(out / "F.csv", encode(A, seed9, p).F)
+    F = encode(A, seed9, p).F
+    save_matrix(out / "F.csv", F)
+    replace_f(out, F)
     if K == P:
         load_transform(out)
     _with_older_line(out, "seed", 9)
-    with pytest.raises(ValueError, match="seed= is not 0"):
+    with pytest.raises(ValueError, match="holds seed=, not a key of the transform format"):
         load_transform(out)
 
 
@@ -421,24 +422,10 @@ def test_generator_check_needs_a_worker_outside_the_decode(tmp_path):
     load_transform(out)
 
 
-@pytest.mark.parametrize("edit", ["as-written", "reformatted"])
-def test_load_accepts_the_chebyshev_nodes_line_of_an_older_directory(tmp_path, edit):
-    out, code, A = _sec6_transform(tmp_path)
-    nodes = chebyshev_nodes(20)
-    fmt = "%.17g" if edit == "as-written" else "%.25e "
-    _with_older_line(out, "nodes", ",".join(fmt % h for h in nodes))
-    assert "nodes=" in (out / "params.txt").read_text()
-    loaded = load_transform(out)
-    assert loaded.F.tobytes() == code.F.tobytes()
-    outs = run_workers(loaded, np.random.default_rng(9).standard_normal(785))
-    for workers in (outs[:18], outs[2:]):
-        got = decode(workers, loaded.generator, loaded.params)
-        assert got.tobytes() == decode(workers, code.generator, code.params).tobytes()
-
-
-@pytest.mark.parametrize("edit", ["moved-1e-3", "moved-1-ulp", "one-missing", "not-numbers",
-                                  "empty"])
-def test_load_refuses_a_nodes_line_that_is_not_the_chebyshev_nodes(tmp_path, edit):
+@pytest.mark.parametrize("edit", ["as-written", "reformatted", "moved-1e-3", "moved-1-ulp",
+                                  "one-missing", "not-numbers", "empty"])
+def test_load_refuses_the_nodes_line_of_an_older_directory(tmp_path, edit):
+    # the Chebyshev nodes, the only ones a generator is built on, included
     out, _, _ = _sec6_transform(tmp_path)
     nodes = chebyshev_nodes(20)
     if edit == "moved-1e-3":
@@ -447,9 +434,10 @@ def test_load_refuses_a_nodes_line_that_is_not_the_chebyshev_nodes(tmp_path, edi
         nodes[10] = np.nextafter(nodes[10], np.inf)
     elif edit == "one-missing":
         nodes = nodes[1:]
-    line = {"not-numbers": "nan,x", "empty": ""}.get(edit, ",".join("%.17g" % h for h in nodes))
+    fmt = "%.25e " if edit == "reformatted" else "%.17g"
+    line = {"not-numbers": "nan,x", "empty": ""}.get(edit, ",".join(fmt % h for h in nodes))
     _with_older_line(out, "nodes", line)
-    with pytest.raises(ValueError, match="nodes= is not the 20 Chebyshev nodes"):
+    with pytest.raises(ValueError, match="holds nodes=, not a key of the transform format"):
         load_transform(out)
 
 
@@ -462,10 +450,12 @@ def test_load_refuses_an_older_directory_encoded_on_other_nodes(tmp_path, P, K, 
     A = np.random.default_rng(8).standard_normal((M, N))
     out = save_transform(encode(A, build_generator(p), p), tmp_path / "t")
     _encode_on_moved_node(out, A, p, 0, 1e-3)
+    if K == P:
+        load_transform(out)
     nodes = chebyshev_nodes(P)
     nodes[0] += 1e-3
     _with_older_line(out, "nodes", ",".join("%.17g" % h for h in nodes))
-    with pytest.raises(ValueError, match=f"nodes= is not the {P} Chebyshev nodes"):
+    with pytest.raises(ValueError, match="holds nodes=, not a key of the transform format"):
         load_transform(out)
 
 
@@ -494,6 +484,9 @@ def test_params_file_grammar(tmp_path):
     assert load_transform(out).params == p  # blank, comment and padded lines
     params_txt.write_text(text + "kind vandermonde\n")
     with pytest.raises(ValueError, match="'kind vandermonde' of .* is not key=value"):
+        load_transform(out)
+    params_txt.write_text(text + " zero_tolerance = 0.5\n")  # a second line would win
+    with pytest.raises(ValueError, match="has two zero_tolerance= lines"):
         load_transform(out)
 
 
