@@ -11,7 +11,8 @@ The enforced sparsity pattern is cyclic: column j of F is zero at the
 K - M rows U(j) = ({j-1, ..., j+K-M-2} mod P) + 1, a P x P unit block
 tiled N/P times, which gives every row exactly s allowed-nonzero
 positions.  The appended entries z(j) are the unique solution of
-B^U(j)[A_j; z] = 0.
+B^U(j)[A_j; z] = 0.  Columns j and j+P share U(j), so encode solves P
+window systems, all of them in stacked blocks.
 
 Indices in public interfaces (rows/workers, columns/supports) are
 1-based; matrices are plain numpy arrays.
@@ -43,10 +44,9 @@ ERROR_MATCH_RTOL = 1e-6
 # admits at P <= 30, Gaussian ones, and P = 100); a node of a
 # (20,18,10,785) transform moved by 1e-9 reads 2.4e-11 or more.
 PARITY_RTOL = 1e-13
-
-
-def _zero_rows0(j0: int, P: int, width: int) -> np.ndarray:
-    return np.arange(j0, j0 + width) % P
+# encode stacks its P window systems in blocks whose float64 temporaries
+# stay under about this many bytes (one window per block at least)
+_ENCODE_BLOCK_BYTES = 1 << 20
 
 
 def zero_mask(params: CodeParams) -> np.ndarray:
@@ -60,7 +60,11 @@ def zero_mask(params: CodeParams) -> np.ndarray:
 def supports_from_pattern(params: CodeParams) -> np.ndarray:
     """(P, s) array: row i lists the 1-based allowed-nonzero columns of
     row i+1 of F, ascending."""
-    return np.nonzero(~zero_mask(params))[1].reshape(params.P, params.s) + 1
+    # row i is allowed in the columns j0 of each block whose offset
+    # d = i - j0 (mod P) lies in K-M..P-1 (see zero_mask)
+    P = params.P
+    offsets = np.sort((np.arange(P)[:, None] - np.arange(params.K - params.M, P)) % P, axis=1)
+    return (np.arange(1, params.N + 1, P)[:, None] + offsets[:, None]).reshape(P, params.s)
 
 
 class WorkerTask(NamedTuple):
@@ -83,9 +87,9 @@ class WorkerOutput(NamedTuple):
 class EncodedTransform:
     """The encoded matrix F plus everything needed to task workers.
 
-    F is P x N, finite and exactly zero on the cyclic pattern; construction
-    refuses any other F, and a zero_tolerance that is negative or not
-    finite.  Construction also derives `supports` (see
+    F is P x N, real, finite and exactly zero on the cyclic pattern;
+    construction refuses any other F, and a zero_tolerance that is
+    negative or not finite.  Construction also derives `supports` (see
     supports_from_pattern) and `coefficients`, the (P, s) array of each
     row of F on its support, once; all three are then read-only, so
     the worker tasks read from them cannot go stale.
@@ -100,6 +104,9 @@ class EncodedTransform:
         p = self.params
         if self.F.shape != (p.P, p.N):
             raise ValueError(f"F shape {self.F.shape} != (P, N) = ({p.P}, {p.N})")
+        # a complex F would reach run_workers' vecdot, which conjugates it
+        if self.F.dtype.kind not in "biuf":
+            raise ValueError(f"F must hold real numbers, not {self.F.dtype}")
         if not 0 <= self.zero_tolerance < np.inf:  # NaN fails too
             raise ValueError(f"zero_tolerance must be finite and >= 0, "
                              f"got {self.zero_tolerance!r}")
@@ -128,15 +135,20 @@ def encode(
 ) -> EncodedTransform:
     """Encode an M x N_raw matrix A into the sparse P x N transform F.
 
-    method picks only the solver of each pattern's window system
-    B^U_{M+1:K} z = -B^U_{1:M} A_j: "solve" is a dense solve, "poly"
-    (Vandermonde only) interpolation through the pattern's nodes by
-    Björck–Pereyra: Newton divided differences, then expansion into
-    monomial coefficients, in place.
+    Columns j and j+P of F share a zero pattern, so its P window systems
+    B^U_{M+1:K} z = -B^U_{1:M} A_j are solved once each, all windows in
+    stacked blocks: per block one condition gate over every window, one
+    solve and two products.  A block gates all its windows before it
+    solves any; the first window, in index order, that the gate refuses
+    raises ConditioningError, as does the first whose pattern residual
+    exceeds the zero tolerance.  method picks only the window solver:
+    "solve" is a dense solve, "poly" (Vandermonde only) interpolation
+    through the pattern's nodes by Björck–Pereyra: Newton divided
+    differences, then expansion into monomial coefficients, in place.
     Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
     """
     A = _finite_real(A, "A")
-    P, K, M, N = params.P, params.K, params.M, params.N
+    K, M, N = params.K, params.M, params.N
     if A.shape != (M, params.N_raw):
         raise ValueError(f"A shape {A.shape} != (M, N_raw) = ({M}, {params.N_raw})")
     _check_shape(gen, params)
@@ -146,35 +158,58 @@ def encode(
     Apad[:, : params.N_raw] = A
     ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(A)))
 
+    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method, ztol)
+    return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+
+
+def _encode_windows(Apad, gen, params, method, ztol) -> np.ndarray:
+    """F for K > M from the padded A: the P window systems in stacked
+    blocks, gated, solved, multiplied out and checked; see encode."""
+    P, K, M, N = params.P, params.K, params.M, params.N
     B = gen.entries
     F = np.empty((P, N))
-    if K == M:
-        F[:] = B @ Apad
-    else:
-        # Only P distinct zero patterns exist (columns j and j+P share
-        # one), so solve each pattern once for all its columns.
-        for r in range(P):
-            cols = np.arange(r, N, P)
-            rows = _zero_rows0(r, P, K - M)
-            Acols = Apad[:, cols]
-            BU = B[rows]
-            check_condition(BU[:, M:])  # both methods solve with this window
-            rhs = BU[:, :M] @ Acols
-            if method == "solve":
-                Z = -np.linalg.solve(BU[:, M:], rhs)
-            else:
-                Z = -_newton_monomial(gen.nodes[rows], rhs)
-            Fcols = B @ np.vstack([Acols, Z])
-            pattern_resid = float(np.max(np.abs(Fcols[rows])))
-            if pattern_resid > ztol:
-                raise ConditioningError(
-                    f"pattern residual {pattern_resid:.3e} exceeds zero tolerance "
-                    f"{ztol:.3e}; generator too ill-conditioned for these parameters"
-                )
-            Fcols[rows] = 0.0
-            F[:, cols] = Fcols
-
-    return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+    D, n = K - M, N // P
+    # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
+    rows = (np.arange(P)[:, None] + np.arange(D)) % P
+    A3, F3 = Apad.reshape(M, n, P), F.reshape(P, n, P)
+    # a window's float64 temporaries: BU (D x K), and n columns of Acols
+    # (M rows), rhs, Z and the pattern rows of B @ X (D each), X (K) and B @ X (P)
+    step = max(1, _ENCODE_BLOCK_BYTES // (8 * (D * K + n * (P + 2 * K + 2 * D))))
+    for r0 in range(0, P, step):
+        block = slice(r0, r0 + step)
+        BU = B[rows[block]]
+        windows = BU[..., M:]
+        hi_lo = np.linalg.svd(windows, compute_uv=False)[:, [0, -1]].tolist()
+        for window, (hi, lo) in zip(windows, hi_lo):  # both methods solve with these
+            check_condition(window, cond=hi / lo if lo > 0 else math.inf)
+        # Acols[w] has the F-ordered layout of Apad[:, r::P]: a C-ordered
+        # operand sends the BLAS down another dgemm kernel, which moves F's bits
+        Acols = np.ascontiguousarray(A3[:, :, block].transpose(2, 1, 0)).transpose(0, 2, 1)
+        rhs = BU[..., :M] @ Acols
+        # X[w] = [Acols[w]; Z[w]] in the layout np.vstack gives one window's
+        # pair: F-ordered when Z is one row under a taller Acols[w] (vstack
+        # follows its only input of several rows), else C-ordered; B @ X
+        # takes another dgemm kernel, and other bits, in the other layout
+        b = len(BU)
+        X = np.empty((b, n, K)).transpose(0, 2, 1) if D == 1 < M else np.empty((b, K, n))
+        X[:, :M] = Acols
+        if method == "solve":
+            np.negative(np.linalg.solve(windows, rhs), out=X[:, M:])
+        else:
+            np.negative(_newton_monomial(gen.nodes[rows[block]], rhs), out=X[:, M:])
+        Fcols = B @ X
+        pattern = np.arange(b)[:, None], rows[block]
+        on_pattern = Fcols[pattern]
+        resid = np.max(np.abs(on_pattern, out=on_pattern), axis=(1, 2))
+        over = np.flatnonzero(resid > ztol)
+        if over.size:
+            raise ConditioningError(
+                f"pattern residual {float(resid[over[0]]):.3e} exceeds zero tolerance "
+                f"{ztol:.3e}; generator too ill-conditioned for these parameters"
+            )
+        Fcols[pattern] = 0.0
+        F3[:, :, block] = Fcols.transpose(1, 2, 0)
+    return F
 
 
 def _check_shape(gen: GeneratorMatrix, params: CodeParams) -> None:
@@ -195,13 +230,17 @@ def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
 def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Interpolate each column of values through the shared points.
     Björck–Pereyra: Newton divided differences, then expansion into
-    monomial coefficients, in place; returns them highest first, (D, ncols)."""
+    monomial coefficients, in place; returns them highest first, (D, ncols).
+    Leading axes stack systems: points (..., D), values (..., D, ncols);
+    every step is elementwise, so a stacked system's bits are its own."""
     a = values.astype(float, copy=True)
-    for k in range(1, points.size):
-        a[k:] = (a[k:] - a[k - 1 : -1]) / (points[k:] - points[:-k])[:, None]
-    for k in range(points.size - 2, -1, -1):
-        a[k:-1] -= points[k] * a[k + 1 :]
-    return a[::-1]
+    D = points.shape[-1]
+    for k in range(1, D):
+        a[..., k:, :] = ((a[..., k:, :] - a[..., k - 1 : -1, :])
+                         / (points[..., k:] - points[..., :-k])[..., None])
+    for k in range(D - 2, -1, -1):
+        a[..., k:-1, :] -= points[..., k, None, None] * a[..., k + 1 :, :]
+    return a[..., ::-1, :]
 
 
 def _finite_real(a, name: str) -> np.ndarray:

@@ -11,6 +11,7 @@ from shortdot import (
     ConditioningError,
     DecodingError,
     EncodedTransform,
+    GeneratorMatrix,
     WorkerOutput,
     build_generator,
     decode,
@@ -25,7 +26,7 @@ import shortdot.coding as coding
 import shortdot.generator as generator
 from shortdot.generator import CONDITION_MEMO_CAP, check_condition, chebyshev_nodes
 
-from helpers import vandermonde_on
+from helpers import encode_by_window, vandermonde_on
 
 
 # --- zero pattern ------------------------------------------------------------
@@ -52,6 +53,17 @@ def test_pattern_counts():
         for i, sup in enumerate(supports_from_pattern(p)):
             assert len(sup) == p.s
             assert not mask[i, sup - 1].any()
+
+
+@pytest.mark.parametrize("P", [1, 2, 3, 5, 7, 12, 20])
+def test_supports_are_the_columns_the_mask_allows(P):
+    # every (K, M), K = M and K = P included, with N a multiple of P and padded
+    for K in range(1, P + 1):
+        for M in range(1, K + 1):
+            for N_raw in (P, 3 * P + 1):
+                p = validate_params(P, K, M, N_raw)
+                from_mask = np.nonzero(~zero_mask(p))[1].reshape(P, p.s) + 1
+                assert np.array_equal(supports_from_pattern(p), from_mask), (P, K, M, N_raw)
 
 
 # --- generator ---------------------------------------------------------------
@@ -269,6 +281,100 @@ def test_encode_rejects_near_singular_generator():
         encode(np.ones((1, 8)), gen, p)
 
 
+def _encoded_or_refused(build):
+    """build()'s F, or the type and text of the exception it raised."""
+    try:
+        return build()
+    except (ConditioningError, ValueError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_encode_is_the_window_loop(A, gen, p, method="solve"):
+    got = _encoded_or_refused(lambda: encode(A, gen, p, method).F)
+    want = _encoded_or_refused(lambda: encode_by_window(A, gen, p, method))
+    if isinstance(want, tuple):
+        assert got == want, (p, gen.kind, method)
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (p, gen.kind, method)
+
+
+def _kinds_and_methods(p):
+    for kind, method in (("vandermonde", "solve"), ("vandermonde", "poly"), ("gaussian", "solve")):
+        yield build_generator(p, kind), method
+
+
+@pytest.mark.parametrize("P", range(1, 13))
+def test_stacked_encode_is_bitwise_the_window_loop_on_the_small_grid(P):
+    # every (K, M) at N = P and at a padded N; the gate refuses many cells,
+    # and each refusal must name the same window with the same text
+    for K in range(1, P + 1):
+        for M in range(1, K + 1):
+            for N_raw in (P, 3 * P + 1):
+                p = validate_params(P, K, M, N_raw)
+                A = np.random.default_rng([P, K, M, N_raw]).standard_normal((M, N_raw))
+                for gen, method in _kinds_and_methods(p):
+                    _assert_encode_is_the_window_loop(A, gen, p, method)
+
+
+@pytest.mark.parametrize("P, K, M, N_raw, kinds", [
+    (20, 18, 10, 785, ("vandermonde", "gaussian")),  # Sec. 6
+    (20, 10, 1, 40, ("vandermonde",)),  # the gate refuses a window
+    (30, 26, 25, 60, ("vandermonde", "gaussian")),  # one appended row: vstack's F layout
+    (40, 38, 20, 4000, ("gaussian",)),  # a C-ordered A operand moves these bits
+    (100, 98, 20, 10000, ("gaussian",)),
+])
+def test_stacked_encode_is_bitwise_the_window_loop_at_size(P, K, M, N_raw, kinds):
+    p = validate_params(P, K, M, N_raw)
+    A = np.random.default_rng(P).standard_normal((M, N_raw))
+    for gen, method in _kinds_and_methods(p):
+        if gen.kind in kinds:
+            _assert_encode_is_the_window_loop(A, gen, p, method)
+
+
+def test_stacked_encode_refuses_as_the_window_loop():
+    p = validate_params(4, 3, 1, 8)
+    A = np.random.default_rng(5).standard_normal((1, 8))
+    entries = np.random.default_rng(6).standard_normal((4, 3))
+    # window 0 (rows 1 and 2, last K - M columns) is zero: its condition
+    # reads inf, with no warning
+    zero_window = entries.copy()
+    zero_window[:2, 1:] = 0.0
+    # rows 4 and 1 repeat: only the last window is singular
+    last_singular = entries.copy()
+    last_singular[3] = last_singular[0]
+    # huge first M columns: every window passes the gate, but the rounding
+    # of B_U [A_j; z] exceeds the zero tolerance
+    lopsided = entries * [1e12, 1.0, 1.0]
+    for B, message in ((zero_window, "condition inf exceeds"),
+                       (last_singular, r"condition \S+e\+1\d exceeds"),
+                       (lopsided, "pattern residual")):
+        gen = GeneratorMatrix(entries=B, kind="gaussian")
+        with pytest.raises(ConditioningError, match=message):
+            encode(A, gen, p)
+        _assert_encode_is_the_window_loop(A, gen, p)
+
+
+@pytest.mark.parametrize("budget, blocks", [(1, 20), (90_000, 7)])
+def test_stacked_encode_is_the_window_loop_across_blocks(monkeypatch, budget, blocks):
+    # (20,18,10,785) fits one block; a smaller budget splits its 20
+    # windows into blocks of one, or into six blocks of three and one of two
+    p = validate_params(20, 18, 10, 785)
+    A = np.random.default_rng(20).standard_normal((10, 785))
+    monkeypatch.setattr(coding, "_ENCODE_BLOCK_BYTES", budget)
+    solves = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        solves.append(1)
+        return solve(*args)
+
+    for gen, method in _kinds_and_methods(p):
+        _assert_encode_is_the_window_loop(A, gen, p, method)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    encode(A, build_generator(p), p)
+    assert len(solves) == blocks
+
+
 def test_encode_deterministic():
     rng = np.random.default_rng(6)
     p = validate_params(6, 4, 2, 18)
@@ -392,6 +498,16 @@ def test_complex_inputs_are_refused_not_made_real():
             run_workers(code, x)
     with pytest.raises(ValueError, match="A has complex entries"):
         encode(np.ones((2, 8)) + 1j, gen, p)
+
+
+@pytest.mark.parametrize("dtype", [complex, object, str])
+def test_encoded_transform_refuses_an_f_that_is_not_real(dtype):
+    # a complex F once served conj(F) x: run_workers' vecdot conjugates it
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    F = encode(np.random.default_rng(3).standard_normal((3, 12)), gen, p).F
+    with pytest.raises(ValueError, match="F must hold real numbers"):
+        EncodedTransform(F=F.astype(dtype), generator=gen, params=p, zero_tolerance=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -577,7 +693,8 @@ def test_decodes_solve_through_guarded_solve(monkeypatch, bad, tries):
     p = validate_params(6, 4, 2, 12)
     gen = build_generator(p)
     outs = run_workers(encode(rng.standard_normal((2, 12)), gen, p), rng.standard_normal(12))
-    assert not calls  # encode gates each window with check_condition, then solves
+    # encode gates all windows in stacked blocks with check_condition, then solves
+    assert not calls
     decode(outs[2:], gen, p)
     assert len(calls) == 1
     # lexicographic subsets: every one that holds worker `bad` is tried
