@@ -80,14 +80,13 @@ def bound_report(params: CodeParams) -> BoundReport:
 def check_achievability(code: EncodedTransform) -> BoundReport:
     """Measure a constructed code against the lower bounds.
 
-    Sparsity counts entries with magnitude above the code's zero
-    tolerance.  Padded (all-zero) columns are excluded, matching the
-    bounds' no-all-zero-column hypothesis; if an unpadded column of F is
-    entirely zero the hypothesis fails, a warning is issued and the
-    bound assertion is skipped (hypothesis_ok=False in the report).
+    Sparsity counts the nonzero entries of F, padded (all-zero) columns
+    excluded, matching the bounds' no-all-zero-column hypothesis; if an
+    unpadded column of F is entirely zero the hypothesis fails, a warning
+    is issued and the bound assertion is skipped (hypothesis_ok=False).
     """
     report = bound_report(code.params)
-    nonzero = np.abs(code.F[:, : code.params.N_raw]) > code.zero_tolerance
+    nonzero = code.F[:, : code.params.N_raw] != 0
     hypothesis_ok = bool(np.all(nonzero.any(axis=0)))
     if not hypothesis_ok:
         warnings.warn(
@@ -98,12 +97,10 @@ def check_achievability(code: EncodedTransform) -> BoundReport:
     row_counts = nonzero.sum(axis=1)
     achieved_avg = float(row_counts.mean())
     # basic <= s for all valid params, and EncodedTransform refuses a row
-    # above s; but tolerance-based counting can undercount below the bound
+    # above s; an F whose rows sit below the bound is no code for its A
     if hypothesis_ok and achieved_avg < report.basic_bound - 1e-9:
-        raise ValueError(
-            f"measured average sparsity {achieved_avg} sits below the lower "
-            f"bound {report.basic_bound}: inconsistent code or sub-tolerance entries"
-        )
+        raise ValueError(f"measured average sparsity {achieved_avg} sits below the "
+                         f"lower bound {report.basic_bound}: inconsistent code")
     return replace(report, achieved_avg_sparsity=achieved_avg,
                    achieved_max_sparsity=int(row_counts.max()),
                    hypothesis_ok=hypothesis_ok)

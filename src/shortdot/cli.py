@@ -59,7 +59,7 @@ def cmd_encode(args) -> int:
     gen = build_generator(params, kind=args.kind)
     code = encode(A, gen, params)
     save_transform(code, args.out)
-    nz = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
+    nz = np.count_nonzero(code.F, axis=1)
     print(f"encoded {M}x{params.N_raw} -> F {params.P}x{params.N} at {args.out}")
     print(f"P={params.P} K={params.K} M={params.M} N={params.N} s={params.s}")
     print(f"row nonzeros: max={int(nz.max())} mean={nz.mean():.2f} budget={params.s}")

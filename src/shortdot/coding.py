@@ -88,17 +88,16 @@ class EncodedTransform:
     """The encoded matrix F plus everything needed to task workers.
 
     F is P x N, real, finite and exactly zero on the cyclic pattern;
-    construction refuses any other F, and a zero_tolerance that is
-    negative or not finite.  Construction also derives `supports` (see
-    supports_from_pattern) and `coefficients`, the (P, s) array of each
-    row of F on its support, once; all three are then read-only, so
-    the worker tasks read from them cannot go stale.
+    construction refuses any other F.  No tolerance applies: a row's
+    sparsity is its count of nonzero entries.  Construction also derives
+    `supports` (see supports_from_pattern) and `coefficients`, the (P, s)
+    array of each row of F on its support, once; all three are then
+    read-only, so the worker tasks read from them cannot go stale.
     """
 
     F: np.ndarray
     generator: GeneratorMatrix
     params: CodeParams
-    zero_tolerance: float
 
     def __post_init__(self):
         p = self.params
@@ -107,9 +106,6 @@ class EncodedTransform:
         # a complex F would reach run_workers' vecdot, which conjugates it
         if self.F.dtype.kind not in "biuf":
             raise ValueError(f"F must hold real numbers, not {self.F.dtype}")
-        if not 0 <= self.zero_tolerance < np.inf:  # NaN fails too
-            raise ValueError(f"zero_tolerance must be finite and >= 0, "
-                             f"got {self.zero_tolerance!r}")
         supports = supports_from_pattern(p)
         coefficients = np.take_along_axis(self.F, supports - 1, axis=1)
         if not np.all(np.isfinite(coefficients)):
@@ -141,7 +137,7 @@ def encode(
     solve and two products.  A block gates all its windows before it
     solves any; the first window, in index order, that the gate refuses
     raises ConditioningError, as does the first whose pattern residual
-    exceeds the zero tolerance.  method picks only the window solver:
+    exceeds ZERO_TOL_FACTOR * max|A|.  method picks only the window solver:
     "solve" is a dense solve, "poly" (Vandermonde only) interpolation
     through the pattern's nodes by Björck–Pereyra: Newton divided
     differences, then expansion into monomial coefficients, in place.
@@ -156,16 +152,15 @@ def encode(
 
     Apad = np.zeros((M, N))
     Apad[:, : params.N_raw] = A
-    ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(A)))
-
-    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method, ztol)
-    return EncodedTransform(F=F, generator=gen, params=params, zero_tolerance=ztol)
+    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method)
+    return EncodedTransform(F=F, generator=gen, params=params)
 
 
-def _encode_windows(Apad, gen, params, method, ztol) -> np.ndarray:
+def _encode_windows(Apad, gen, params, method) -> np.ndarray:
     """F for K > M from the padded A: the P window systems in stacked
     blocks, gated, solved, multiplied out and checked; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
+    ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
     B = gen.entries
     F = np.empty((P, N))
     D, n = K - M, N // P

@@ -43,10 +43,11 @@ class GeneratorMatrix:
     entry (i, j) = nodes[i]**(K-1-j)) or "gaussian" (the fixed draw of
     build_generator; nodes is None).
 
-    entries and nodes are read-only from construction on, so the memo of
-    responder-set condition numbers (see `condition`) and the cached
-    `parity` cannot go stale; `dataclasses.replace` starts a new generator
-    with an empty memo and no parity yet.
+    entries (2-D) and nodes (1-D, or None) must hold real finite numbers,
+    or construction raises ValueError.  Both are read-only from then on,
+    so the memo of responder-set condition numbers (see `condition`) and
+    the cached `parity` cannot go stale; `dataclasses.replace` starts a
+    new generator with an empty memo and no parity yet.
     """
 
     entries: np.ndarray
@@ -55,9 +56,14 @@ class GeneratorMatrix:
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for arr in (self.entries, self.nodes):
-            if arr is not None:
-                arr.flags.writeable = False
+        for name, arr, ndim in (("entries", self.entries, 2), ("nodes", self.nodes, 1)):
+            if arr is None and name == "nodes":
+                continue
+            arr = np.asarray(arr)  # the dtype test keeps object arrays from isfinite
+            if arr.ndim != ndim or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+                raise ValueError(f"generator {name} must be a {ndim}-D real finite array")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def P(self) -> int:
@@ -85,10 +91,9 @@ class GeneratorMatrix:
         SVD on the rows in ascending order, once per set, and memoized
         for up to CONDITION_MEMO_CAP sets, refused ones (c not finite or
         above COND_LIMIT) included, keyed by the int whose bit i is set
-        for each row i in idx.  A NaN SVD raises LinAlgError and is not
-        memoized.  Threads may share a generator: two that miss on one
-        set both store the same c, and racing inserts can pass the cap by
-        at most one entry per thread.
+        for each row i in idx.  Threads may share a generator: two that
+        miss on one set both store the same c, and racing inserts can pass
+        the cap by at most one entry per thread.
         """
         key = sum(map((1).__lshift__, idx.tolist()))  # distinct rows: sum is or
         c = self._conditions.get(key)

@@ -2,8 +2,8 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines, exactly the keys _KEYS: P, K, M, N,
-                  N_raw, kind, zero_tolerance, F_crc32
+    params.txt    key=value lines, exactly the keys _KEYS: P, K, M,
+                  N_raw, kind, F_crc32
     F.csv         the P x N encoded matrix
     F.npy         the same F as a float64 .npy file (np.save)
     supports.txt  one line per row: space-separated 1-based column indices
@@ -14,15 +14,17 @@ from (P, K, M, N).  F_crc32 is the zlib CRC-32, as 8 hex digits, of
 F.csv's bytes followed by F.npy's, read back from disk after both are
 written; params.txt is written last.  load_transform refuses, with
 ValueError and the advice to run `shortdot encode` again, a params.txt
-with any other key (such as the nodes= and seed= lines of directories
-written by older versions), a CRC that does not match both files (so an
-edited F.csv or F.npy) and an F.npy that is not a 2-D float64 array; a
-missing F.npy raises FileNotFoundError.
+with any other key (such as the lines older versions wrote for N, the
+zero tolerance, the nodes and the seed), a CRC that does not match both
+files (so an edited F.csv or F.npy) and an F.npy that is not a 2-D
+float64 array; a missing F.npy raises FileNotFoundError.
 
-params.txt is read with read_key_values.  It stores no nodes and no
-seed: a generator is a function of (P, K, kind), and save_transform
-refuses one that build_generator would not rebuild from params.txt.
-load_transform refuses an F that is nonzero on the sparsity pattern or
+params.txt is read with read_key_values and holds only what a load
+reads: no N, which P and N_raw fix, and no zero tolerance, since F's
+zeros are exact zeros.  A generator is a function of (P, K, kind), so
+no nodes or seed either; save_transform refuses a generator that
+build_generator would not rebuild from params.txt.  load_transform
+refuses an F that is not P x N, is nonzero on the sparsity pattern or
 that the generator does not reproduce (see coding.check_generator).
 """
 
@@ -40,7 +42,7 @@ from .params import validate_params
 
 _FMT = "%.17g"  # round-trips float64 exactly
 # the keys of params.txt, in the order save_transform writes them
-_KEYS = ("P", "K", "M", "N", "N_raw", "kind", "zero_tolerance", "F_crc32")
+_KEYS = ("P", "K", "M", "N_raw", "kind", "F_crc32")
 _AGAIN = "run `shortdot encode` again"
 
 
@@ -81,7 +83,7 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
     # the CRC of what is on disk, so it vouches for no other bytes; and
     # params.txt last, so an interrupted save leaves no CRC of new files
     crc = zlib.crc32(npy.read_bytes(), zlib.crc32(csv.read_bytes()))
-    values = (p.P, p.K, p.M, p.N, p.N_raw, gen.kind, _FMT % code.zero_tolerance, f"{crc:08x}")
+    values = (p.P, p.K, p.M, p.N_raw, gen.kind, f"{crc:08x}")
     (out / "params.txt").write_text("".join(f"{k}={v}\n" for k, v in zip(_KEYS, values)))
     return out
 
@@ -140,15 +142,11 @@ def load_transform(in_dir) -> EncodedTransform:
         return kv[key]
 
     params = validate_params(*(int(field(key)) for key in ("P", "K", "M", "N_raw")))
-    if int(field("N")) != params.N:
-        raise ValueError(
-            f"params.txt in {src}: N={field('N')} but P and N_raw give {params.N}")
     kind = field("kind")
     try:
         gen = build_generator(params, kind)
     except ValueError as exc:  # the kind is unknown
         raise ValueError(f"{exc} in {src}") from None
-    code = EncodedTransform(F=_npy_F(src, field("F_crc32")), generator=gen, params=params,
-                            zero_tolerance=float(field("zero_tolerance")))
+    code = EncodedTransform(F=_npy_F(src, field("F_crc32")), generator=gen, params=params)
     check_generator(code)
     return code

@@ -43,7 +43,10 @@ class TaskPlan:
     need: int
 
     def __post_init__(self):
-        lengths = np.array(self.task_lengths, dtype=float)
+        lengths = np.array(self.task_lengths)
+        if lengths.dtype.kind == "c":  # a float cast would drop the imaginary part
+            raise ValueError("task_lengths must be real numbers, not complex")
+        lengths = lengths.astype(float, copy=False)
         if lengths.ndim != 1 or not lengths.size or not (
                 0 < lengths.min() and lengths.max() < np.inf):  # NaN fails too
             raise ValueError("task_lengths must be a non-empty 1-D array of finite "

@@ -63,7 +63,7 @@ def test_criterion_02_sparsity_budget():
                 gen = sd.build_generator(params)
                 for _ in range(3):
                     code = sd.encode(rng.standard_normal((M, N_raw)), gen, params)
-                    nz = np.abs(code.F) > code.zero_tolerance
+                    nz = code.F != 0
                     assert int(nz.sum(axis=1).max()) <= params.s
                     col_zeros = (~nz).sum(axis=0)
                     assert int(col_zeros.min()) >= K - M

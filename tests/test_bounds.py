@@ -91,7 +91,7 @@ def test_constructed_pattern_stays_under_lambda_cap():
     rng = np.random.default_rng(4)
     p = validate_params(6, 5, 3, 12)
     code = encode(rng.standard_normal((3, 12)), build_generator(p), p)
-    col_zeros = (np.abs(code.F) <= code.zero_tolerance).sum(axis=0)
+    col_zeros = (code.F == 0).sum(axis=0)
     lam = int(np.sum(col_zeros > p.K - p.M))
     assert lam == 0 < lambda_cap(p.P, p.K, p.M)
 
@@ -102,7 +102,7 @@ def test_double_counting_identity():
     p = validate_params(6, 4, 2, 18)
     gen = build_generator(p)
     code = encode(rng.standard_normal((2, 18)), gen, p)
-    nz = np.abs(code.F) > code.zero_tolerance
+    nz = code.F != 0
     col_zero_avg = (~nz).sum(axis=0).mean()
     row_sparsity_avg = nz.sum(axis=1).mean()
     assert col_zero_avg == pytest.approx((p.N - row_sparsity_avg) * p.P / p.N, rel=1e-12)
@@ -114,7 +114,7 @@ def test_column_zero_chain():
     for (P, K, M) in [(5, 4, 2), (6, 5, 1), (7, 6, 3), (6, 6, 2)]:
         p = validate_params(P, K, M, 3 * P)
         code = encode(rng.standard_normal((M, 3 * P)), build_generator(p), p)
-        col_zeros = (np.abs(code.F) <= code.zero_tolerance).sum(axis=0)
+        col_zeros = (code.F == 0).sum(axis=0)
         assert K >= 1 + int(col_zeros.max())
 
 
@@ -125,6 +125,19 @@ def test_zero_column_hypothesis_warning():
     with pytest.warns(UserWarning, match="all-zero"):
         report = check_achievability(code)
     assert not report.hypothesis_ok
+
+
+@pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
+def test_achievability_counts_small_columns_as_nonzero(kind):
+    # columns of A scaled from 1e-12 to 1: F's small columns sit below
+    # 1e-9 max|A| but are not zero, so no column is all-zero and the
+    # measured sparsity is the same as for an unscaled A
+    p = validate_params(6, 5, 3, 12)
+    A = np.random.default_rng(11).standard_normal((3, 12))
+    gen = build_generator(p, kind)
+    report = check_achievability(encode(A * np.logspace(-12, 0, 12), gen, p))
+    assert report.hypothesis_ok
+    assert report == check_achievability(encode(A, gen, p))
 
 
 @pytest.mark.parametrize("P, K, M, N_raw", [(20, 18, 10, 785), (6, 5, 1, 13), (6, 5, 3, 12)])

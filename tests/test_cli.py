@@ -19,6 +19,7 @@ from shortdot import (
     check_achievability,
     encode,
     load_matrix,
+    load_transform,
     save_matrix,
     validate_params,
 )
@@ -71,8 +72,9 @@ def test_encode_records_padding(tmp_path):
     a_path = _write_matrix(tmp_path / "w.csv", rng.standard_normal((10, 785)))
     out = tmp_path / "code785"
     assert main(["encode", a_path, "--p", "20", "--k", "18", "--out", str(out)]) == 0
-    text = (out / "params.txt").read_text()
-    assert "N=800" in text and "N_raw=785" in text
+    # params.txt holds N_raw; P = 20 pads it to N = 800
+    assert "N_raw=785\n" in (out / "params.txt").read_text()
+    assert load_transform(out).params.N == 800
 
 
 def test_transform_responder_invariance(small_problem, capsys):
@@ -672,17 +674,23 @@ def test_transform_reports_missing_params_key(small_problem, capsys):
     assert "no M= line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ztol", ["nan", "inf", "-1"])
-def test_transform_refuses_bad_zero_tolerance(small_problem, capsys, ztol):
+def test_transform_refuses_an_older_params_txt_with_n_and_zero_tolerance(small_problem, capsys):
+    # the layout older versions wrote: N= after M=, zero_tolerance= before F_crc32=
     _, _, a_path, x_path, tmp = small_problem
     out = tmp / "code"
     main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)])
     params_txt = out / "params.txt"
-    lines = params_txt.read_text().splitlines()
-    params_txt.write_text("\n".join(f"zero_tolerance={ztol}" if l.startswith("zero_tolerance=")
-                                    else l for l in lines) + "\n")
-    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5"]) == 2
-    assert "zero_tolerance must be finite" in capsys.readouterr().err
+    text = params_txt.read_text()
+    params_txt.write_text(text.replace("N_raw=", "N=12\nN_raw=")
+                          .replace("F_crc32=", "zero_tolerance=2.0e-09\nF_crc32="))
+    capsys.readouterr()
+    y_path = tmp / "y.csv"
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4,5",
+                 "--out", str(y_path)]) == 2
+    out_text, err = capsys.readouterr()
+    assert "holds N=, zero_tolerance=, not a key of the transform format" in err
+    assert "run `shortdot encode` again" in err and out_text == ""
+    assert not y_path.exists()
 
 
 def test_transform_refuses_a_params_line_without_equals(small_problem, capsys):

@@ -222,7 +222,7 @@ def test_encode_row_sparsity_within_budget():
     p = validate_params(6, 5, 3, 12)
     gen = build_generator(p)
     code = encode(rng.standard_normal((3, 12)), gen, p)
-    nonzeros = (np.abs(code.F) > code.zero_tolerance).sum(axis=1)
+    nonzeros = (code.F != 0).sum(axis=1)
     assert np.all(nonzeros <= 8)
 
 
@@ -394,7 +394,7 @@ def test_run_workers_hand_example():
     sups = [[2, 3, 6, 7], [3, 4, 7, 8], [1, 4, 5, 8], [1, 2, 5, 6]]
     for i, sup in enumerate(sups):
         F[i, np.asarray(sup) - 1] = [1.0, 2.0, 3.0, 4.0]
-    code = EncodedTransform(F=F, generator=build_generator(p), params=p, zero_tolerance=0.0)
+    code = EncodedTransform(F=F, generator=build_generator(p), params=p)
     np.testing.assert_array_equal(code.supports, sups)
     outs = run_workers(code, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert outs == [WorkerOutput(1, 26.0), WorkerOutput(2, 11.0),
@@ -507,7 +507,7 @@ def test_encoded_transform_refuses_an_f_that_is_not_real(dtype):
     gen = build_generator(p)
     F = encode(np.random.default_rng(3).standard_normal((3, 12)), gen, p).F
     with pytest.raises(ValueError, match="F must hold real numbers"):
-        EncodedTransform(F=F.astype(dtype), generator=gen, params=p, zero_tolerance=0.0)
+        EncodedTransform(F=F.astype(dtype), generator=gen, params=p)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -525,7 +525,7 @@ def test_non_finite_inputs_rejected(bad):
     F = encode(np.ones((3, 12)), gen, p).F.copy()
     F[0, np.flatnonzero(F[0])[0]] = bad  # on row 1's support
     with pytest.raises(ValueError, match="non-finite"):
-        EncodedTransform(F=F, generator=gen, params=p, zero_tolerance=0.0)
+        EncodedTransform(F=F, generator=gen, params=p)
 
 
 # --- decode ------------------------------------------------------------------
@@ -656,11 +656,29 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
             assert str(exc.value) == message
         assert len(gen._conditions) == 1
     assert decode(pairs[1:] + [(4, 4.0)], gen, p).shape == (3,)  # rows 1..5 decode
-    gen = vandermonde_on(nodes[:5] + [np.nan], p.K)
-    for _ in range(2):  # a NaN SVD is raised each time, never memoized
-        with pytest.raises(np.linalg.LinAlgError):
-            decode(pairs, gen, p)
-    assert gen._conditions == {}
+
+
+def test_generator_refuses_entries_or_nodes_that_are_not_real_and_finite():
+    # complex nodes once reached encode's ufuncs (UFuncTypeError) and
+    # decode's math.hypot (TypeError); a NaN matrix, the SVD (LinAlgError)
+    p = validate_params(6, 5, 3, 12)
+    h = chebyshev_nodes(6) + 0j
+    B = np.vander(chebyshev_nodes(6), p.K)
+    refused = [
+        dict(entries=np.vander(h, p.K), nodes=h),
+        dict(entries=B, nodes=h),
+        dict(entries=B.astype(object), nodes=None),
+        dict(entries=np.full((6, 5), np.nan), nodes=None),
+        dict(entries=np.where(B > 0.5, np.inf, B), nodes=None),
+        dict(entries=B[:, 0], nodes=None),
+        dict(entries=B, nodes=np.append(chebyshev_nodes(5), np.nan)),
+        dict(entries=B, nodes=chebyshev_nodes(6)[:, None]),
+    ]
+    for fields in refused:
+        with pytest.raises(ValueError, match="must be a [12]-D real finite array"):
+            GeneratorMatrix(kind="vandermonde", **fields)
+    gen = GeneratorMatrix(entries=B, kind="vandermonde", nodes=chebyshev_nodes(6))
+    assert not gen.entries.flags.writeable and not gen.nodes.flags.writeable
 
 
 def test_condition_memo_stays_bounded_where_sets_never_repeat():

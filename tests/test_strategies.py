@@ -220,6 +220,7 @@ SINGLES = [0, 1, 2]  # a valid group array for the three-worker length cases
     pytest.param(SINGLES, 1, [1.0, 0.0, 1.0], id="zero-length"),
     pytest.param(SINGLES, 1, [1.0, np.nan, 1.0], id="nan-length"),
     pytest.param(SINGLES, 1, [1.0, np.inf, 1.0], id="inf-length"),
+    pytest.param(SINGLES, 1, [1.0, 1 + 5j, 1.0], id="complex-length"),  # not cast to 1.0
     pytest.param([0, 1, 2, 3], 1, [[1.0, 1.0], [1.0, 1.0]], id="2-D-lengths"),
     pytest.param([], 1, [], id="empty-lengths"),
 ])
