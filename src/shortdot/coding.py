@@ -138,9 +138,10 @@ def encode(
     solves any; the first window, in index order, that the gate refuses
     raises ConditioningError, as does the first whose pattern residual
     exceeds ZERO_TOL_FACTOR * max|A|.  method picks only the window solver:
-    "solve" is a dense solve, "poly" (Vandermonde only) interpolation
-    through the pattern's nodes by Björck–Pereyra: Newton divided
-    differences, then expansion into monomial coefficients, in place.
+    "solve" is a dense solve, "poly" (Vandermonde only, see _check_method)
+    interpolation through the pattern's nodes by Björck–Pereyra: Newton
+    divided differences, then expansion into monomial coefficients, in
+    place.
     Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
     """
     A = _finite_real(A, "A")
@@ -148,17 +149,18 @@ def encode(
     if A.shape != (M, params.N_raw):
         raise ValueError(f"A shape {A.shape} != (M, N_raw) = ({M}, {params.N_raw})")
     _check_shape(gen, params)
-    _check_method(method, gen, "encode")
+    points = _check_method(method, gen, "encode")
 
     Apad = np.zeros((M, N))
     Apad[:, : params.N_raw] = A
-    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method)
+    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, points)
     return EncodedTransform(F=F, generator=gen, params=params)
 
 
-def _encode_windows(Apad, gen, params, method) -> np.ndarray:
+def _encode_windows(Apad, gen, params, points) -> np.ndarray:
     """F for K > M from the padded A: the P window systems in stacked
-    blocks, gated, solved, multiplied out and checked; see encode."""
+    blocks, gated, solved (interpolated through points for the poly
+    method, see _check_method), multiplied out and checked; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
     ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
     B = gen.entries
@@ -188,10 +190,10 @@ def _encode_windows(Apad, gen, params, method) -> np.ndarray:
         b = len(BU)
         X = np.empty((b, n, K)).transpose(0, 2, 1) if D == 1 < M else np.empty((b, K, n))
         X[:, :M] = Acols
-        if method == "solve":
+        if points is None:
             np.negative(np.linalg.solve(windows, rhs), out=X[:, M:])
         else:
-            np.negative(_newton_monomial(gen.nodes[rows[block]], rhs), out=X[:, M:])
+            np.negative(_newton_monomial(points[rows[block]], rhs), out=X[:, M:])
         Fcols = B @ X
         pattern = np.arange(b)[:, None], rows[block]
         on_pattern = Fcols[pattern]
@@ -213,13 +215,24 @@ def _check_shape(gen: GeneratorMatrix, params: CodeParams) -> None:
         raise ValueError(f"generator shape {gen.entries.shape} != ({params.P}, {params.K})")
 
 
-def _check_method(method: str, gen: GeneratorMatrix, call: str) -> None:
-    """Refuse a method other than "solve" or "poly", and "poly" on a
-    generator that is not Vandermonde."""
+def _check_method(method: str, gen: GeneratorMatrix, call: str) -> np.ndarray | None:
+    """The points the method interpolates through: None for "solve", and
+    for "poly" the nodes, B's x^1 column, refused (ValueError) unless the
+    generator's kind is Vandermonde and its entries are np.vander of that
+    column.  At K = 1 there is no x^1 column; column 0, all ones, stands
+    in, as a one-point interpolation reads no node.  Any other method is
+    refused."""
     if method not in ("solve", "poly"):
         raise ValueError(f"unknown {call} method {method!r}")
-    if method == "poly" and gen.kind != "vandermonde":
+    if method == "solve":
+        return None
+    if gen.kind != "vandermonde":
         raise ValueError("poly method requires a Vandermonde generator")
+    points = gen.entries[:, max(gen.K - 2, 0)]
+    if not np.array_equal(np.vander(points, gen.K), gen.entries):
+        raise ValueError("poly method requires a Vandermonde generator: its entries "
+                         "are not np.vander of their x^1 column")
+    return points
 
 
 def _newton_monomial(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -322,22 +335,23 @@ def decode(
     """
     _check_shape(gen, params)
     idx, v = _read_outputs(outputs, params.K, params.P)
-    _check_method(method, gen, "decode")
-    return _decode_full(idx, v, gen, method)[: params.M]
+    points = _check_method(method, gen, "decode")
+    return _decode_full(idx, v, gen, points)[: params.M]
 
 
-def _decode_full(idx, v, gen, method) -> np.ndarray:
-    """Solve B^V w = v for checked responders idx; see decode."""
+def _decode_full(idx, v, gen, points) -> np.ndarray:
+    """Solve B^V w = v for checked responders idx, by interpolation
+    through points for the poly method (see _check_method); see decode."""
     if not np.isfinite(v).all():
         raise ConditioningError("decode refused: a worker output is NaN or infinite")
     rows = idx - 1
     BV = gen.entries[rows]
     c = gen.condition(idx)
-    if method == "solve":
+    if points is None:
         w = guarded_solve(BV, v, cond=c)
     else:
         check_condition(BV, cond=c)
-        w = _newton_monomial(gen.nodes[rows], v[:, None])[:, 0]
+        w = _newton_monomial(points[rows], v[:, None])[:, 0]
     # hypot scales, so neither norm overflows before the outputs do
     residual = math.hypot(*(BV @ w - v).tolist())
     if not residual <= DECODE_RESIDUAL_RTOL * math.hypot(*v.tolist()):  # NaN fails too
@@ -380,7 +394,7 @@ def decode_with_errors(
     for subset in combinations(range(P), K):
         sel = np.asarray(subset, dtype=int)
         try:
-            w = _decode_full(idx[sel], v[sel], gen, "solve")
+            w = _decode_full(idx[sel], v[sel], gen, None)
         except ConditioningError:
             continue
         agree = _agrees(gen.entries @ w, v)

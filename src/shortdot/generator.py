@@ -6,7 +6,9 @@ last K-M columns is invertible.  A real Vandermonde matrix on distinct
 nodes satisfies both; an i.i.d. Gaussian matrix does almost surely.
 build_generator makes the Vandermonde one on the Chebyshev nodes and the
 Gaussian one as one fixed draw, so a generator is rebuilt from
-(P, K, kind) alone.
+(P, K, kind) alone.  A generator is its entries and its kind: the
+Vandermonde nodes are not stored beside B, since B's x^1 column holds
+them (see coding._check_method).
 """
 
 from __future__ import annotations
@@ -37,33 +39,29 @@ CONDITION_MEMO_CAP = 4096
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """A P x K encoding matrix plus the recipe that built it.
+    """A P x K encoding matrix and its kind.
 
-    kind is "vandermonde" (nodes holds the P distinct evaluation points,
-    entry (i, j) = nodes[i]**(K-1-j)) or "gaussian" (the fixed draw of
-    build_generator; nodes is None).
+    kind is "vandermonde" (entry (i, j) = h_i**(K-1-j) on P distinct
+    nodes h, which are then its x^1 column, entries[:, K-2]) or "gaussian"
+    (the fixed draw of build_generator).
 
-    entries (2-D) and nodes (1-D, or None) must hold real finite numbers,
-    or construction raises ValueError.  Both are read-only from then on,
-    so the memo of responder-set condition numbers (see `condition`) and
-    the cached `parity` cannot go stale; `dataclasses.replace` starts a
-    new generator with an empty memo and no parity yet.
+    entries must be a 2-D array of real finite numbers, or construction
+    raises ValueError.  It is read-only from then on, so the memo of
+    responder-set condition numbers (see `condition`) and the cached
+    `parity` cannot go stale; `dataclasses.replace` starts a new generator
+    with an empty memo and no parity yet.
     """
 
     entries: np.ndarray
     kind: str
-    nodes: np.ndarray | None = None
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, arr, ndim in (("entries", self.entries, 2), ("nodes", self.nodes, 1)):
-            if arr is None and name == "nodes":
-                continue
-            arr = np.asarray(arr)  # the dtype test keeps object arrays from isfinite
-            if arr.ndim != ndim or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
-                raise ValueError(f"generator {name} must be a {ndim}-D real finite array")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        entries = np.asarray(self.entries)  # the dtype test keeps object arrays from isfinite
+        if entries.ndim != 2 or entries.dtype.kind not in "biuf" or not np.isfinite(entries).all():
+            raise ValueError("generator entries must be a 2-D real finite array")
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def P(self) -> int:
@@ -123,8 +121,7 @@ def build_generator(params: CodeParams, kind: str = "vandermonde") -> GeneratorM
     draw."""
     P, K = params.P, params.K
     if kind == "vandermonde":
-        h = chebyshev_nodes(P)
-        return GeneratorMatrix(entries=np.vander(h, K), kind=kind, nodes=h)
+        return GeneratorMatrix(entries=np.vander(chebyshev_nodes(P), K), kind=kind)
     if kind == "gaussian":
         entries = np.random.default_rng(_GAUSSIAN_SEED).standard_normal((P, K))
         return GeneratorMatrix(entries=entries, kind=kind)

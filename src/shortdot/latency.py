@@ -55,12 +55,11 @@ class DelayModel:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    strategy_id: str
-    analytic_expected: float | None
+    """What one monte_carlo call measured: the mean finish time over its
+    trials and that mean's standard error."""
+
     mc_mean: float
     mc_stderr: float
-    trials: int
-    seed: int
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +386,6 @@ def monte_carlo(
     model: DelayModel,
     trials: int,
     seed: int,
-    analytic_expected: float | None = None,
 ) -> SimulationReport:
     """Mean and standard error of the plan's finish time over trials.
 
@@ -441,14 +439,7 @@ def monte_carlo(
         stderr = math.sqrt(var / trials)
     else:
         stderr = 0.0
-    return SimulationReport(
-        strategy_id=plan.strategy_id,
-        analytic_expected=analytic_expected,
-        mc_mean=mean,
-        mc_stderr=stderr,
-        trials=trials,
-        seed=seed,
-    )
+    return SimulationReport(mc_mean=mean, mc_stderr=stderr)
 
 
 # --- Theorem-4 scaling regime ----------------------------------------------

@@ -2,8 +2,8 @@
 
 Matrices are row-major CSV, no header, 64-bit decimal text.  An encoded
 transform is a directory of
-    params.txt    key=value lines, exactly the keys _KEYS: P, K, M,
-                  N_raw, kind, F_crc32
+    params.txt    exactly six key=value lines, keyed by _KEYS in order:
+                  P, K, M, N_raw, kind, F_crc32
     F.csv         the P x N encoded matrix
     F.npy         the same F as a float64 .npy file (np.save)
     supports.txt  one line per row: space-separated 1-based column indices
@@ -14,16 +14,19 @@ from (P, K, M, N).  F_crc32 is the zlib CRC-32, as 8 hex digits, of
 F.csv's bytes followed by F.npy's, read back from disk after both are
 written; params.txt is written last.  load_transform refuses, with
 ValueError and the advice to run `shortdot encode` again, a params.txt
-with any other key (such as the lines older versions wrote for N, the
-zero tolerance, the nodes and the seed), a CRC that does not match both
-files (so an edited F.csv or F.npy) and an F.npy that is not a 2-D
-float64 array; a missing F.npy raises FileNotFoundError.
+of any other lines (another key, such as the lines older versions wrote
+for N, the zero tolerance, the nodes and the seed, a comment, blank,
+repeated or reordered line, or a key padded with spaces), a CRC that
+does not match both files (so an edited F.csv or F.npy) and an F.npy
+that is not a 2-D float64 array; a missing F.npy raises
+FileNotFoundError.  int() reads the values of P, K, M and N_raw, so
+spaces around one of those numbers pass.
 
-params.txt is read with read_key_values and holds only what a load
-reads: no N, which P and N_raw fix, and no zero tolerance, since F's
-zeros are exact zeros.  A generator is a function of (P, K, kind), so
-no nodes or seed either; save_transform refuses a generator that
-build_generator would not rebuild from params.txt.  load_transform
+params.txt holds only what a load reads: no N, which P and N_raw fix,
+and no zero tolerance, since F's zeros are exact zeros.  A generator is
+a function of (P, K, kind), so no nodes or seed either; save_transform
+refuses a generator that build_generator would not rebuild from
+params.txt.  load_transform
 refuses an F that is not P x N, is nonzero on the sparsity pattern or
 that the generator does not reproduce (see coding.check_generator).
 """
@@ -107,46 +110,26 @@ def _npy_F(src: Path, crc_text: str) -> np.ndarray:
     return F
 
 
-def read_key_values(path) -> dict[str, str]:
-    """The stripped key=value lines of a file; blank and # lines are
-    skipped, any other line without = and a key given twice are refused."""
-    kv = {}
-    for line in map(str.strip, Path(path).read_text().splitlines()):
-        if line and not line.startswith("#"):
-            if "=" not in line:
-                raise ValueError(f"line {line!r} of {path} is not key=value")
-            key, _, value = map(str.strip, line.partition("="))
-            if key in kv:
-                raise ValueError(f"{path} has two {key}= lines")
-            kv[key] = value
-    return kv
-
-
 def load_transform(in_dir) -> EncodedTransform:
-    """Read a directory written by save_transform.  params.txt must hold
-    only the keys save_transform writes, and F comes from F.npy alone,
-    vouched for by F_crc32 (see _npy_F); F.csv and supports.txt are
-    never parsed.  Also refuses an F that is nonzero on the sparsity
-    pattern and an F its generator does not reproduce (see
-    coding.check_generator)."""
+    """Read a directory written by save_transform.  params.txt must be
+    the six key=value lines save_transform writes, keyed by _KEYS in
+    order, and F comes from F.npy alone, vouched for by F_crc32 (see
+    _npy_F); F.csv and supports.txt are never parsed.  Also refuses an
+    F that is nonzero on the sparsity pattern and an F its generator
+    does not reproduce (see coding.check_generator)."""
     src = Path(in_dir)
-    kv = read_key_values(src / "params.txt")
-    unknown = [f"{key}=" for key in kv if key not in _KEYS]
-    if unknown:
-        raise ValueError(f"params.txt in {src} holds {', '.join(unknown)}, not a key of "
-                         f"the transform format ({', '.join(_KEYS)}); {_AGAIN}")
-
-    def field(key: str) -> str:
-        if key not in kv:
-            raise ValueError(f"params.txt in {src} has no {key}= line")
-        return kv[key]
-
-    params = validate_params(*(int(field(key)) for key in ("P", "K", "M", "N_raw")))
-    kind = field("kind")
+    lines = [line.partition("=") for line in (src / "params.txt").read_text().splitlines()]
+    found = tuple(key + eq for key, eq, _ in lines)
+    expected = tuple(f"{key}=" for key in _KEYS)
+    if found != expected:
+        raise ValueError(f"params.txt in {src} has lines beginning {found}, not exactly "
+                         f"{expected}; {_AGAIN}")
+    P, K, M, N_raw, kind, crc = (value for _, _, value in lines)
+    params = validate_params(int(P), int(K), int(M), int(N_raw))
     try:
         gen = build_generator(params, kind)
     except ValueError as exc:  # the kind is unknown
         raise ValueError(f"{exc} in {src}") from None
-    code = EncodedTransform(F=_npy_F(src, field("F_crc32")), generator=gen, params=params)
+    code = EncodedTransform(F=_npy_F(src, crc), generator=gen, params=params)
     check_generator(code)
     return code

@@ -13,8 +13,20 @@ def vandermonde_on(nodes, K: int) -> GeneratorMatrix:
     """The Vandermonde generator on the given nodes.  build_generator
     makes it on the Chebyshev nodes only, so hand examples and nodes
     chosen to trip a gate are built here."""
-    h = np.array(nodes, dtype=float)
-    return GeneratorMatrix(entries=np.vander(h, K), kind="vandermonde", nodes=h)
+    return GeneratorMatrix(entries=np.vander(np.array(nodes, dtype=float), K),
+                           kind="vandermonde")
+
+
+# the key= heads of the six lines of params.txt, in the order encode writes them
+PARAMS_LINES = ("P=", "K=", "M=", "N_raw=", "kind=", "F_crc32=")
+
+
+def layout_refusal(found) -> str:
+    """The text with which load_transform refuses a params.txt whose
+    lines begin with found (a key and its =, or a whole line without =)
+    instead of PARAMS_LINES."""
+    return (f"has lines beginning {tuple(found)}, not exactly {PARAMS_LINES}; "
+            "run `shortdot encode` again")
 
 
 def set_param(out, key, value) -> None:
@@ -66,7 +78,7 @@ def encode_by_window(A, gen: GeneratorMatrix, params, method: str = "solve") -> 
         if method == "solve":
             Z = -np.linalg.solve(BU[:, M:], rhs)
         else:
-            Z = -_newton_monomial_by_window(gen.nodes[rows], rhs)
+            Z = -_newton_monomial_by_window(B[rows, K - 2], rhs)  # the x^1 column
         Fcols = B @ np.vstack([Acols, Z])
         pattern_resid = float(np.max(np.abs(Fcols[rows])))
         if pattern_resid > ztol:

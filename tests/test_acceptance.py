@@ -217,7 +217,7 @@ def test_criterion_06_monte_carlo_matches_closed_forms():
     for params, frozen in cases:
         analytic = sd.expected_time_short_dot(params, MU5)
         assert analytic == pytest.approx(frozen, rel=1e-10)
-        rep = sd.monte_carlo(sd.plan_short_dot(params), MU5, 10**6, 2018, analytic)
+        rep = sd.monte_carlo(sd.plan_short_dot(params), MU5, 10**6, 2018)
         assert abs(rep.mc_mean - analytic) <= 0.01 * analytic
     _ok(6, "10^6-trial Monte Carlo within 1% of 681.38 and 10.32")
 

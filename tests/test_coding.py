@@ -77,7 +77,7 @@ def test_vandermonde_entries_match_node_powers():
     for P, K in ((2, 2), (6, 5), (20, 18)):
         gen = build_generator(validate_params(P, K, 1, P))
         h = np.cos((2.0 * np.arange(1, P + 1) - 1.0) * np.pi / (2.0 * P))
-        np.testing.assert_array_equal(gen.nodes, h)
+        np.testing.assert_array_equal(gen.entries[:, K - 2], h)  # the x^1 column
         np.testing.assert_array_equal(gen.entries, np.vander(chebyshev_nodes(P), K))
         np.testing.assert_allclose(gen.entries, h[:, None] ** np.arange(K - 1, -1, -1),
                                    rtol=1e-14)
@@ -89,10 +89,9 @@ def test_a_generator_is_a_function_of_p_k_and_kind(kind):
     with pytest.raises(TypeError, match="seed"):
         build_generator(p, kind, seed=1)
     gen = build_generator(p, kind)
-    assert [f.name for f in dataclasses.fields(gen) if f.init] == ["entries", "kind", "nodes"]
+    assert [f.name for f in dataclasses.fields(gen) if f.init] == ["entries", "kind"]
     assert build_generator(p, kind).entries.tobytes() == gen.entries.tobytes()
-    if kind == "gaussian":  # one fixed draw, and no nodes
-        assert gen.nodes is None
+    if kind == "gaussian":  # one fixed draw
         np.testing.assert_array_equal(gen.entries,
                                       np.random.default_rng(0).standard_normal((3, 2)))
 
@@ -146,9 +145,8 @@ def test_check_condition_is_the_cond_gate():
 def test_generator_arrays_are_read_only_and_replace_starts_an_empty_memo():
     p = validate_params(6, 5, 3, 12)
     gen = build_generator(p)
-    for arr in (gen.entries, gen.nodes):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        gen.entries[0] = 1.0
     gen.condition(np.arange(1, 6))
     assert len(gen._conditions) == 1
     other = dataclasses.replace(gen, entries=gen.entries[::-1].copy())
@@ -659,26 +657,23 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
 
 
 def test_generator_refuses_entries_or_nodes_that_are_not_real_and_finite():
-    # complex nodes once reached encode's ufuncs (UFuncTypeError) and
-    # decode's math.hypot (TypeError); a NaN matrix, the SVD (LinAlgError)
+    # complex entries once reached encode's ufuncs (UFuncTypeError) and
+    # decode's math.hypot (TypeError); a NaN matrix, the SVD (LinAlgError).
+    # A generator has no nodes to refuse: they are its entries' x^1 column
     p = validate_params(6, 5, 3, 12)
-    h = chebyshev_nodes(6) + 0j
     B = np.vander(chebyshev_nodes(6), p.K)
     refused = [
-        dict(entries=np.vander(h, p.K), nodes=h),
-        dict(entries=B, nodes=h),
-        dict(entries=B.astype(object), nodes=None),
-        dict(entries=np.full((6, 5), np.nan), nodes=None),
-        dict(entries=np.where(B > 0.5, np.inf, B), nodes=None),
-        dict(entries=B[:, 0], nodes=None),
-        dict(entries=B, nodes=np.append(chebyshev_nodes(5), np.nan)),
-        dict(entries=B, nodes=chebyshev_nodes(6)[:, None]),
+        np.vander(chebyshev_nodes(6) + 0j, p.K),
+        B.astype(object),
+        np.full((6, 5), np.nan),
+        np.where(B > 0.5, np.inf, B),
+        B[:, 0],
     ]
-    for fields in refused:
-        with pytest.raises(ValueError, match="must be a [12]-D real finite array"):
-            GeneratorMatrix(kind="vandermonde", **fields)
-    gen = GeneratorMatrix(entries=B, kind="vandermonde", nodes=chebyshev_nodes(6))
-    assert not gen.entries.flags.writeable and not gen.nodes.flags.writeable
+    for entries in refused:
+        with pytest.raises(ValueError, match="must be a 2-D real finite array"):
+            GeneratorMatrix(entries=entries, kind="vandermonde")
+    gen = GeneratorMatrix(entries=B, kind="vandermonde")
+    assert not gen.entries.flags.writeable
 
 
 def test_condition_memo_stays_bounded_where_sets_never_repeat():
@@ -901,6 +896,62 @@ def test_encode_and_decode_refuse_a_method_they_cannot_run(call, method, kind, m
             encode(A, gen, p, method=method)
         else:
             decode(outs, gen, p, method=method)
+
+
+@pytest.mark.parametrize("call", ["encode", "decode"])
+@pytest.mark.parametrize("entries", ["gaussian-draw", "one-entry-one-ulp-off"])
+def test_poly_refuses_vandermonde_kind_entries_that_are_not_np_vander(call, entries):
+    # poly interpolates through the x^1 column of the entries, so they must
+    # be np.vander of it; when the nodes were a second, unchecked field, a
+    # Gaussian draw of kind "vandermonde" raised TypeError here
+    rng = np.random.default_rng(17)
+    p = validate_params(6, 5, 3, 12)
+    if entries == "gaussian-draw":
+        B = build_generator(p, "gaussian").entries
+    else:  # the x^4 entry of row 3
+        B = build_generator(p).entries.copy()
+        B[2, 0] = np.nextafter(B[2, 0], np.inf)
+    gen = GeneratorMatrix(entries=B, kind="vandermonde")
+    A = rng.standard_normal((3, 12))
+    outs = run_workers(encode(A, gen, p), rng.standard_normal(12))[: p.K]
+    decode(outs, gen, p)  # the solve method reads no nodes
+    with pytest.raises(ValueError, match=r"its entries are not np.vander of their x\^1 column"):
+        if call == "encode":
+            encode(A, gen, p, method="poly")
+        else:
+            decode(outs, gen, p, method="poly")
+
+
+def test_poly_reads_the_nodes_from_the_x1_column():
+    # any distinct nodes, in any order: here the Chebyshev ones reversed
+    rng = np.random.default_rng(18)
+    p = validate_params(6, 5, 3, 12)
+    gen = vandermonde_on(chebyshev_nodes(6)[::-1], p.K)
+    A, x = rng.standard_normal((3, 12)), rng.standard_normal(12)
+    F = encode(A, gen, p).F
+    code = encode(A, gen, p, method="poly")
+    assert np.max(np.abs(code.F - F)) <= 1e-12 * np.max(np.abs(F))
+    got = decode(run_workers(code, x)[1:], gen, p, method="poly")
+    np.testing.assert_allclose(got, A @ x, rtol=1e-9, atol=1e-12)
+
+
+def test_poly_at_k_1_reads_no_node():
+    # K = 1 has no x^1 column: the Vandermonde entries are the ones column,
+    # and the one-point interpolation returns the one output as it is
+    rng = np.random.default_rng(19)
+    p = validate_params(4, 1, 1, 8)
+    gen = build_generator(p)
+    A = rng.standard_normal((1, 8))
+    code = encode(A, gen, p, method="poly")
+    assert code.F.tobytes() == encode(A, gen, p).F.tobytes()
+    for out in run_workers(code, rng.standard_normal(8)):
+        got = decode([out], gen, p, method="poly")
+        assert got.tobytes() == decode([out], gen, p).tobytes() == np.float64(out.value).tobytes()
+    twos = GeneratorMatrix(entries=np.full((4, 1), 2.0), kind="vandermonde")
+    with pytest.raises(ValueError, match="not np.vander"):
+        encode(A, twos, p, method="poly")
+    with pytest.raises(ValueError, match="not np.vander"):
+        decode([out], twos, p, method="poly")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
