@@ -11,8 +11,10 @@ The enforced sparsity pattern is cyclic: column j of F is zero at the
 K - M rows U(j) = ({j-1, ..., j+K-M-2} mod P) + 1, a P x P unit block
 tiled N/P times, which gives every row exactly s allowed-nonzero
 positions.  The appended entries z(j) are the unique solution of
-B^U(j)[A_j; z] = 0.  Columns j and j+P share U(j), so encode solves P
-window systems, all of them in stacked blocks.
+B^U(j)[A_j; z] = 0, so F_j = B[A_j; z(j)] is linear in A_j.  Columns j
+and j+P share U(j), so P window operators G_r (P x M each) carry A to F;
+encode plans them once per generator and M, and then each encode is one
+product per block of windows.
 
 Indices in public interfaces (rows/workers, columns/supports) are
 1-based; matrices are plain numpy arrays.
@@ -44,9 +46,14 @@ ERROR_MATCH_RTOL = 1e-6
 # admits at P <= 30, Gaussian ones, and P = 100); a node of a
 # (20,18,10,785) transform moved by 1e-9 reads 2.4e-11 or more.
 PARITY_RTOL = 1e-13
-# encode stacks its P window systems in blocks whose float64 temporaries
-# stay under about this many bytes (one window per block at least)
+# encode plans and multiplies its P windows in stacked blocks whose float64
+# temporaries stay under about this many bytes (one window per block at least)
 _ENCODE_BLOCK_BYTES = 1 << 20
+# a generator holds its window operators (see _window_operators), one
+# (P, P, M) float64 stack per (M, method), while together they take at
+# most this many bytes: one stack is 32,000 bytes at (20,18,10) and
+# 1,600,000 at (100,98,20), and every single stack fits up to P = 100
+OPERATOR_MEMO_BYTES = 8 << 20
 
 
 def zero_mask(params: CodeParams) -> np.ndarray:
@@ -131,18 +138,21 @@ def encode(
 ) -> EncodedTransform:
     """Encode an M x N_raw matrix A into the sparse P x N transform F.
 
-    Columns j and j+P of F share a zero pattern, so its P window systems
-    B^U_{M+1:K} z = -B^U_{1:M} A_j are solved once each, all windows in
-    stacked blocks: per block one condition gate over every window, one
-    solve and two products.  A block gates all its windows before it
-    solves any; the first window, in index order, that the gate refuses
-    raises ConditioningError, as does the first whose pattern residual
-    exceeds ZERO_TOL_FACTOR * max|A|.  method picks only the window solver:
-    "solve" is a dense solve, "poly" (Vandermonde only, see _check_method)
-    interpolation through the pattern's nodes by Björck–Pereyra: Newton
-    divided differences, then expansion into monomial coefficients, in
-    place.
-    Both evaluate F_j = B [A_j; z], so they differ only by z's rounding.
+    The appended rows are fixed by the zero pattern, so F is linear in A
+    column by column: columns j, j+P, ... share pattern window r, and
+    F_j = G_r A_j for a P x M window operator G_r that depends on the
+    generator and M alone (see _window_operators).  The first encode of
+    a (generator, M, method) plans all P operators: it gates every
+    window system, in index order, then solves them in stacked blocks,
+    and the generator keeps the plan, so a later encode is one stacked
+    product per block of windows.  The first window whose gate refuses
+    raises ConditioningError, before any product; so does the first,
+    in index order, whose pattern residual exceeds
+    ZERO_TOL_FACTOR * max|A|, and the pattern is then snapped to exact
+    zero.  method picks only how a window is planned: "solve" is a dense
+    solve, "poly" (Vandermonde only, see _check_method) interpolation
+    through the pattern's nodes by Björck–Pereyra: Newton divided
+    differences, then expansion into monomial coefficients, in place.
     """
     A = _finite_real(A, "A")
     K, M, N = params.K, params.M, params.N
@@ -153,49 +163,33 @@ def encode(
 
     Apad = np.zeros((M, N))
     Apad[:, : params.N_raw] = A
-    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, points)
+    F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method, points)
     return EncodedTransform(F=F, generator=gen, params=params)
 
 
-def _encode_windows(Apad, gen, params, points) -> np.ndarray:
-    """F for K > M from the padded A: the P window systems in stacked
-    blocks, gated, solved (interpolated through points for the poly
-    method, see _check_method), multiplied out and checked; see encode."""
+def _encode_windows(Apad, gen, params, method, points) -> np.ndarray:
+    """F for K > M from the padded A: column j of window r is G_r A_j
+    (see _window_operators), one stacked product per block of windows,
+    then the pattern-residual gate and the snap to zero; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
     ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
-    B = gen.entries
+    G = _window_operators(gen, M, method, points)
     F = np.empty((P, N))
     D, n = K - M, N // P
     # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
     rows = (np.arange(P)[:, None] + np.arange(D)) % P
     A3, F3 = Apad.reshape(M, n, P), F.reshape(P, n, P)
-    # a window's float64 temporaries: BU (D x K), and n columns of Acols
-    # (M rows), rhs, Z and the pattern rows of B @ X (D each), X (K) and B @ X (P)
-    step = max(1, _ENCODE_BLOCK_BYTES // (8 * (D * K + n * (P + 2 * K + 2 * D))))
+    # a window's float64 temporaries: n columns of A (M rows), of G_r A
+    # (P) and of their pattern rows (D), plus its plan when G is not held
+    per_window = n * (M + P + D) + (0 if G is not None else _plan_floats(P, K, M))
+    step = max(1, _ENCODE_BLOCK_BYTES // (8 * per_window))
     for r0 in range(0, P, step):
         block = slice(r0, r0 + step)
-        BU = B[rows[block]]
-        windows = BU[..., M:]
-        hi_lo = np.linalg.svd(windows, compute_uv=False)[:, [0, -1]].tolist()
-        for window, (hi, lo) in zip(windows, hi_lo):  # both methods solve with these
-            check_condition(window, cond=hi / lo if lo > 0 else math.inf)
-        # Acols[w] has the F-ordered layout of Apad[:, r::P]: a C-ordered
-        # operand sends the BLAS down another dgemm kernel, which moves F's bits
-        Acols = np.ascontiguousarray(A3[:, :, block].transpose(2, 1, 0)).transpose(0, 2, 1)
-        rhs = BU[..., :M] @ Acols
-        # X[w] = [Acols[w]; Z[w]] in the layout np.vstack gives one window's
-        # pair: F-ordered when Z is one row under a taller Acols[w] (vstack
-        # follows its only input of several rows), else C-ordered; B @ X
-        # takes another dgemm kernel, and other bits, in the other layout
-        b = len(BU)
-        X = np.empty((b, n, K)).transpose(0, 2, 1) if D == 1 < M else np.empty((b, K, n))
-        X[:, :M] = Acols
-        if points is None:
-            np.negative(np.linalg.solve(windows, rhs), out=X[:, M:])
-        else:
-            np.negative(_newton_monomial(points[rows[block]], rhs), out=X[:, M:])
-        Fcols = B @ X
-        pattern = np.arange(b)[:, None], rows[block]
+        Gb = G[block] if G is not None else _operators(gen.entries, M, points, rows[block])
+        # item w holds Apad[:, r::P] for r = r0 + w, C-ordered: the BLAS
+        # takes another dgemm kernel, with other bits, for another layout
+        Fcols = Gb @ np.ascontiguousarray(A3[:, :, block].transpose(2, 0, 1))
+        pattern = np.arange(len(Fcols))[:, None], rows[block]
         on_pattern = Fcols[pattern]
         resid = np.max(np.abs(on_pattern, out=on_pattern), axis=(1, 2))
         over = np.flatnonzero(resid > ztol)
@@ -207,6 +201,62 @@ def _encode_windows(Apad, gen, params, points) -> np.ndarray:
         Fcols[pattern] = 0.0
         F3[:, :, block] = Fcols.transpose(1, 2, 0)
     return F
+
+
+def _plan_floats(P: int, K: int, M: int) -> int:
+    """The float64 temporaries of one window's plan: BU_r (D x K), C_r
+    (D x M), B[:, M:] C_r and G_r (P x M each)."""
+    return (K - M) * (K + M) + 2 * P * M
+
+
+def _window_operators(gen, M: int, method: str, points) -> np.ndarray | None:
+    """The plan of gen's windows for M rows of A: the read-only (P, P, M)
+    stack of G_r = B[:, :M] - B[:, M:] C_r.  Window r's pattern rows U_r
+    give BU_r = B[U_r] and its system W_r = BU_r[:, M:]; C_r solves
+    W_r C_r = BU_r[:, :M] (interpolates it through points[U_r] for the
+    poly method), so G_r's U_r rows vanish up to rounding.
+
+    Every W_r is gated first, in stacked blocks and index order; the
+    first refused raises ConditioningError, and nothing is stored.  The
+    stack is memoized on gen per (M, method) while the memo's stacks
+    together stay within OPERATOR_MEMO_BYTES; one that would not fit is
+    not built and None is returned, and encode then plans each block of
+    windows as it goes.  Threads may share a generator: two that miss on
+    one key both store equal stacks, and racing inserts can pass the cap
+    by at most one stack per thread.
+    """
+    key = (M, method)
+    G = gen._operators.get(key)
+    if G is not None:
+        return G
+    P, K, B = gen.P, gen.K, gen.entries
+    rows = (np.arange(P)[:, None] + np.arange(K - M)) % P
+    step = max(1, _ENCODE_BLOCK_BYTES // (8 * _plan_floats(P, K, M)))
+    for r0 in range(0, P, step):
+        windows = B[rows[r0 : r0 + step]][..., M:]
+        hi_lo = np.linalg.svd(windows, compute_uv=False)[:, [0, -1]].tolist()
+        for window, (hi, lo) in zip(windows, hi_lo):  # both methods solve with these
+            check_condition(window, cond=hi / lo if lo > 0 else math.inf)
+    held = sum(g.nbytes for g in gen._operators.values())
+    if held + 8 * P * P * M > OPERATOR_MEMO_BYTES:
+        return None
+    G = np.empty((P, P, M))
+    for r0 in range(0, P, step):
+        G[r0 : r0 + step] = _operators(B, M, points, rows[r0 : r0 + step])
+    G.flags.writeable = False
+    gen._operators[key] = G
+    return G
+
+
+def _operators(B, M: int, points, rows) -> np.ndarray:
+    """(b, P, M): G_r of the gated windows whose pattern rows are rows
+    (b, K - M), as in _window_operators."""
+    BU = B[rows]
+    if points is None:
+        C = np.linalg.solve(BU[..., M:], BU[..., :M])
+    else:
+        C = _newton_monomial(points[rows], BU[..., :M])
+    return B[:, :M] - B[:, M:] @ C
 
 
 def _check_shape(gen: GeneratorMatrix, params: CodeParams) -> None:
@@ -423,7 +473,7 @@ def check_generator(code: EncodedTransform) -> None:
     """
     gen, F = code.generator, code.F
     miss = float(np.max(np.abs(gen.parity @ F), initial=0.0))
-    scale = float(np.max(np.abs(gen.entries)) * np.max(np.abs(np.linalg.pinv(gen.entries) @ F)))
+    scale = float(np.max(np.abs(gen.entries)) * np.max(np.abs(gen.pinv @ F)))
     if miss > PARITY_RTOL * scale:
         raise ValueError(
             f"F is not encoded by its {gen.kind} generator: max|H F| is "

@@ -6,7 +6,8 @@ last K-M columns is invertible.  A real Vandermonde matrix on distinct
 nodes satisfies both; an i.i.d. Gaussian matrix does almost surely.
 build_generator makes the Vandermonde one on the Chebyshev nodes and the
 Gaussian one as one fixed draw, so a generator is rebuilt from
-(P, K, kind) alone.  A generator is its entries and its kind: the
+(P, K, kind) alone, and a process shares one per (P, K, kind) with its
+memos.  A generator is its entries and its kind: the
 Vandermonde nodes are not stored beside B, since B's x^1 column holds
 them (see coding._check_method).
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +36,10 @@ _GAUSSIAN_SEED = 0
 # responder sets (each keyed by its rows as the bits of a Python int:
 # under 1 MB at P = 100).
 CONDITION_MEMO_CAP = 4096
+# build_generator keeps the most recently used generators, at most this
+# many, each with its memos (see GeneratorMatrix and
+# coding.OPERATOR_MEMO_BYTES).
+GENERATOR_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -46,15 +51,18 @@ class GeneratorMatrix:
     (the fixed draw of build_generator).
 
     entries must be a 2-D array of real finite numbers, or construction
-    raises ValueError.  It is read-only from then on, so the memo of
-    responder-set condition numbers (see `condition`) and the cached
-    `parity` cannot go stale; `dataclasses.replace` starts a new generator
-    with an empty memo and no parity yet.
+    raises ValueError.  It is read-only from then on, so its memos cannot
+    go stale: the responder-set condition numbers (see `condition`), the
+    window operators encode plans per (M, method) (see
+    coding._window_operators), and the cached `parity` and `pinv`.
+    `dataclasses.replace` starts a new generator with empty memos and no
+    parity or pinv yet.
     """
 
     entries: np.ndarray
     kind: str
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries)  # the dtype test keeps object arrays from isfinite
@@ -80,6 +88,13 @@ class GeneratorMatrix:
         H = np.linalg.svd(self.entries)[0][:, self.K:].T.copy()
         H.flags.writeable = False
         return H
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """np.linalg.pinv(entries), K x P and read-only, from one SVD."""
+        W = np.linalg.pinv(self.entries)
+        W.flags.writeable = False
+        return W
 
     def condition(self, idx: np.ndarray) -> float:
         """cond of the rows idx (1-based, distinct, any order; an int
@@ -118,14 +133,20 @@ def build_generator(params: CodeParams, kind: str = "vandermonde") -> GeneratorM
     """The generator of the given kind for the given parameters, a
     function of (P, K, kind) alone: the Vandermonde kind is np.vander on
     the P Chebyshev nodes, the Gaussian kind one fixed standard normal
-    draw."""
-    P, K = params.P, params.K
+    draw.  Calls with one (P, K, kind) return one shared instance, so its
+    memos serve every encode, load and decode in the process; at most
+    GENERATOR_CACHE_SIZE are kept, the least recently used dropped."""
+    if kind not in KINDS:  # before the cache, which would refuse an unhashable kind
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return _shared_generator(params.P, params.K, kind)
+
+
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _shared_generator(P: int, K: int, kind: str) -> GeneratorMatrix:
     if kind == "vandermonde":
         return GeneratorMatrix(entries=np.vander(chebyshev_nodes(P), K), kind=kind)
-    if kind == "gaussian":
-        entries = np.random.default_rng(_GAUSSIAN_SEED).standard_normal((P, K))
-        return GeneratorMatrix(entries=entries, kind=kind)
-    raise ValueError(f"unknown generator kind {kind!r}")
+    entries = np.random.default_rng(_GAUSSIAN_SEED).standard_normal((P, K))
+    return GeneratorMatrix(entries=entries, kind=kind)
 
 
 def _condition_number(mat: np.ndarray) -> float:

@@ -19,8 +19,9 @@ for N, the zero tolerance, the nodes and the seed, a comment, blank,
 repeated or reordered line, or a key padded with spaces), a CRC that
 does not match both files (so an edited F.csv or F.npy) and an F.npy
 that is not a 2-D float64 array; a missing F.npy raises
-FileNotFoundError.  int() reads the values of P, K, M and N_raw, so
-spaces around one of those numbers pass.
+FileNotFoundError.  The values of P, K, M and N_raw must read exactly
+as save_transform writes them, str(int(value)): a space, sign, leading
+zero or digit-group underscore is refused too.
 
 params.txt holds only what a load reads: no N, which P and N_raw fix,
 and no zero tolerance, since F's zeros are exact zeros.  A generator is
@@ -110,6 +111,18 @@ def _npy_F(src: Path, crc_text: str) -> np.ndarray:
     return F
 
 
+def _count(key: str, text: str, src: Path) -> int:
+    """The whole number text of params.txt's key= line, refused unless
+    text is how save_transform writes it, str(int(text))."""
+    try:
+        if text == str(int(text)):
+            return int(text)
+    except ValueError:  # not a number at all
+        pass
+    raise ValueError(f"params.txt in {src} has {key}={text!r}, not a whole number "
+                     f"as encode writes it; {_AGAIN}")
+
+
 def load_transform(in_dir) -> EncodedTransform:
     """Read a directory written by save_transform.  params.txt must be
     the six key=value lines save_transform writes, keyed by _KEYS in
@@ -124,8 +137,8 @@ def load_transform(in_dir) -> EncodedTransform:
     if found != expected:
         raise ValueError(f"params.txt in {src} has lines beginning {found}, not exactly "
                          f"{expected}; {_AGAIN}")
-    P, K, M, N_raw, kind, crc = (value for _, _, value in lines)
-    params = validate_params(int(P), int(K), int(M), int(N_raw))
+    *counts, kind, crc = (value for _, _, value in lines)
+    params = validate_params(*(_count(key, text, src) for key, text in zip(_KEYS, counts)))
     try:
         gen = build_generator(params, kind)
     except ValueError as exc:  # the kind is unknown

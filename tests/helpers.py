@@ -53,21 +53,50 @@ def replace_f(out, F) -> None:
 
 
 def encode_by_window(A, gen: GeneratorMatrix, params, method: str = "solve") -> np.ndarray:
-    """F as encode built it one pattern window at a time: per window r an
-    SVD gate, a solve (or the Björck–Pereyra interpolation) of the
-    window system for columns r, r+P, ..., and B @ [A_cols; Z].  encode
-    stacks the windows in blocks and must match this bit for bit, with
-    the same refusals.  A must be valid for params; encode checks that."""
-    A = np.asarray(A, dtype=float)
+    """F as encode builds it, one pattern window at a time.  First the
+    plan, per window r: the SVD gate of W_r = B[U_r, M:], then C_r, which
+    solves W_r C_r = B[U_r, :M] (or the Björck–Pereyra interpolation of
+    it), then G_r = B[:, :M] - B[:, M:] @ C_r.  Then, per window, G_r @ A_r
+    for its columns r, r+P, ..., the pattern-residual check and the snap
+    to zero.  encode stacks the windows in blocks and must match this bit
+    for bit, with the same refusals.  A must be valid for params; encode
+    checks that."""
     P, K, M, N = params.P, params.K, params.M, params.N
-    Apad = np.zeros((M, N))
-    Apad[:, : params.N_raw] = A
-    ztol = coding.ZERO_TOL_FACTOR * float(np.max(np.abs(A)))
+    Apad, ztol = _padded(A, params)
     B = gen.entries
-    F = np.empty((P, N))
     if K == M:
-        F[:] = B @ Apad
-        return F
+        return B @ Apad
+    G = []
+    for r in range(P):
+        rows = np.arange(r, r + K - M) % P
+        BU = B[rows]
+        check_condition(BU[:, M:])
+        if method == "solve":
+            C = np.linalg.solve(BU[:, M:], BU[:, :M])
+        else:
+            C = _newton_monomial_by_window(B[rows, K - 2], BU[:, :M])  # the x^1 column
+        G.append(B[:, :M] - B[:, M:] @ C)
+    F = np.empty((P, N))
+    for r in range(P):
+        cols = np.arange(r, N, P)
+        # A[:, cols] is F-ordered; encode multiplies C-ordered columns,
+        # and the BLAS takes another kernel, with other bits, for the other
+        Acols = np.ascontiguousarray(Apad[:, cols])
+        F[:, cols] = _snapped(G[r] @ Acols, np.arange(r, r + K - M) % P, ztol)
+    return F
+
+
+def encode_by_solving_windows(A, gen: GeneratorMatrix, params, method: str = "solve") -> np.ndarray:
+    """F by the window solve form, an accuracy reference for encode: per
+    window r an SVD gate, a solve (or the Björck–Pereyra interpolation) of
+    the window system for the appended rows Z of columns r, r+P, ...,
+    then B @ [A_cols; Z], the pattern-residual check and the snap."""
+    P, K, M, N = params.P, params.K, params.M, params.N
+    Apad, ztol = _padded(A, params)
+    B = gen.entries
+    if K == M:
+        return B @ Apad
+    F = np.empty((P, N))
     for r in range(P):
         cols = np.arange(r, N, P)
         rows = np.arange(r, r + K - M) % P
@@ -78,17 +107,30 @@ def encode_by_window(A, gen: GeneratorMatrix, params, method: str = "solve") -> 
         if method == "solve":
             Z = -np.linalg.solve(BU[:, M:], rhs)
         else:
-            Z = -_newton_monomial_by_window(B[rows, K - 2], rhs)  # the x^1 column
-        Fcols = B @ np.vstack([Acols, Z])
-        pattern_resid = float(np.max(np.abs(Fcols[rows])))
-        if pattern_resid > ztol:
-            raise ConditioningError(
-                f"pattern residual {pattern_resid:.3e} exceeds zero tolerance "
-                f"{ztol:.3e}; generator too ill-conditioned for these parameters"
-            )
-        Fcols[rows] = 0.0
-        F[:, cols] = Fcols
+            Z = -_newton_monomial_by_window(B[rows, K - 2], rhs)
+        F[:, cols] = _snapped(B @ np.vstack([Acols, Z]), rows, ztol)
     return F
+
+
+def _padded(A, params):
+    """A zero-padded to N columns, and encode's zero tolerance for A."""
+    A = np.asarray(A, dtype=float)
+    Apad = np.zeros((params.M, params.N))
+    Apad[:, : params.N_raw] = A
+    return Apad, coding.ZERO_TOL_FACTOR * float(np.max(np.abs(A)))
+
+
+def _snapped(Fcols, rows, ztol):
+    """Fcols with its pattern rows set to zero, refused as encode refuses
+    a pattern residual above ztol."""
+    pattern_resid = float(np.max(np.abs(Fcols[rows])))
+    if pattern_resid > ztol:
+        raise ConditioningError(
+            f"pattern residual {pattern_resid:.3e} exceeds zero tolerance "
+            f"{ztol:.3e}; generator too ill-conditioned for these parameters"
+        )
+    Fcols[rows] = 0.0
+    return Fcols
 
 
 def _newton_monomial_by_window(points, values):

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,7 @@ import shortdot.coding as coding
 import shortdot.generator as generator
 from shortdot.generator import CONDITION_MEMO_CAP, check_condition, chebyshev_nodes
 
-from helpers import encode_by_window, vandermonde_on
+from helpers import encode_by_solving_windows, encode_by_window, vandermonde_on
 
 
 # --- zero pattern ------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_check_condition_is_the_cond_gate():
 
 def test_generator_arrays_are_read_only_and_replace_starts_an_empty_memo():
     p = validate_params(6, 5, 3, 12)
-    gen = build_generator(p)
+    gen = dataclasses.replace(build_generator(p))  # fresh memos: build_generator's are shared
     with pytest.raises(ValueError, match="read-only"):
         gen.entries[0] = 1.0
     gen.condition(np.arange(1, 6))
@@ -288,12 +289,15 @@ def _encoded_or_refused(build):
 
 
 def _assert_encode_is_the_window_loop(A, gen, p, method="solve"):
-    got = _encoded_or_refused(lambda: encode(A, gen, p, method).F)
+    # a fresh generator plans its windows (cold), then encodes from the plan it holds (warm)
+    gen = dataclasses.replace(gen)
     want = _encoded_or_refused(lambda: encode_by_window(A, gen, p, method))
-    if isinstance(want, tuple):
-        assert got == want, (p, gen.kind, method)
-    else:
-        assert isinstance(got, np.ndarray) and np.array_equal(got, want), (p, gen.kind, method)
+    for _ in ("cold", "warm"):
+        got = _encoded_or_refused(lambda: encode(A, gen, p, method).F)
+        if isinstance(want, tuple):
+            assert got == want, (p, gen.kind, method)
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want), (p, gen.kind, method)
 
 
 def _kinds_and_methods(p):
@@ -352,10 +356,14 @@ def test_stacked_encode_refuses_as_the_window_loop():
         _assert_encode_is_the_window_loop(A, gen, p)
 
 
-@pytest.mark.parametrize("budget, blocks", [(1, 20), (90_000, 7)])
-def test_stacked_encode_is_the_window_loop_across_blocks(monkeypatch, budget, blocks):
-    # (20,18,10,785) fits one block; a smaller budget splits its 20
-    # windows into blocks of one, or into six blocks of three and one of two
+@pytest.mark.parametrize("budget, plan_blocks, unheld_blocks", [(1, 20, 20), (90_000, 2, 4)])
+def test_stacked_encode_is_the_window_loop_across_blocks(monkeypatch, budget, plan_blocks,
+                                                         unheld_blocks):
+    # (20,18,10,785) plans and multiplies in one block each; a smaller
+    # budget splits its 20 windows into blocks of one, or plans them in
+    # blocks of 18 and 2 (and multiplies them in blocks of 7, 7 and 6);
+    # when the memo cannot hold the plan, encode plans each block of
+    # windows as it multiplies it, in blocks of 5 at the larger budget
     p = validate_params(20, 18, 10, 785)
     A = np.random.default_rng(20).standard_normal((10, 785))
     monkeypatch.setattr(coding, "_ENCODE_BLOCK_BYTES", budget)
@@ -366,11 +374,124 @@ def test_stacked_encode_is_the_window_loop_across_blocks(monkeypatch, budget, bl
         solves.append(1)
         return solve(*args)
 
-    for gen, method in _kinds_and_methods(p):
-        _assert_encode_is_the_window_loop(A, gen, p, method)
-    monkeypatch.setattr(np.linalg, "solve", counted)
-    encode(A, build_generator(p), p)
-    assert len(solves) == blocks
+    cap = coding.OPERATOR_MEMO_BYTES
+    for held, blocks in ((True, plan_blocks), (False, unheld_blocks)):
+        monkeypatch.setattr(coding, "OPERATOR_MEMO_BYTES", cap if held else 0)
+        for gen, method in _kinds_and_methods(p):
+            _assert_encode_is_the_window_loop(A, gen, p, method)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        solves.clear()
+        encode(A, dataclasses.replace(build_generator(p)), p)
+        assert len(solves) == blocks
+        monkeypatch.setattr(np.linalg, "solve", solve)
+
+
+@pytest.mark.parametrize("kind", ["vandermonde", "gaussian"])
+def test_build_generator_shares_one_generator_per_p_k_and_kind(kind):
+    p = validate_params(20, 18, 10, 785)
+    gen = build_generator(p, kind)
+    assert build_generator(p, kind) is gen
+    # M and N take no part: the generator is a function of (P, K, kind)
+    assert build_generator(validate_params(20, 18, 3, 40), kind) is gen
+    assert build_generator(validate_params(20, 17, 10, 785), kind) is not gen
+    other = "gaussian" if kind == "vandermonde" else "vandermonde"
+    assert build_generator(p, other) is not gen
+
+
+@pytest.mark.parametrize("kind, method", [("vandermonde", "solve"), ("vandermonde", "poly"),
+                                          ("gaussian", "solve")])
+def test_a_warm_encode_takes_no_svd_and_no_solve(monkeypatch, kind, method):
+    p, q = validate_params(20, 18, 10, 785), validate_params(20, 18, 10, 700)
+    gen = dataclasses.replace(build_generator(p, kind))
+    rng = np.random.default_rng(22)
+    A, B = rng.standard_normal((10, 785)), rng.standard_normal((10, 700))
+    want = encode_by_window(B, gen, q, method)
+    calls = []
+    for module, name in ((np.linalg, "svd"), (np.linalg, "solve"), (coding, "_newton_monomial")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    cold = encode(A, gen, p, method).F
+    assert calls.count("svd") == 1 and len(calls) == 2  # one gate and one plan, one block each
+    calls.clear()
+    assert np.array_equal(encode(A, gen, p, method).F, cold)
+    # another A, N_raw and padding: the same plan
+    assert np.array_equal(encode(B, gen, q, method).F, want)
+    assert calls == []
+    assert list(gen._operators) == [(10, method)]
+
+
+def test_a_refused_window_gate_is_refused_again_with_the_same_text():
+    p = validate_params(4, 3, 1, 8)
+    gen = vandermonde_on([0.5, 0.5 + 1e-14, -0.5, -0.7], p.K)
+    messages = set()
+    for seed in range(3):  # the plan is refused whatever A is
+        A = np.random.default_rng(seed).standard_normal((1, 8))
+        with pytest.raises(ConditioningError, match="solve rejected: condition") as exc:
+            encode(A, gen, p)
+        messages.add(str(exc.value))
+        assert gen._operators == {}
+    assert len(messages) == 1
+
+
+def test_operator_memo_stays_within_its_cap(monkeypatch):
+    # the plans of M = 1..8 at P = 12 take 8 * 144 * M bytes each: a cap
+    # of 20,000 bytes holds M = 1..4 (11,520 bytes) and then M = 6, and
+    # every encode, held or not, is the window loop's
+    P, K = 12, 9
+    assert 8 * 100 * 100 * 100 <= coding.OPERATOR_MEMO_BYTES  # any one plan up to P = 100
+    monkeypatch.setattr(coding, "OPERATOR_MEMO_BYTES", 20_000)
+    gen = dataclasses.replace(build_generator(validate_params(P, K, 1, P)))
+    for M in (1, 2, 3, 4, 8, 6, 5, 7):
+        p = validate_params(P, K, M, 5 * P + 1)
+        A = np.random.default_rng(M).standard_normal((M, p.N_raw))
+        assert np.array_equal(encode(A, gen, p).F, encode_by_window(A, gen, p))
+        held = sum(G.nbytes for G in gen._operators.values())
+        assert held <= 20_000
+        assert all(G.shape == (P, P, rows) and not G.flags.writeable
+                   for (rows, _), G in gen._operators.items())
+    assert sorted(gen._operators) == [(M, "solve") for M in (1, 2, 3, 4, 6)]
+
+
+def _exact_F(A, B, p):
+    """F in exact rational arithmetic: per column j, z solves
+    B^U(j)[A_j; z] = 0 by Gauss-Jordan elimination on Fractions, then
+    F_j = B [A_j; z]."""
+    P, K, M, N = p.P, p.K, p.M, p.N
+    D = K - M
+    Bq = [[Fraction(v) for v in row] for row in B.tolist()]
+    Aq = [[Fraction(v) for v in row] + [Fraction(0)] * p.padding for row in A.tolist()]
+    F = []
+    for j in range(N):
+        a = [row[j] for row in Aq]
+        system = [Bq[u][M:] + [-sum(b * x for b, x in zip(Bq[u][:M], a))]
+                  for u in ((j + d) % P for d in range(D))]
+        for c in range(D):
+            pivot = next(r for r in range(c, D) if system[r][c] != 0)
+            system[c], system[pivot] = system[pivot], system[c]
+            for r in range(D):
+                if r != c and system[r][c] != 0:
+                    f = system[r][c] / system[c][c]
+                    system[r] = [x - f * y for x, y in zip(system[r], system[c])]
+        x = a + [system[c][D] / system[c][c] for c in range(D)]
+        F.append([sum(b * v for b, v in zip(Bq[i], x)) for i in range(P)])
+    return [list(col) for col in zip(*F)]
+
+
+@pytest.mark.parametrize("P, K, M, N_raw, kind", [
+    (12, 9, 4, 48, "vandermonde"), (12, 9, 4, 48, "gaussian"), (12, 9, 4, 45, "vandermonde")])
+def test_operator_form_is_as_accurate_as_the_window_solve(P, K, M, N_raw, kind):
+    # max |F - F_exact| of encode against the solve-form loop's
+    p = validate_params(P, K, M, N_raw)
+    gen = build_generator(p, kind)
+    A = np.random.default_rng([P, K, M, N_raw]).standard_normal((M, N_raw))
+    exact = _exact_F(A, gen.entries, p)
+
+    def error(F):
+        return max(abs(float(Fraction(v) - q))
+                   for row, exact_row in zip(F.tolist(), exact) for v, q in zip(row, exact_row))
+
+    assert error(encode(A, gen, p).F) <= 2 * error(encode_by_solving_windows(A, gen, p))
 
 
 def test_encode_deterministic():
@@ -588,7 +709,7 @@ def test_decode_is_the_solve_on_responder_rows(kind):
 def test_a_request_is_one_vecdot_then_one_solve(monkeypatch, P, K, M, N_raw):
     rng = np.random.default_rng(21)
     p = validate_params(P, K, M, N_raw)
-    gen = build_generator(p)
+    gen = dataclasses.replace(build_generator(p))  # fresh memos: build_generator's are shared
     code = encode(rng.standard_normal((M, N_raw)), gen, p)
     svds = []
     svd = generator._condition_number
@@ -620,7 +741,7 @@ def test_a_request_is_one_vecdot_then_one_solve(monkeypatch, P, K, M, N_raw):
 def test_decode_gate_belongs_to_the_responder_set(kind):
     rng = np.random.default_rng(17)
     p = validate_params(20, 18, 10, 785)
-    gen = build_generator(p, kind)
+    gen = dataclasses.replace(build_generator(p, kind))  # fresh memos: build_generator's are shared
     outs = run_workers(encode(rng.standard_normal((10, 785)), gen, p), rng.standard_normal(785))
     for subset in combinations(range(1, 21), 18):
         expected_c = np.linalg.cond(gen.entries[np.asarray(subset) - 1])

@@ -336,6 +336,51 @@ def _encode_on_moved_node(out, A, p, node, by):
     replace_f(out, encode(A, vandermonde_on(nodes, p.K), p).F)
 
 
+@pytest.mark.parametrize("key, text", [
+    ("P", " +2_0 "), ("P", "+20"), ("P", "20 "), ("P", "020"), ("P", "2_0"), ("P", "20.0"),
+    ("P", "\u0662\u0660"), ("K", " 18"), ("M", "1e1"), ("N_raw", "0785"), ("N_raw", "many"),
+])
+def test_load_refuses_a_count_not_written_as_encode_writes_it(tmp_path, capsys, key, text):
+    # int() reads every one of these as the saved value (but the last two)
+    out, code, _ = _sec6_transform(tmp_path)
+    set_param(out, key, text)
+    with pytest.raises(ValueError, match=(
+            f"^params.txt in .* has {key}={re.escape(repr(text))}, not a whole number as "
+            "encode writes it; run `shortdot encode` again$")):
+        load_transform(out)
+    x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
+    save_matrix(x_path, np.ones(785))
+    assert main(["transform", str(out), str(x_path), "--responders",
+                 ",".join(map(str, range(1, 19))), "--out", str(y_path)]) == 2
+    assert "run `shortdot encode` again" in capsys.readouterr().err
+    assert not y_path.exists()
+
+
+def test_a_second_load_takes_no_svd(tmp_path, monkeypatch):
+    # check_generator's parity basis and pinv(B) are cached on the one
+    # generator a process shares per (P, K, kind), with the same bits
+    out, code, _ = _sec6_transform(tmp_path)
+    gen = code.generator
+    assert gen is build_generator(code.params)
+    assert load_transform(out).generator is gen  # the first load may take them
+    assert gen.pinv.tobytes() == np.linalg.pinv(gen.entries).tobytes()
+    assert gen.pinv is gen.pinv and not gen.pinv.flags.writeable
+    assert "pinv" not in dataclasses.replace(gen).__dict__
+    svds = []
+    for name in ("svd", "pinv"):
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _f=original, **k: svds.append(1) or _f(*a, **k))
+    loaded = load_transform(out)
+    assert loaded.generator is gen and loaded.F.tobytes() == code.F.tobytes()
+    assert svds == []
+    # a fresh generator takes one SVD for H and one for pinv(B), once
+    fresh = dataclasses.replace(gen)
+    for _ in range(2):
+        check_generator(dataclasses.replace(code, generator=fresh))
+    assert len(svds) == 2
+
+
 @pytest.mark.parametrize("node", [0, 10, 19])
 def test_load_refuses_a_moved_vandermonde_node(tmp_path, node):
     out, code, A = _sec6_transform(tmp_path)
