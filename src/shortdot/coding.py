@@ -10,11 +10,15 @@ workers recover A @ x exactly.
 The enforced sparsity pattern is cyclic: column j of F is zero at the
 K - M rows U(j) = ({j-1, ..., j+K-M-2} mod P) + 1, a P x P unit block
 tiled N/P times, which gives every row exactly s allowed-nonzero
-positions.  The appended entries z(j) are the unique solution of
-B^U(j)[A_j; z] = 0, so F_j = B[A_j; z(j)] is linear in A_j.  Columns j
-and j+P share U(j), so P window operators G_r (P x M each) carry A to F;
-encode plans them once per generator and M, and then each encode is one
-product per block of windows.
+positions.  The pattern depends on (P, K, M, N) alone, so a process
+derives it once per (P, K, M, N) (see _pattern): every transform of
+those parameters shares one read-only (P, s) supports array and gathers
+its coefficients from F with one flat `take`.  The appended entries
+z(j) are the unique solution of B^U(j)[A_j; z] = 0, so
+F_j = B[A_j; z(j)] is linear in A_j.  Columns j and j+P share U(j), so
+P window operators G_r (P x M each) carry A to F; encode plans them
+once per generator and M, and then each encode is one product per
+block of windows.
 
 Indices in public interfaces (rows/workers, columns/supports) are
 1-based; matrices are plain numpy arrays.
@@ -24,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConditioningError, DecodingError
-from .generator import GeneratorMatrix, check_condition, guarded_solve
+from .generator import GENERATOR_CACHE_SIZE, GeneratorMatrix, check_condition, guarded_solve
 from .params import CodeParams, worker_indices
 
 # encode snaps pattern positions to exact zero; anything above
@@ -66,12 +71,38 @@ def zero_mask(params: CodeParams) -> np.ndarray:
 
 def supports_from_pattern(params: CodeParams) -> np.ndarray:
     """(P, s) array: row i lists the 1-based allowed-nonzero columns of
-    row i+1 of F, ascending."""
+    row i+1 of F, ascending.  Each call derives a fresh, writable array;
+    a transform's `supports` is instead the one read-only array that
+    _pattern keeps per (P, K, M, N)."""
     # row i is allowed in the columns j0 of each block whose offset
     # d = i - j0 (mod P) lies in K-M..P-1 (see zero_mask)
     P = params.P
     offsets = np.sort((np.arange(P)[:, None] - np.arange(params.K - params.M, P)) % P, axis=1)
     return (np.arange(1, params.N + 1, P)[:, None] + offsets[:, None]).reshape(P, params.s)
+
+
+class _Pattern(NamedTuple):
+    """The sparsity pattern of one (P, K, M, N), as read-only arrays."""
+
+    supports: np.ndarray  # (P, s), see supports_from_pattern
+    flat: np.ndarray  # (P, s): where each support entry lies in a C-ordered (P, N) F
+    rows: np.ndarray  # (P, K - M): window r's 0-based pattern rows U_r
+
+
+# one pattern per generator a process keeps: 2 * P * s * 8 bytes of
+# supports and flat indices, plus 8 * P * (K - M) of rows, per entry;
+# 153,600 + 1,280 bytes at (20,18,10,785) and 3.52 MB at (100,98,20,10000)
+@lru_cache(maxsize=GENERATOR_CACHE_SIZE)
+def _pattern(params: CodeParams) -> _Pattern:
+    """The pattern of params, derived once per (P, K, M, N) in a process
+    and shared by every transform and encode of those parameters."""
+    P = params.P
+    supports = supports_from_pattern(params)
+    flat = supports + (np.arange(P) * params.N - 1)[:, None]
+    rows = (np.arange(P)[:, None] + np.arange(params.K - params.M)) % P
+    for arr in (supports, flat, rows):
+        arr.flags.writeable = False
+    return _Pattern(supports, flat, rows)
 
 
 class WorkerTask(NamedTuple):
@@ -96,10 +127,14 @@ class EncodedTransform:
 
     F is P x N, real, finite and exactly zero on the cyclic pattern;
     construction refuses any other F.  No tolerance applies: a row's
-    sparsity is its count of nonzero entries.  Construction also derives
-    `supports` (see supports_from_pattern) and `coefficients`, the (P, s)
-    array of each row of F on its support, once; all three are then
-    read-only, so the worker tasks read from them cannot go stale.
+    sparsity is its count of nonzero entries.  `supports` is the one
+    read-only (P, s) array that every transform of these (P, K, M, N)
+    shares (see _pattern), and `coefficients`, the (P, s) array of each
+    row of F on its support, is gathered once with one flat `take`.
+    F and coefficients are read-only too, so the worker tasks read from
+    them cannot go stale: an F that owns its memory is frozen in place,
+    and one whose memory a writable array up its base chain (or a
+    buffer that is not an array) could still change is copied first.
     """
 
     F: np.ndarray
@@ -113,21 +148,35 @@ class EncodedTransform:
         # a complex F would reach run_workers' vecdot, which conjugates it
         if self.F.dtype.kind not in "biuf":
             raise ValueError(f"F must hold real numbers, not {self.F.dtype}")
-        supports = supports_from_pattern(p)
-        coefficients = np.take_along_axis(self.F, supports - 1, axis=1)
+        F = _private(self.F)
+        pattern = _pattern(p)
+        coefficients = F.take(pattern.flat)
         if not np.all(np.isfinite(coefficients)):
             raise ValueError("F has non-finite entries")
-        # equal counts <=> every nonzero of F lies on its row's support
-        if np.count_nonzero(coefficients) != np.count_nonzero(self.F):
+        # equal counts <=> every nonzero of F lies on its row's support;
+        # counted on `!= 0` masks, which numpy counts faster than floats
+        if np.count_nonzero(coefficients != 0) != np.count_nonzero(F != 0):
             raise ValueError("F is nonzero at a position the sparsity pattern forces to zero")
-        for arr in (self.F, supports, coefficients):
-            arr.flags.writeable = False
-        object.__setattr__(self, "supports", supports)
+        F.flags.writeable = coefficients.flags.writeable = False
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "supports", pattern.supports)
         object.__setattr__(self, "coefficients", coefficients)
 
     def worker_tasks(self) -> tuple[WorkerTask, ...]:
         return tuple(map(WorkerTask, range(1, self.params.P + 1),
                          self.supports, self.coefficients))
+
+
+def _private(F: np.ndarray) -> np.ndarray:
+    """F when no one but F's holders can write its memory once F is
+    frozen: F owns it, or every array up its base chain is read-only and
+    the last owns it.  Otherwise a private copy of F."""
+    base = F.base
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return F.copy()
+        base = base.base
+    return F if base is None else F.copy()
 
 
 def encode(
@@ -173,11 +222,11 @@ def _encode_windows(Apad, gen, params, method, points) -> np.ndarray:
     then the pattern-residual gate and the snap to zero; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
     ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
-    G = _window_operators(gen, M, method, points)
+    # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
+    rows = _pattern(params).rows
+    G = _window_operators(gen, M, method, points, rows)
     F = np.empty((P, N))
     D, n = K - M, N // P
-    # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
-    rows = (np.arange(P)[:, None] + np.arange(D)) % P
     A3, F3 = Apad.reshape(M, n, P), F.reshape(P, n, P)
     # a window's float64 temporaries: n columns of A (M rows), of G_r A
     # (P) and of their pattern rows (D), plus its plan when G is not held
@@ -209,12 +258,13 @@ def _plan_floats(P: int, K: int, M: int) -> int:
     return (K - M) * (K + M) + 2 * P * M
 
 
-def _window_operators(gen, M: int, method: str, points) -> np.ndarray | None:
+def _window_operators(gen, M: int, method: str, points, rows) -> np.ndarray | None:
     """The plan of gen's windows for M rows of A: the read-only (P, P, M)
-    stack of G_r = B[:, :M] - B[:, M:] C_r.  Window r's pattern rows U_r
-    give BU_r = B[U_r] and its system W_r = BU_r[:, M:]; C_r solves
-    W_r C_r = BU_r[:, :M] (interpolates it through points[U_r] for the
-    poly method), so G_r's U_r rows vanish up to rounding.
+    stack of G_r = B[:, :M] - B[:, M:] C_r.  Window r's pattern rows
+    U_r = rows[r] (see _pattern) give BU_r = B[U_r] and its system
+    W_r = BU_r[:, M:]; C_r solves W_r C_r = BU_r[:, :M] (interpolates
+    it through points[U_r] for the poly method), so G_r's U_r rows
+    vanish up to rounding.
 
     Every W_r is gated first, in stacked blocks and index order; the
     first refused raises ConditioningError, and nothing is stored.  The
@@ -230,7 +280,6 @@ def _window_operators(gen, M: int, method: str, points) -> np.ndarray | None:
     if G is not None:
         return G
     P, K, B = gen.P, gen.K, gen.entries
-    rows = (np.arange(P)[:, None] + np.arange(K - M)) % P
     step = max(1, _ENCODE_BLOCK_BYTES // (8 * _plan_floats(P, K, M)))
     for r0 in range(0, P, step):
         windows = B[rows[r0 : r0 + step]][..., M:]

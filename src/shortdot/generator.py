@@ -38,7 +38,8 @@ _GAUSSIAN_SEED = 0
 CONDITION_MEMO_CAP = 4096
 # build_generator keeps the most recently used generators, at most this
 # many, each with its memos (see GeneratorMatrix and
-# coding.OPERATOR_MEMO_BYTES).
+# coding.OPERATOR_MEMO_BYTES); coding._pattern keeps as many sparsity
+# patterns, one per (P, K, M, N).
 GENERATOR_CACHE_SIZE = 8
 
 

@@ -18,7 +18,9 @@ from shortdot import (
     decode,
     decode_with_errors,
     encode,
+    load_transform,
     run_workers,
+    save_transform,
     supports_from_pattern,
     validate_params,
     zero_mask,
@@ -56,15 +58,54 @@ def test_pattern_counts():
             assert not mask[i, sup - 1].any()
 
 
-@pytest.mark.parametrize("P", [1, 2, 3, 5, 7, 12, 20])
+@pytest.mark.parametrize("P", [*range(1, 13), 20])
 def test_supports_are_the_columns_the_mask_allows(P):
-    # every (K, M), K = M and K = P included, with N a multiple of P and padded
+    # every (K, M), K = M and K = P included, with N a multiple of P and
+    # padded; the memo's supports and flat indices are the mask's allowed
+    # positions too, its window r rows are the rows the mask zeroes in
+    # column r, and all three are read-only
     for K in range(1, P + 1):
         for M in range(1, K + 1):
             for N_raw in (P, 3 * P + 1):
                 p = validate_params(P, K, M, N_raw)
-                from_mask = np.nonzero(~zero_mask(p))[1].reshape(P, p.s) + 1
+                mask = zero_mask(p)
+                from_mask = np.nonzero(~mask)[1].reshape(P, p.s) + 1
                 assert np.array_equal(supports_from_pattern(p), from_mask), (P, K, M, N_raw)
+                pattern = coding._pattern(p)
+                assert np.array_equal(pattern.supports, from_mask)
+                assert np.array_equal(pattern.flat, np.flatnonzero(~mask).reshape(P, p.s))
+                assert pattern.rows.shape == (P, K - M)
+                for r in range(P):
+                    assert np.array_equal(np.sort(pattern.rows[r]), np.flatnonzero(mask[:, r]))
+                assert not any(a.flags.writeable for a in pattern), (P, K, M, N_raw)
+
+
+def test_supports_from_pattern_stays_fresh_and_the_memo_derives_once(monkeypatch, tmp_path):
+    p, q = validate_params(6, 5, 3, 12), validate_params(6, 5, 3, 11)
+    fresh = supports_from_pattern(p)
+    assert fresh.flags.writeable and fresh is not supports_from_pattern(p)
+    coding._pattern.cache_clear()
+    calls = []
+    original = coding.supports_from_pattern
+    monkeypatch.setattr(coding, "supports_from_pattern",
+                        lambda params: calls.append(params) or original(params))
+    gen = build_generator(p)
+    A = np.random.default_rng(4).standard_normal((3, 12))
+    first = encode(A, gen, p)
+    loaded = load_transform(save_transform(first, tmp_path / "code"))
+    assert encode(A, gen, p).supports is loaded.supports is first.supports
+    assert np.array_equal(first.supports, fresh) and not first.supports.flags.writeable
+    encode(A[:, :11], gen, q)  # another N_raw is another pattern, though N is the same
+    assert calls == [p, q]
+
+
+def test_pattern_memo_stays_within_its_bound():
+    assert coding._pattern.cache_info().maxsize == generator.GENERATOR_CACHE_SIZE
+    gen = build_generator(validate_params(6, 5, 1, 6))
+    for N_raw in range(6, 6 + 2 * generator.GENERATOR_CACHE_SIZE):
+        p = validate_params(6, 5, 3, N_raw)
+        encode(np.ones((3, N_raw)), gen, p)
+        assert coding._pattern.cache_info().currsize <= generator.GENERATOR_CACHE_SIZE
 
 
 # --- generator ---------------------------------------------------------------
@@ -627,6 +668,52 @@ def test_encoded_transform_refuses_an_f_that_is_not_real(dtype):
     F = encode(np.random.default_rng(3).standard_normal((3, 12)), gen, p).F
     with pytest.raises(ValueError, match="F must hold real numbers"):
         EncodedTransform(F=F.astype(dtype), generator=gen, params=p)
+
+
+def test_coefficients_are_the_row_gather_for_any_layout_and_dtype():
+    # one flat take over F's C order: the same entries as a gather along
+    # each row, for a Fortran-ordered F, a strided view and an integer F
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    F = encode(np.random.default_rng(8).standard_normal((3, 12)), gen, p).F
+    wide = np.zeros((6, 24))
+    wide[:, ::2] = F
+    ints = np.where(zero_mask(p), 0, np.arange(72).reshape(6, 12) - 30)
+    for given in (np.asfortranarray(F), wide[:, ::2], ints, ints.astype(np.int8)):
+        code = EncodedTransform(F=given, generator=gen, params=p)
+        want = np.take_along_axis(given, code.supports - 1, axis=1)
+        assert code.coefficients.dtype == want.dtype
+        assert np.array_equal(code.coefficients, want)
+        assert np.array_equal(code.F, given) and not code.coefficients.flags.writeable
+
+
+def test_a_transform_keeps_its_f_when_the_array_it_views_changes():
+    # built on a view of a writable array, a transform once froze only the
+    # view: base *= 2 then moved F under coefficients computed from the old F
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    base = encode(np.random.default_rng(9).standard_normal((3, 12)), gen, p).F.copy()
+    code = EncodedTransform(F=base[:], generator=gen, params=p)
+    before = code.F.copy()
+    base *= 2
+    assert np.array_equal(code.F, before) and not code.F.flags.writeable
+    assert np.array_equal(code.coefficients,
+                          np.take_along_axis(code.F, code.supports - 1, axis=1))
+    x = np.random.default_rng(10).standard_normal(12)
+    for i, out in enumerate(run_workers(code, x)):
+        S = code.supports[i] - 1
+        assert out.value == code.F[i, S] @ x[S]
+    # an F that owns its memory, or views only read-only arrays, is kept
+    # as it is and frozen in place
+    own = before.copy()
+    assert EncodedTransform(F=own, generator=gen, params=p).F is own
+    assert not own.flags.writeable
+    view = own[:]
+    assert EncodedTransform(F=view, generator=gen, params=p).F is view
+    # memory behind a buffer that is not an array is copied
+    buffered = np.frombuffer(bytearray(before.tobytes()), dtype=float).reshape(6, 12)
+    kept = EncodedTransform(F=buffered, generator=gen, params=p).F
+    assert kept is not buffered and np.array_equal(kept, before)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

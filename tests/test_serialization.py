@@ -381,6 +381,22 @@ def test_a_second_load_takes_no_svd(tmp_path, monkeypatch):
     assert len(svds) == 2
 
 
+def test_a_load_shares_the_supports_and_keeps_f_without_a_copy(tmp_path, monkeypatch):
+    # F is the array read_array returns: its base, an array no one else
+    # holds, is frozen, so the transform needs no private copy of F
+    out, code, _ = _sec6_transform(tmp_path)
+    read = []
+    original = np.lib.format.read_array
+    monkeypatch.setattr(np.lib.format, "read_array",
+                        lambda *a, **k: read.append(original(*a, **k)) or read[-1])
+    loaded = load_transform(out)
+    assert loaded.F is read[0] and loaded.F.tobytes() == code.F.tobytes()
+    assert not loaded.F.flags.writeable
+    assert loaded.F.base is None or not loaded.F.base.flags.writeable
+    assert loaded.supports is code.supports and not loaded.supports.flags.writeable
+    assert loaded.coefficients.tobytes() == code.coefficients.tobytes()
+
+
 @pytest.mark.parametrize("node", [0, 10, 19])
 def test_load_refuses_a_moved_vandermonde_node(tmp_path, node):
     out, code, A = _sec6_transform(tmp_path)
