@@ -40,6 +40,8 @@ from .params import CodeParams, worker_indices
 
 # encode snaps pattern positions to exact zero; anything above
 # ZERO_TOL_FACTOR * max|A| there beforehand means the solve went bad.
+# The gate is proven once per held plan where the rounding bound allows
+# (see _window_operators), and runs per A otherwise.
 ZERO_TOL_FACTOR = 1e-9
 # decode rejects solutions whose residual exceeds this times ||v||.
 DECODE_RESIDUAL_RTOL = 1e-8
@@ -132,9 +134,12 @@ class EncodedTransform:
     shares (see _pattern), and `coefficients`, the (P, s) array of each
     row of F on its support, is gathered once with one flat `take`.
     F and coefficients are read-only too, so the worker tasks read from
-    them cannot go stale: an F that owns its memory is frozen in place,
-    and one whose memory a writable array up its base chain (or a
-    buffer that is not an array) could still change is copied first.
+    them cannot go stale: a read-only F whose base chain holds only
+    read-only arrays, the last owning the memory, is kept as it is, and
+    any other F is copied first, since a writable F's views, or a
+    writable array or buffer up its chain, could still change it.
+    encode and load_transform hand over such frozen arrays, so neither
+    pays a copy.
     """
 
     F: np.ndarray
@@ -168,9 +173,12 @@ class EncodedTransform:
 
 
 def _private(F: np.ndarray) -> np.ndarray:
-    """F when no one but F's holders can write its memory once F is
-    frozen: F owns it, or every array up its base chain is read-only and
-    the last owns it.  Otherwise a private copy of F."""
+    """F when no one can write its memory through an array: F is
+    read-only, and so is every array up its base chain, the last of which
+    owns it.  Otherwise a private copy of F, since a writable F may have
+    writable views that freezing F would not reach."""
+    if F.flags.writeable:
+        return F.copy()
     base = F.base
     while isinstance(base, np.ndarray):
         if base.flags.writeable:
@@ -198,10 +206,15 @@ def encode(
     raises ConditioningError, before any product; so does the first,
     in index order, whose pattern residual exceeds
     ZERO_TOL_FACTOR * max|A|, and the pattern is then snapped to exact
-    zero.  method picks only how a window is planned: "solve" is a dense
-    solve, "poly" (Vandermonde only, see _check_method) interpolation
-    through the pattern's nodes by Björck–Pereyra: Newton divided
-    differences, then expansion into monomial coefficients, in place.
+    zero.  That residual gate is proven once per held plan where the
+    rounding bound allows (a certified plan, see _window_operators):
+    its pattern rows are stored as 0.0, so its products are +0.0 there
+    and no A is gated.  A plan that is not certified, or not held, is
+    gated per A.  method picks only how a window is planned: "solve" is
+    a dense solve, "poly" (Vandermonde only, see _check_method)
+    interpolation through the pattern's nodes by Björck–Pereyra: Newton
+    divided differences, then expansion into monomial coefficients, in
+    place.
     """
     A = _finite_real(A, "A")
     K, M, N = params.K, params.M, params.N
@@ -213,18 +226,21 @@ def encode(
     Apad = np.zeros((M, N))
     Apad[:, : params.N_raw] = A
     F = gen.entries @ Apad if K == M else _encode_windows(Apad, gen, params, method, points)
+    F.flags.writeable = False  # no one else holds F: the transform keeps it without a copy
     return EncodedTransform(F=F, generator=gen, params=params)
 
 
 def _encode_windows(Apad, gen, params, method, points) -> np.ndarray:
     """F for K > M from the padded A: column j of window r is G_r A_j
     (see _window_operators), one stacked product per block of windows,
-    then the pattern-residual gate and the snap to zero; see encode."""
+    then, unless the plan is certified, the pattern-residual gate and the
+    snap to zero; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
-    ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
     # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
     rows = _pattern(params).rows
-    G = _window_operators(gen, M, method, points, rows)
+    G, certified = _window_operators(gen, M, method, points, rows)
+    if not certified:
+        ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
     F = np.empty((P, N))
     D, n = K - M, N // P
     A3, F3 = Apad.reshape(M, n, P), F.reshape(P, n, P)
@@ -238,16 +254,17 @@ def _encode_windows(Apad, gen, params, method, points) -> np.ndarray:
         # item w holds Apad[:, r::P] for r = r0 + w, C-ordered: the BLAS
         # takes another dgemm kernel, with other bits, for another layout
         Fcols = Gb @ np.ascontiguousarray(A3[:, :, block].transpose(2, 0, 1))
-        pattern = np.arange(len(Fcols))[:, None], rows[block]
-        on_pattern = Fcols[pattern]
-        resid = np.max(np.abs(on_pattern, out=on_pattern), axis=(1, 2))
-        over = np.flatnonzero(resid > ztol)
-        if over.size:
-            raise ConditioningError(
-                f"pattern residual {float(resid[over[0]]):.3e} exceeds zero tolerance "
-                f"{ztol:.3e}; generator too ill-conditioned for these parameters"
-            )
-        Fcols[pattern] = 0.0
+        if not certified:  # a certified plan's products are +0.0 on the pattern already
+            pattern = np.arange(len(Fcols))[:, None], rows[block]
+            on_pattern = Fcols[pattern]
+            resid = np.max(np.abs(on_pattern, out=on_pattern), axis=(1, 2))
+            over = np.flatnonzero(resid > ztol)
+            if over.size:
+                raise ConditioningError(
+                    f"pattern residual {float(resid[over[0]]):.3e} exceeds zero tolerance "
+                    f"{ztol:.3e}; generator too ill-conditioned for these parameters"
+                )
+            Fcols[pattern] = 0.0
         F3[:, :, block] = Fcols.transpose(1, 2, 0)
     return F
 
@@ -258,9 +275,10 @@ def _plan_floats(P: int, K: int, M: int) -> int:
     return (K - M) * (K + M) + 2 * P * M
 
 
-def _window_operators(gen, M: int, method: str, points, rows) -> np.ndarray | None:
-    """The plan of gen's windows for M rows of A: the read-only (P, P, M)
-    stack of G_r = B[:, :M] - B[:, M:] C_r.  Window r's pattern rows
+def _window_operators(gen, M: int, method: str, points, rows):
+    """(G, certified): the plan of gen's windows for M rows of A, the
+    read-only (P, P, M) stack of G_r = B[:, :M] - B[:, M:] C_r, and
+    whether it is certified.  Window r's pattern rows
     U_r = rows[r] (see _pattern) give BU_r = B[U_r] and its system
     W_r = BU_r[:, M:]; C_r solves W_r C_r = BU_r[:, :M] (interpolates
     it through points[U_r] for the poly method), so G_r's U_r rows
@@ -274,11 +292,27 @@ def _window_operators(gen, M: int, method: str, points, rows) -> np.ndarray | No
     windows as it goes.  Threads may share a generator: two that miss on
     one key both store equal stacks, and racing inserts can pass the cap
     by at most one stack per thread.
+
+    A stored plan is certified when 4 b <= ZERO_TOL_FACTOR, with b the
+    largest ||G_r[u, :]||_1 over the windows r and their rows u in U_r.
+    A pattern entry of G_r A_j then never exceeds the residual gate's
+    ZERO_TOL_FACTOR * max|A|, whatever finite A is.  For max|A| at or
+    above the smallest normal float, the dot-product bound with gradual
+    underflow (Higham 2002, sec. 3.1) puts it at most
+    (1 + gamma_M) (b max|A| + M 2^-1075), inside the margin for M below
+    six million.  For subnormal max|A| every product rounds onto the
+    evenly spaced subnormal grid, to at most twice its exact magnitude,
+    and every partial sum is exact; the entry is then at most
+    2 b max|A|, which is under the rounded tolerance or, below one
+    subnormal step, is 0.  The gate would pass every A and snap the
+    pattern to 0.0, so a certified plan stores its U_r rows as 0.0
+    instead, and encode gates no A for it.  Any other plan, and a None
+    one, is not certified; gen._certified holds the certified keys.
     """
     key = (M, method)
     G = gen._operators.get(key)
     if G is not None:
-        return G
+        return G, key in gen._certified
     P, K, B = gen.P, gen.K, gen.entries
     step = max(1, _ENCODE_BLOCK_BYTES // (8 * _plan_floats(P, K, M)))
     for r0 in range(0, P, step):
@@ -288,13 +322,18 @@ def _window_operators(gen, M: int, method: str, points, rows) -> np.ndarray | No
             check_condition(window, cond=hi / lo if lo > 0 else math.inf)
     held = sum(g.nbytes for g in gen._operators.values())
     if held + 8 * P * P * M > OPERATOR_MEMO_BYTES:
-        return None
+        return None, False
     G = np.empty((P, P, M))
     for r0 in range(0, P, step):
         G[r0 : r0 + step] = _operators(B, M, points, rows[r0 : r0 + step])
+    pattern = np.arange(P)[:, None], rows
+    certified = 4 * float(np.abs(G[pattern]).sum(axis=2).max()) <= ZERO_TOL_FACTOR
+    if certified:
+        G[pattern] = 0.0
+        gen._certified.add(key)  # before the plan, so no thread holds it uncertified
     G.flags.writeable = False
     gen._operators[key] = G
-    return G
+    return G, certified
 
 
 def _operators(B, M: int, points, rows) -> np.ndarray:

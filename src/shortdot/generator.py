@@ -54,16 +54,17 @@ class GeneratorMatrix:
     entries must be a 2-D array of real finite numbers, or construction
     raises ValueError.  It is read-only from then on, so its memos cannot
     go stale: the responder-set condition numbers (see `condition`), the
-    window operators encode plans per (M, method) (see
-    coding._window_operators), and the cached `parity` and `pinv`.
-    `dataclasses.replace` starts a new generator with empty memos and no
-    parity or pinv yet.
+    window operators encode plans per (M, method) and the keys of the
+    certified ones (see coding._window_operators), and the cached
+    `parity` and `pinv`.  `dataclasses.replace` starts a new generator
+    with empty memos, no certificate, and no parity or pinv yet.
     """
 
     entries: np.ndarray
     kind: str
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _certified: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries)  # the dtype test keeps object arrays from isfinite

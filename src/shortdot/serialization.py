@@ -109,9 +109,10 @@ def _npy_F(src: Path, crc_text: str) -> np.ndarray:
         raise ValueError(f"F.npy in {src} holds a {F.ndim}-D {F.dtype} array, not a "
                          f"2-D float64 one; {_AGAIN}")
     # read_array returns a view of an array it made and no one else holds;
-    # frozen, it lets EncodedTransform keep F without a copy
+    # both frozen, they let EncodedTransform keep F without a copy
     if isinstance(F.base, np.ndarray):
         F.base.flags.writeable = False
+    F.flags.writeable = False
     return F
 
 

@@ -338,7 +338,9 @@ def _assert_encode_is_the_window_loop(A, gen, p, method="solve"):
         if isinstance(want, tuple):
             assert got == want, (p, gen.kind, method)
         else:
-            assert isinstance(got, np.ndarray) and np.array_equal(got, want), (p, gen.kind, method)
+            # bytes, not values: +0.0 and -0.0 compare equal
+            assert isinstance(got, np.ndarray), (p, gen.kind, method)
+            assert got.tobytes() == want.tobytes(), (p, gen.kind, method)
 
 
 def _kinds_and_methods(p):
@@ -492,6 +494,106 @@ def test_operator_memo_stays_within_its_cap(monkeypatch):
         assert all(G.shape == (P, P, rows) and not G.flags.writeable
                    for (rows, _), G in gen._operators.items())
     assert sorted(gen._operators) == [(M, "solve") for M in (1, 2, 3, 4, 6)]
+
+
+# the (P, K, M, N_raw) that test_criterion_10_fast_path_equivalence draws
+CRITERION_10_SHAPES = [
+    (21, 14, 6, 21), (19, 11, 6, 38), (10, 9, 7, 10), (9, 6, 2, 18), (8, 6, 1, 16),
+    (6, 2, 1, 12), (9, 3, 2, 18), (10, 2, 2, 20), (10, 4, 1, 10), (16, 14, 5, 32),
+    (17, 11, 9, 34), (18, 15, 9, 18), (15, 9, 3, 15), (19, 11, 10, 38), (20, 16, 3, 20),
+    (15, 12, 4, 30), (14, 11, 8, 28), (18, 10, 5, 18), (12, 10, 5, 12), (19, 16, 10, 19),
+    (13, 6, 5, 26), (17, 14, 11, 34), (14, 12, 9, 14), (10, 2, 2, 10), (12, 7, 3, 24),
+    (64, 58, 10, 128), (44, 43, 30, 88), (24, 18, 1, 48), (55, 53, 39, 55), (55, 52, 41, 110),
+    (65, 57, 24, 130), (32, 25, 10, 64), (23, 21, 12, 46), (64, 58, 23, 64), (22, 18, 8, 44),
+    (50, 42, 27, 50), (25, 20, 9, 25), (38, 31, 18, 38), (44, 40, 27, 44), (43, 37, 21, 86),
+    (38, 36, 14, 76), (26, 18, 3, 52), (25, 17, 7, 25), (30, 22, 17, 30), (18, 17, 10, 18),
+    (57, 49, 22, 114), (48, 42, 5, 48), (49, 48, 1, 49), (30, 29, 16, 30), (48, 46, 23, 96),
+]
+
+
+def _certified_plans():
+    """(params, generator, method) of each certified plan: Vandermonde,
+    both methods, on criterion 10's shapes, and every kind and method at
+    Sec. 6, each planned on a fresh generator."""
+    cells = [(shape, ("vandermonde",)) for shape in CRITERION_10_SHAPES]
+    for shape, kinds in [*cells, ((20, 18, 10, 785), ("vandermonde", "gaussian"))]:
+        p = validate_params(*shape)
+        for gen, method in _kinds_and_methods(p):
+            gen = dataclasses.replace(gen)
+            if gen.kind not in kinds or p.K == p.M:
+                continue
+            try:
+                encode(np.ones((p.M, p.N_raw)), gen, p, method)
+            except ConditioningError:  # the window gate refuses this generator
+                continue
+            if (p.M, method) in gen._certified:
+                yield p, gen, method
+
+
+def test_a_certified_plan_encodes_every_a_as_the_gated_window_loop():
+    # the adversarial A puts sign(G_r[u, :]) in every column of window r,
+    # u the row of U_r with the largest 1-norm b_r, so that pattern entry
+    # of G_r A_j reads b_r max|A|: the bound is tight, and the gate of the
+    # window loop, run on the plan before its pattern rows were zeroed,
+    # must still pass it
+    certified = 0
+    for p, gen, method in _certified_plans():
+        certified += 1
+        P, M, rows = p.P, p.M, coding._pattern(p).rows
+        points = coding._check_method(method, gen, "encode")
+        on_pattern = coding._operators(gen.entries, M, points, rows)[np.arange(P)[:, None], rows]
+        norms = np.abs(on_pattern).sum(axis=2)
+        assert 4 * norms.max() <= coding.ZERO_TOL_FACTOR, (p, method)
+        worst = on_pattern[np.arange(P), norms.argmax(axis=1)]  # (P, M)
+        adversarial = np.where(worst < 0, -1.0, 1.0)[np.arange(p.N_raw) % P].T
+        reads = np.abs(np.einsum("jm,mj->j", worst[np.arange(p.N_raw) % P], adversarial))
+        np.testing.assert_allclose(reads, norms.max(axis=1)[np.arange(p.N_raw) % P],
+                                   rtol=1e-12)
+        mixed = np.random.default_rng([p.P, p.K, p.M, p.N_raw]).standard_normal((M, p.N_raw))
+        for A in (adversarial, mixed, -np.abs(mixed), *(scale * B for B in (adversarial, mixed)
+                                                         for scale in (1e300, 1e-310, 1e-318))):
+            want = encode_by_window(A, gen, p, method)
+            if not np.isfinite(want).all():  # an entry off the pattern overflowed
+                with pytest.raises(ValueError, match="F has non-finite entries"):
+                    encode(A, gen, p, method)
+                continue
+            F = encode(A, gen, p, method).F
+            assert F.tobytes() == want.tobytes(), (p, gen.kind, method)
+            assert not np.signbit(F[F == 0]).any()
+    assert certified >= 50
+
+
+def test_a_plan_is_certified_once_and_only_where_the_bound_covers_it(monkeypatch):
+    absolutes = []
+    np_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda *a, **k: absolutes.append(1) or np_abs(*a, **k))
+    # the lopsided generator of test_stacked_encode_refuses_as_the_window_loop
+    # holds a plan the bound does not cover: encode gates each A for it
+    p = validate_params(4, 3, 1, 8)
+    A = np.random.default_rng(5).standard_normal((1, 8))
+    lopsided = np.random.default_rng(6).standard_normal((4, 3)) * [1e12, 1.0, 1.0]
+    gen = GeneratorMatrix(entries=lopsided, kind="gaussian")
+    for _ in ("cold", "warm"):
+        absolutes.clear()
+        with pytest.raises(ConditioningError, match="pattern residual"):
+            encode(A, gen, p)
+        assert absolutes
+    assert list(gen._operators) == [(1, "solve")] and gen._certified == set()
+    # Sec. 6 plans are certified as they are planned, with their pattern
+    # rows stored as 0.0, and a warm encode from them takes no abs: no gate
+    q = validate_params(20, 18, 10, 785)
+    A = np.random.default_rng(23).standard_normal((10, 785))
+    for shared, method in _kinds_and_methods(q):
+        gen = dataclasses.replace(shared)
+        assert gen._certified == set()
+        cold = encode(A, gen, q, method).F
+        assert gen._certified == {(10, method)}
+        G = gen._operators[(10, method)]
+        assert np.all(G[np.arange(20)[:, None], coding._pattern(q).rows] == 0.0)
+        assert dataclasses.replace(gen)._certified == set()
+        absolutes.clear()
+        assert encode(A, gen, q, method).F.tobytes() == cold.tobytes()
+        assert absolutes == []
 
 
 def _exact_F(A, B, p):
@@ -703,17 +805,39 @@ def test_a_transform_keeps_its_f_when_the_array_it_views_changes():
     for i, out in enumerate(run_workers(code, x)):
         S = code.supports[i] - 1
         assert out.value == code.F[i, S] @ x[S]
-    # an F that owns its memory, or views only read-only arrays, is kept
-    # as it is and frozen in place
+    # a read-only F that owns its memory, or views only read-only arrays,
+    # is kept as it is
     own = before.copy()
+    own.flags.writeable = False
     assert EncodedTransform(F=own, generator=gen, params=p).F is own
-    assert not own.flags.writeable
     view = own[:]
     assert EncodedTransform(F=view, generator=gen, params=p).F is view
     # memory behind a buffer that is not an array is copied
     buffered = np.frombuffer(bytearray(before.tobytes()), dtype=float).reshape(6, 12)
     kept = EncodedTransform(F=buffered, generator=gen, params=p).F
     assert kept is not buffered and np.array_equal(kept, before)
+
+
+def test_a_transform_keeps_its_f_when_an_earlier_view_of_f_changes(monkeypatch):
+    # freezing F does not reach the writable views of F that exist
+    # already: a transform once kept such an F, and v *= 2 then moved
+    # code.F under coefficients computed from the old F
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    A = np.random.default_rng(11).standard_normal((3, 12))
+    F = encode(A, gen, p).F.copy()
+    v = F[:]
+    code = EncodedTransform(F=F, generator=gen, params=p)
+    before = F.copy()
+    v *= 2
+    assert np.array_equal(code.F, before) and not code.F.flags.writeable
+    assert np.array_equal(code.coefficients,
+                          np.take_along_axis(code.F, code.supports - 1, axis=1))
+    # encode freezes the F it made before it builds the transform: no copy
+    made = []
+    windows = coding._encode_windows
+    monkeypatch.setattr(coding, "_encode_windows", lambda *a: made.append(windows(*a)) or made[-1])
+    assert encode(A, gen, p).F is made[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
