@@ -11,9 +11,9 @@ The enforced sparsity pattern is cyclic: column j of F is zero at the
 K - M rows U(j) = ({j-1, ..., j+K-M-2} mod P) + 1, a P x P unit block
 tiled N/P times, which gives every row exactly s allowed-nonzero
 positions.  The pattern depends on (P, K, M, N) alone, so a process
-derives it once per (P, K, M, N) (see _pattern): every transform of
-those parameters shares one read-only (P, s) supports array and gathers
-its coefficients from F with one flat `take`.  The appended entries
+derives it once per (P, K, M, N), whatever N_raw (see _pattern): every
+transform of those parameters shares one read-only (P, s) supports
+array and gathers its coefficients from F with one flat `take`.  The appended entries
 z(j) are the unique solution of B^U(j)[A_j; z] = 0, so
 F_j = B[A_j; z(j)] is linear in A_j.  Columns j and j+P share U(j), so
 P window operators G_r (P x M each) carry A to F; encode plans them
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, DecodingError
-from .generator import GENERATOR_CACHE_SIZE, GeneratorMatrix, check_condition, guarded_solve
+from .generator import GENERATOR_CACHE_SIZE, GeneratorMatrix, _own, check_condition, guarded_solve
 from .params import CodeParams, worker_indices
 
 # encode snaps pattern positions to exact zero; anything above
@@ -95,13 +95,12 @@ class _Pattern(NamedTuple):
 # supports and flat indices, plus 8 * P * (K - M) of rows, per entry;
 # 153,600 + 1,280 bytes at (20,18,10,785) and 3.52 MB at (100,98,20,10000)
 @lru_cache(maxsize=GENERATOR_CACHE_SIZE)
-def _pattern(params: CodeParams) -> _Pattern:
-    """The pattern of params, derived once per (P, K, M, N) in a process
-    and shared by every transform and encode of those parameters."""
-    P = params.P
-    supports = supports_from_pattern(params)
-    flat = supports + (np.arange(P) * params.N - 1)[:, None]
-    rows = (np.arange(P)[:, None] + np.arange(params.K - params.M)) % P
+def _pattern(P: int, K: int, M: int, N: int) -> _Pattern:
+    """The pattern of (P, K, M, N), derived once in a process and shared
+    by every transform and encode of those parameters, whatever N_raw."""
+    supports = supports_from_pattern(CodeParams(P=P, K=K, M=M, N=N, N_raw=N))
+    flat = supports + (np.arange(P) * N - 1)[:, None]
+    rows = (np.arange(P)[:, None] + np.arange(K - M)) % P
     for arr in (supports, flat, rows):
         arr.flags.writeable = False
     return _Pattern(supports, flat, rows)
@@ -134,12 +133,9 @@ class EncodedTransform:
     shares (see _pattern), and `coefficients`, the (P, s) array of each
     row of F on its support, is gathered once with one flat `take`.
     F and coefficients are read-only too, so the worker tasks read from
-    them cannot go stale: a read-only F whose base chain holds only
-    read-only arrays, the last owning the memory, is kept as it is, and
-    any other F is copied first, since a writable F's views, or a
-    writable array or buffer up its chain, could still change it.
-    encode and load_transform hand over such frozen arrays, so neither
-    pays a copy.
+    them cannot go stale: F is kept as it is when it owns its memory and
+    is read-only, as encode's is, and is copied first otherwise (see
+    generator._own), as a load's view of the array it read is.
     """
 
     F: np.ndarray
@@ -153,8 +149,8 @@ class EncodedTransform:
         # a complex F would reach run_workers' vecdot, which conjugates it
         if self.F.dtype.kind not in "biuf":
             raise ValueError(f"F must hold real numbers, not {self.F.dtype}")
-        F = _private(self.F)
-        pattern = _pattern(p)
+        F = _own(self.F)
+        pattern = _pattern(p.P, p.K, p.M, p.N)
         coefficients = F.take(pattern.flat)
         if not np.all(np.isfinite(coefficients)):
             raise ValueError("F has non-finite entries")
@@ -170,21 +166,6 @@ class EncodedTransform:
     def worker_tasks(self) -> tuple[WorkerTask, ...]:
         return tuple(map(WorkerTask, range(1, self.params.P + 1),
                          self.supports, self.coefficients))
-
-
-def _private(F: np.ndarray) -> np.ndarray:
-    """F when no one can write its memory through an array: F is
-    read-only, and so is every array up its base chain, the last of which
-    owns it.  Otherwise a private copy of F, since a writable F may have
-    writable views that freezing F would not reach."""
-    if F.flags.writeable:
-        return F.copy()
-    base = F.base
-    while isinstance(base, np.ndarray):
-        if base.flags.writeable:
-            return F.copy()
-        base = base.base
-    return F if base is None else F.copy()
 
 
 def encode(
@@ -237,7 +218,7 @@ def _encode_windows(Apad, gen, params, method, points) -> np.ndarray:
     snap to zero; see encode."""
     P, K, M, N = params.P, params.K, params.M, params.N
     # window r holds columns r, r+P, ... of F: F3[:, :, r], zero at rows[r]
-    rows = _pattern(params).rows
+    rows = _pattern(P, K, M, N).rows
     G, certified = _window_operators(gen, M, method, points, rows)
     if not certified:
         ztol = ZERO_TOL_FACTOR * float(np.max(np.abs(Apad)))  # the padding adds only zeros
@@ -307,12 +288,13 @@ def _window_operators(gen, M: int, method: str, points, rows):
     subnormal step, is 0.  The gate would pass every A and snap the
     pattern to 0.0, so a certified plan stores its U_r rows as 0.0
     instead, and encode gates no A for it.  Any other plan, and a None
-    one, is not certified; gen._certified holds the certified keys.
+    one, is not certified.  The memo's entry is the pair (G, certified),
+    stored in one assignment, so no thread reads a plan without its
+    certificate.
     """
-    key = (M, method)
-    G = gen._operators.get(key)
-    if G is not None:
-        return G, key in gen._certified
+    plan = gen._operators.get((M, method))
+    if plan is not None:
+        return plan
     P, K, B = gen.P, gen.K, gen.entries
     step = max(1, _ENCODE_BLOCK_BYTES // (8 * _plan_floats(P, K, M)))
     for r0 in range(0, P, step):
@@ -320,7 +302,7 @@ def _window_operators(gen, M: int, method: str, points, rows):
         hi_lo = np.linalg.svd(windows, compute_uv=False)[:, [0, -1]].tolist()
         for window, (hi, lo) in zip(windows, hi_lo):  # both methods solve with these
             check_condition(window, cond=hi / lo if lo > 0 else math.inf)
-    held = sum(g.nbytes for g in gen._operators.values())
+    held = sum(g.nbytes for g, _ in gen._operators.values())
     if held + 8 * P * P * M > OPERATOR_MEMO_BYTES:
         return None, False
     G = np.empty((P, P, M))
@@ -330,9 +312,8 @@ def _window_operators(gen, M: int, method: str, points, rows):
     certified = 4 * float(np.abs(G[pattern]).sum(axis=2).max()) <= ZERO_TOL_FACTOR
     if certified:
         G[pattern] = 0.0
-        gen._certified.add(key)  # before the plan, so no thread holds it uncertified
     G.flags.writeable = False
-    gen._operators[key] = G
+    gen._operators[M, method] = G, certified
     return G, certified
 
 

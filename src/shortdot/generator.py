@@ -52,22 +52,23 @@ class GeneratorMatrix:
     (the fixed draw of build_generator).
 
     entries must be a 2-D array of real finite numbers, or construction
-    raises ValueError.  It is read-only from then on, so its memos cannot
-    go stale: the responder-set condition numbers (see `condition`), the
-    window operators encode plans per (M, method) and the keys of the
-    certified ones (see coding._window_operators), and the cached
-    `parity` and `pinv`.  `dataclasses.replace` starts a new generator
-    with empty memos, no certificate, and no parity or pinv yet.
+    raises ValueError.  The generator keeps a read-only array of them
+    that it owns (see _own), and never freezes the array it is handed,
+    so its memos cannot go stale: the responder-set condition numbers
+    (see `condition`), the window operators encode plans per (M, method),
+    each with its certificate (see coding._window_operators), and the
+    cached `parity` and `pinv`.  `dataclasses.replace` starts a new
+    generator with empty memos and no parity or pinv yet.
     """
 
     entries: np.ndarray
     kind: str
     _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _certified: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        entries = np.asarray(self.entries)  # the dtype test keeps object arrays from isfinite
+        entries = _own(np.asarray(self.entries))
+        # the dtype test keeps object arrays from isfinite
         if entries.ndim != 2 or entries.dtype.kind not in "biuf" or not np.isfinite(entries).all():
             raise ValueError("generator entries must be a 2-D real finite array")
         entries.flags.writeable = False
@@ -119,6 +120,14 @@ class GeneratorMatrix:
             if len(self._conditions) < CONDITION_MEMO_CAP:
                 self._conditions[key] = c
         return c
+
+
+def _own(a: np.ndarray) -> np.ndarray:
+    """a when it owns its memory and is read-only, else a copy of a: the
+    arrays a codec object keeps, frozen, and derives its memos from.  A
+    view, a writable array or a foreign buffer could still change, through
+    its base, its caller or a view of it."""
+    return a if a.flags.owndata and not a.flags.writeable else a.copy()
 
 
 def chebyshev_nodes(P: int) -> np.ndarray:

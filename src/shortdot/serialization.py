@@ -18,7 +18,8 @@ of any other lines (another key, such as the lines older versions wrote
 for N, the zero tolerance, the nodes and the seed, a comment, blank,
 repeated or reordered line, or a key padded with spaces), a CRC that
 does not match both files (so an edited F.csv or F.npy) and an F.npy
-that is not a 2-D float64 array; a missing F.npy raises
+that is not a 2-D float64 array in the version 1.0 format np.save
+writes for one; a missing F.npy raises
 FileNotFoundError.  The values of P, K, M and N_raw must read exactly
 as save_transform writes them, str(int(value)): a space, sign, leading
 zero or digit-group underscore is refused too.
@@ -29,12 +30,14 @@ a function of (P, K, kind), so no nodes or seed either; save_transform
 refuses a generator that build_generator would not rebuild from
 params.txt.  load_transform
 refuses an F that is not P x N, is nonzero on the sparsity pattern or
-that the generator does not reproduce (see coding.check_generator).
+that the generator does not reproduce (see coding.check_generator), and
+keeps a read-only copy of the F it read, as any transform of a view does.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import zlib
 from pathlib import Path
 
@@ -95,24 +98,28 @@ def save_transform(code: EncodedTransform, out_dir) -> Path:
 def _npy_F(src: Path, crc_text: str) -> np.ndarray:
     """F from src's F.npy, refused unless crc_text is the F_crc32 of its
     F.csv and F.npy and F.npy holds a 2-D float64 array.  Each file is
-    read once, so the CRC vouches for the bytes loaded."""
+    read once, so the CRC vouches for the bytes loaded.  F is a read-only
+    view of those bytes, so the transform's copy is the load's only copy
+    of F (read_array would first copy them into an array of its own)."""
     raw = (src / "F.npy").read_bytes()
     if crc_text != f"{zlib.crc32(raw, zlib.crc32((src / 'F.csv').read_bytes())):08x}":
         raise ValueError(f"F.csv and F.npy in {src} are not the files F_crc32 names "
                          f"(one was changed or replaced after the save); {_AGAIN}")
-    try:
-        F = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+    fp = io.BytesIO(raw)
+    try:  # the version 1.0 header np.save writes for a 2-D float64 F, then its data
+        if np.lib.format.read_magic(fp) != (1, 0):
+            raise ValueError("not the version 1.0 header np.save writes for F")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fp)
+        if dtype.hasobject:
+            raise ValueError("it holds Python objects")
+        F = np.frombuffer(raw, dtype, math.prod(shape), fp.tell()).reshape(
+            shape, order="F" if fortran_order else "C")
     except ValueError as exc:  # truncated, or not an .npy array
         raise ValueError(f"F.npy in {src} is not a readable .npy array ({exc}); "
                          f"{_AGAIN}") from None
     if F.dtype != np.float64 or F.ndim != 2:
         raise ValueError(f"F.npy in {src} holds a {F.ndim}-D {F.dtype} array, not a "
                          f"2-D float64 one; {_AGAIN}")
-    # read_array returns a view of an array it made and no one else holds;
-    # both frozen, they let EncodedTransform keep F without a copy
-    if isinstance(F.base, np.ndarray):
-        F.base.flags.writeable = False
-    F.flags.writeable = False
     return F
 
 

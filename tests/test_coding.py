@@ -71,7 +71,7 @@ def test_supports_are_the_columns_the_mask_allows(P):
                 mask = zero_mask(p)
                 from_mask = np.nonzero(~mask)[1].reshape(P, p.s) + 1
                 assert np.array_equal(supports_from_pattern(p), from_mask), (P, K, M, N_raw)
-                pattern = coding._pattern(p)
+                pattern = coding._pattern(P, K, M, p.N)
                 assert np.array_equal(pattern.supports, from_mask)
                 assert np.array_equal(pattern.flat, np.flatnonzero(~mask).reshape(P, p.s))
                 assert pattern.rows.shape == (P, K - M)
@@ -95,14 +95,28 @@ def test_supports_from_pattern_stays_fresh_and_the_memo_derives_once(monkeypatch
     loaded = load_transform(save_transform(first, tmp_path / "code"))
     assert encode(A, gen, p).supports is loaded.supports is first.supports
     assert np.array_equal(first.supports, fresh) and not first.supports.flags.writeable
-    encode(A[:, :11], gen, q)  # another N_raw is another pattern, though N is the same
-    assert calls == [p, q]
+    # another N_raw of the same N: the same pattern, not derived again
+    assert encode(A[:, :11], gen, q).supports is first.supports
+    assert calls == [p]
+
+
+def test_one_pattern_serves_every_n_raw_of_one_n():
+    # the pattern is a function of (P, K, M, N): it was once memoized per
+    # CodeParams, N_raw included, so these two held two copies of it
+    p, q = validate_params(20, 18, 10, 785), validate_params(20, 18, 10, 790)
+    assert p.N == q.N == 800
+    coding._pattern.cache_clear()
+    gen = build_generator(p)
+    rng = np.random.default_rng(12)
+    first, second = (encode(rng.standard_normal((10, r.N_raw)), gen, r) for r in (p, q))
+    assert first.supports is second.supports
+    assert coding._pattern.cache_info().currsize == 1
 
 
 def test_pattern_memo_stays_within_its_bound():
     assert coding._pattern.cache_info().maxsize == generator.GENERATOR_CACHE_SIZE
     gen = build_generator(validate_params(6, 5, 1, 6))
-    for N_raw in range(6, 6 + 2 * generator.GENERATOR_CACHE_SIZE):
+    for N_raw in range(5, 12 * generator.GENERATOR_CACHE_SIZE, 6):  # one N each
         p = validate_params(6, 5, 3, N_raw)
         encode(np.ones((3, N_raw)), gen, p)
         assert coding._pattern.cache_info().currsize <= generator.GENERATOR_CACHE_SIZE
@@ -489,10 +503,10 @@ def test_operator_memo_stays_within_its_cap(monkeypatch):
         p = validate_params(P, K, M, 5 * P + 1)
         A = np.random.default_rng(M).standard_normal((M, p.N_raw))
         assert np.array_equal(encode(A, gen, p).F, encode_by_window(A, gen, p))
-        held = sum(G.nbytes for G in gen._operators.values())
+        held = sum(G.nbytes for G, _ in gen._operators.values())
         assert held <= 20_000
         assert all(G.shape == (P, P, rows) and not G.flags.writeable
-                   for (rows, _), G in gen._operators.items())
+                   for (rows, _), (G, _) in gen._operators.items())
     assert sorted(gen._operators) == [(M, "solve") for M in (1, 2, 3, 4, 6)]
 
 
@@ -526,7 +540,7 @@ def _certified_plans():
                 encode(np.ones((p.M, p.N_raw)), gen, p, method)
             except ConditioningError:  # the window gate refuses this generator
                 continue
-            if (p.M, method) in gen._certified:
+            if gen._operators[p.M, method][1]:
                 yield p, gen, method
 
 
@@ -539,7 +553,7 @@ def test_a_certified_plan_encodes_every_a_as_the_gated_window_loop():
     certified = 0
     for p, gen, method in _certified_plans():
         certified += 1
-        P, M, rows = p.P, p.M, coding._pattern(p).rows
+        P, M, rows = p.P, p.M, coding._pattern(p.P, p.K, p.M, p.N).rows
         points = coding._check_method(method, gen, "encode")
         on_pattern = coding._operators(gen.entries, M, points, rows)[np.arange(P)[:, None], rows]
         norms = np.abs(on_pattern).sum(axis=2)
@@ -578,19 +592,20 @@ def test_a_plan_is_certified_once_and_only_where_the_bound_covers_it(monkeypatch
         with pytest.raises(ConditioningError, match="pattern residual"):
             encode(A, gen, p)
         assert absolutes
-    assert list(gen._operators) == [(1, "solve")] and gen._certified == set()
+    assert list(gen._operators) == [(1, "solve")] and not gen._operators[1, "solve"][1]
     # Sec. 6 plans are certified as they are planned, with their pattern
     # rows stored as 0.0, and a warm encode from them takes no abs: no gate
     q = validate_params(20, 18, 10, 785)
     A = np.random.default_rng(23).standard_normal((10, 785))
     for shared, method in _kinds_and_methods(q):
         gen = dataclasses.replace(shared)
-        assert gen._certified == set()
+        assert gen._operators == {}
         cold = encode(A, gen, q, method).F
-        assert gen._certified == {(10, method)}
-        G = gen._operators[(10, method)]
-        assert np.all(G[np.arange(20)[:, None], coding._pattern(q).rows] == 0.0)
-        assert dataclasses.replace(gen)._certified == set()
+        assert list(gen._operators) == [(10, method)]
+        G, certified = gen._operators[10, method]
+        assert certified
+        assert np.all(G[np.arange(20)[:, None], coding._pattern(20, 18, 10, 800).rows] == 0.0)
+        assert dataclasses.replace(gen)._operators == {}
         absolutes.clear()
         assert encode(A, gen, q, method).F.tobytes() == cold.tobytes()
         assert absolutes == []
@@ -805,17 +820,38 @@ def test_a_transform_keeps_its_f_when_the_array_it_views_changes():
     for i, out in enumerate(run_workers(code, x)):
         S = code.supports[i] - 1
         assert out.value == code.F[i, S] @ x[S]
-    # a read-only F that owns its memory, or views only read-only arrays,
-    # is kept as it is
+    # a read-only F that owns its memory is kept as it is; a read-only
+    # view of it is copied, as is memory behind a buffer that is not an array
     own = before.copy()
     own.flags.writeable = False
     assert EncodedTransform(F=own, generator=gen, params=p).F is own
     view = own[:]
-    assert EncodedTransform(F=view, generator=gen, params=p).F is view
-    # memory behind a buffer that is not an array is copied
+    kept = EncodedTransform(F=view, generator=gen, params=p).F
+    assert kept is not view and np.array_equal(kept, before)
     buffered = np.frombuffer(bytearray(before.tobytes()), dtype=float).reshape(6, 12)
     kept = EncodedTransform(F=buffered, generator=gen, params=p).F
     assert kept is not buffered and np.array_equal(kept, before)
+
+
+def test_a_codec_object_keeps_a_read_only_owner_and_copies_any_other_array():
+    # one rule for F and for a generator's entries: an array that owns its
+    # memory and is read-only is kept; a read-only view, a writable array
+    # and a foreign buffer are copied, and the array handed over is not frozen
+    p = validate_params(6, 5, 3, 12)
+    gen = build_generator(p)
+    F = encode(np.random.default_rng(26).standard_normal((3, 12)), gen, p).F
+    keepers = [(F, lambda a: EncodedTransform(F=a, generator=gen, params=p).F),
+               (gen.entries, lambda a: GeneratorMatrix(entries=a, kind="vandermonde").entries)]
+    for values, keep in keepers:
+        owner = values.copy()
+        owner.flags.writeable = False
+        assert keep(owner) is owner
+        foreign = np.frombuffer(bytearray(values.tobytes()), dtype=float).reshape(values.shape)
+        for given in (owner[:], values.copy(), foreign):
+            writable = given.flags.writeable
+            kept = keep(given)
+            assert kept is not given and np.array_equal(kept, values)
+            assert not kept.flags.writeable and given.flags.writeable == writable
 
 
 def test_a_transform_keeps_its_f_when_an_earlier_view_of_f_changes(monkeypatch):
@@ -986,6 +1022,27 @@ def test_a_refused_responder_set_is_refused_again_in_any_order():
             assert str(exc.value) == message
         assert len(gen._conditions) == 1
     assert decode(pairs[1:] + [(4, 4.0)], gen, p).shape == (3,)  # rows 1..5 decode
+
+
+def test_a_generator_keeps_its_entries_when_the_array_it_views_changes():
+    # a generator once froze the view it was handed, in place: base *= 2
+    # then doubled B under the encode plan it held, and decode returned
+    # A x / 2 from the outputs of that plan
+    p = validate_params(6, 5, 3, 12)
+    base = build_generator(p).entries.copy()
+    gen = GeneratorMatrix(entries=base[:], kind="vandermonde")
+    rng = np.random.default_rng(27)
+    A, x = rng.standard_normal((3, 12)), rng.standard_normal(12)
+    cold = encode(A, gen, p).F
+    base *= 2
+    warm = encode(A, gen, p)
+    assert warm.F.tobytes() == cold.tobytes()
+    y = decode(run_workers(warm, x)[1:], gen, p)
+    assert np.linalg.norm(y - A @ x) <= 1e-12 * np.linalg.norm(A @ x)
+    # nor does a generator freeze an array it copies
+    own = build_generator(p).entries.copy()
+    assert GeneratorMatrix(entries=own, kind="vandermonde").entries is not own
+    assert own.flags.writeable
 
 
 def test_generator_refuses_entries_or_nodes_that_are_not_real_and_finite():

@@ -162,6 +162,9 @@ def _edit_f_files(out, other, edit):
             npy.write_bytes(raw[:64])
         elif edit == "not-npy":
             npy.write_bytes(b"P=6\n")
+        elif edit == "npy-version-2":  # np.save writes version 1.0 for any F
+            with open(npy, "wb") as fp:
+                np.lib.format.write_array(fp, F, version=(2, 0))
         else:
             np.save(npy, {"float32": F.astype(np.float32), "big-endian": F.astype(">f8"),
                           "1-d": F.ravel(), "3-d": F[None], "object": F.astype(object)}[edit],
@@ -183,6 +186,7 @@ _F_REFUSALS = [
     ("truncated-data", ValueError, _UNREADABLE),
     ("truncated-header", ValueError, _UNREADABLE),
     ("not-npy", ValueError, _UNREADABLE),
+    ("npy-version-2", ValueError, _UNREADABLE),
     ("object", ValueError, _UNREADABLE),
     ("float32", ValueError, _NOT_2D_FLOAT64),
     ("big-endian", ValueError, _NOT_2D_FLOAT64),
@@ -381,20 +385,26 @@ def test_a_second_load_takes_no_svd(tmp_path, monkeypatch):
     assert len(svds) == 2
 
 
-def test_a_load_shares_the_supports_and_keeps_f_without_a_copy(tmp_path, monkeypatch):
-    # F is the array read_array returns: its base, an array no one else
-    # holds, is frozen, so the transform needs no private copy of F
+def test_a_load_shares_the_supports_and_keeps_a_frozen_f(tmp_path):
+    # F.npy's F is a read-only view of the bytes read: the transform keeps
+    # a copy of it that owns its memory, the load's one copy of F
     out, code, _ = _sec6_transform(tmp_path)
-    read = []
-    original = np.lib.format.read_array
-    monkeypatch.setattr(np.lib.format, "read_array",
-                        lambda *a, **k: read.append(original(*a, **k)) or read[-1])
     loaded = load_transform(out)
-    assert loaded.F is read[0] and loaded.F.tobytes() == code.F.tobytes()
-    assert not loaded.F.flags.writeable
-    assert loaded.F.base is None or not loaded.F.base.flags.writeable
+    assert loaded.F.tobytes() == code.F.tobytes()
+    assert not loaded.F.flags.writeable and loaded.F.flags.owndata
     assert loaded.supports is code.supports and not loaded.supports.flags.writeable
     assert loaded.coefficients.tobytes() == code.coefficients.tobytes()
+    # a frozen Fortran-ordered F is kept as it is and saved in Fortran
+    # order, and the load reads that order back
+    fortran = np.asfortranarray(code.F)
+    fortran.flags.writeable = False
+    kept = dataclasses.replace(code, F=fortran)
+    assert kept.F is fortran
+    out = save_transform(kept, tmp_path / "fortran")
+    with open(out / "F.npy", "rb") as fp:
+        np.lib.format.read_magic(fp)
+        assert np.lib.format.read_array_header_1_0(fp)[1]  # fortran_order
+    assert load_transform(out).F.tobytes() == code.F.tobytes()
 
 
 @pytest.mark.parametrize("node", [0, 10, 19])
