@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: encode, transform, sweep, theorem4, bounds and
-experiment-sec6; each declares only the flags it reads, and an
-invocation that names its subcommand first builds only that
-subcommand's parser (help, no argument or an unknown name build all).
-Every setting comes from argv.  Exit codes:
+experiment-sec6; each declares only the flags it reads.  One parser
+serves every call in a process: it is built on the first `main` call
+(see build_parser).  Every setting comes from argv.  Exit codes:
 0 success, 2 validation error (argparse's own errors included),
 3 numerical/conditioning failure, 4 I/O failure.
 """
@@ -13,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -389,33 +389,27 @@ _COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None
-                 ) -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name: all of them, or with
-    `only` the subcommand so named alone.  The usage line names every
-    subcommand either way, so usage and error text do not depend on
-    which were built."""
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name, built once per
+    process: parse_args keeps no state in them between calls."""
     parser = argparse.ArgumentParser(
         prog="shortdot",
         description="Sparse coded distributed matrix-vector multiplication toolkit",
     )
-    # left to argparse when all are built: an explicit metavar also renames
-    # the argument in its "required" and "invalid choice" errors
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, add_flags) in _COMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help, allow_abbrev=False)
-            p.set_defaults(func=func)
-            add_flags(p)
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        add_flags(p)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the named subcommand's parser is built: the flags of the others
-    # cost more to declare than a request spends parsing its own
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)[0]
+    # every call parses with the one cached parser: rebuilding it would
+    # cost a request more than parsing its argv
+    parser = build_parser()[0]
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -17,9 +17,11 @@ from shortdot import (
     build_generator,
     chebyshev_nodes,
     check_achievability,
+    decode,
     encode,
     load_matrix,
     load_transform,
+    run_workers,
     save_matrix,
     validate_params,
 )
@@ -830,12 +832,28 @@ def _printed(call, capsys):
     ["sweep", "--config", "--p", "6", "--out", "s.csv"],
 ])
 def test_cli_prints_what_the_parser_of_every_subcommand_prints(argv, capsys):
+    # main is the shared parser's parse_args behind a wrapper that adds
+    # nothing; test_usage_and_error_text_are_pinned pins the parser's text
     full = _printed(lambda: build_parser()[0].parse_args(argv), capsys)
     assert full[0] != 0 or argv[-1] == "--help"
     assert _printed(lambda: main(argv), capsys) == full
 
 
-def test_a_named_subcommand_builds_only_its_own_parser(monkeypatch, capsys):
+def test_usage_and_error_text_are_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    status, out, err = _printed(lambda: main(["bogus"]), capsys)
+    assert (status, out) == (2, "")
+    # the quoting of the choices after "choose from" varies with Python
+    assert err.startswith(
+        "usage: shortdot [-h]\n"
+        "                {encode,transform,sweep,theorem4,bounds,experiment-sec6} ...\n"
+        "shortdot: error: argument command: invalid choice: 'bogus' (choose from ")
+    assert _printed(lambda: main(["bounds", "--p", "6"]), capsys) == (
+        2, "", "usage: shortdot bounds [-h] --p P --k K --m M --n N [--out OUT]\n"
+               "shortdot bounds: error: the following arguments are required: --k, --m, --n\n")
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
     assert len(SUBCOMMANDS) == 6
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -845,17 +863,56 @@ def test_a_named_subcommand_builds_only_its_own_parser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    for name in SUBCOMMANDS:
-        assert _status([name, "--help"]) == 0
-        assert built == [name]
-        built.clear()
-    assert main(["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12"]) == 0
-    assert built == ["bounds"]
+    build_parser.cache_clear()  # importing this module built it already
+    bounds = ["bounds", "--p", "6", "--k", "5", "--m", "3", "--n", "12"]
+    assert main(bounds) == 0
+    assert built == SUBCOMMANDS
     built.clear()
-    for argv in (["--help"], ["bogus"], ["Bounds", "--p", "6"]):
+    for argv in (*([name, "--help"] for name in SUBCOMMANDS),
+                 ["--help"], ["bogus"], ["Bounds", "--p", "6"], bounds):
         assert _status(argv) in (0, 2)
-        assert built == SUBCOMMANDS
-        built.clear()
+    assert built == []
+
+
+def test_a_transform_leaves_no_corruption_to_the_next(small_problem, capsys):
+    _, x, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    # K = 4 of P = 6 corrects one error
+    assert main(["encode", a_path, "--p", "6", "--k", "4", "--out", str(out)]) == 0
+    code = load_transform(out)
+    outputs = run_workers(code, x)
+    clean = "".join("%.17g\n" % v for v in decode([outputs[i - 1] for i in (1, 2, 3, 4)],
+                                                    code.generator, code.params))
+    assert main(["transform", str(out), x_path, "--error-decode", "1",
+                 "--corrupt", "3:1e3"]) == 0
+    capsys.readouterr()
+    assert main(["transform", str(out), x_path, "--responders", "1,2,3,4"]) == 0
+    assert capsys.readouterr().out == clean
+
+
+def test_a_sweep_leaves_no_strategies_to_the_next(tmp_path):
+    out = tmp_path / "sweep.csv"
+    for name in ("uncoded", "mds"):
+        assert main(["sweep", "--p", "6", "--m-range", "2:3", "--strategy", name,
+                     "--out", str(out)]) == 0
+    with open(out) as fh:
+        assert [r["strategy"] for r in csv.DictReader(fh)] == ["mds", "mds"]
+
+
+def test_a_refused_call_changes_neither_the_next_call_nor_the_next_refusal(small_problem,
+                                                                          capsys):
+    _, _, a_path, x_path, tmp = small_problem
+    out = tmp / "code"
+    assert main(["encode", a_path, "--p", "6", "--k", "5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    good = ["transform", str(out), x_path, "--responders", "2,3,4,5,6"]
+    # argparse reads --corrupt before it refuses --error-decode beside --responders
+    refused = [*good, "--corrupt", "3:1e3", "--error-decode", "1"]
+    before = _printed(lambda: main(good), capsys)
+    first = _printed(lambda: main(refused), capsys)
+    assert first[0] == 2 and "not allowed with argument" in first[2]
+    assert _printed(lambda: main(good), capsys) == before
+    assert _printed(lambda: main(refused), capsys) == first
 
 
 def test_every_name_the_benchmark_traces_resolves(monkeypatch):

@@ -407,6 +407,18 @@ def test_a_load_shares_the_supports_and_keeps_a_frozen_f(tmp_path):
     assert load_transform(out).F.tobytes() == code.F.tobytes()
 
 
+def test_load_refuses_a_header_claiming_more_data_than_the_file_holds(tmp_path):
+    # refused as unreadable, not with MemoryError
+    out, _, _ = _sec6_transform(tmp_path)
+    with open(out / "F.npy", "wb") as fp:
+        np.lib.format.write_array_header_1_0(
+            fp, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**9)})
+        fp.write(bytes(64))
+    restamp(out)
+    with pytest.raises(ValueError, match=_UNREADABLE):
+        load_transform(out)
+
+
 @pytest.mark.parametrize("node", [0, 10, 19])
 def test_load_refuses_a_moved_vandermonde_node(tmp_path, node):
     out, code, A = _sec6_transform(tmp_path)
